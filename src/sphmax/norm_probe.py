@@ -39,6 +39,7 @@ from .quadrature import DEFAULT_QUAD, QuadratureSpec
 from .radial_operator import (
     DilationGrid,
     RadialProfile,
+    _check_dim,
     indicator,
     lp_norm,
     maximal_value,
@@ -55,11 +56,6 @@ _MIN_SCALE = Fraction(1, 2 ** 40)
 
 INCONCLUSIVE_BAND = 0.05
 RESIDUAL_LIMIT = 0.05
-
-
-def _check_dim(d) -> None:
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise ParameterError(f"dimension must be an integer >= 2, got {d!r}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -21,7 +21,8 @@ import numpy as np
 from .errors import (ConfigError, DivergentNormError, DomainError,
                      InsufficientDataError, ParameterError, SingularityError)
 from .fractal_set import FractalSet, as_rational, resolution, separated_points
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate
+from .quadrature import (DEFAULT_QUAD, QuadratureSpec, _integrate_rows,
+                         integrate)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -62,6 +63,12 @@ class RadialProfile:
 
     pieces: tuple[ProfilePiece, ...]
     dim: int | None = None
+    # float piece endpoints, and every breakpoint of the profile as a sorted
+    # tuple (1.0 included: log pieces kink there); derived once, so neither
+    # takes part in equality or repr
+    _bounds: tuple[tuple[float, float], ...] = field(
+        init=False, repr=False, compare=False)
+    _breaks: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pcs = sorted(self.pieces, key=lambda pc: (pc.lo, pc.hi))
@@ -86,13 +93,17 @@ class RadialProfile:
         if self.dim is not None and (not isinstance(self.dim, int) or self.dim < 2):
             raise ParameterError("dim must be an integer >= 2 when given")
         object.__setattr__(self, "pieces", tuple(pcs))
+        bounds = tuple((float(pc.lo), float(pc.hi)) for pc in pcs)
+        object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "_breaks",
+                           tuple(sorted({1.0, *(e for b in bounds for e in b)})))
 
     def values(self, s):
         """Vectorized evaluation; zero outside every piece."""
         s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)
-        for pc in self.pieces:
-            m = (s >= float(pc.lo)) & (s <= float(pc.hi))
+        for (lo, hi), pc in zip(self._bounds, self.pieces):
+            m = (s >= lo) & (s <= hi)
             if m.any():
                 out[m] += _piece_values(pc, s[m])
         return out
@@ -253,40 +264,79 @@ def _norm_const(d: int, quad: QuadratureSpec) -> float:
     return calibrate_normalization(d, 1.0, 1.0, quad)
 
 
-def _support_list(f: RadialProfile) -> list[tuple[float, float]]:
-    return [(float(pc.lo), float(pc.hi)) for pc in f.pieces]
+_LONE_ROW = np.zeros((1, 1), dtype=np.intp)
 
 
-def _profile_breakpoints(f: RadialProfile) -> set[float]:
-    breaks = {e for pc in f.pieces for e in (float(pc.lo), float(pc.hi))}
-    breaks.add(1.0)  # log pieces kink there
-    return breaks
+def _profile_integrals(f: RadialProfile, los, his, weight, quad,
+                       absolute: bool = False) -> np.ndarray:
+    """Integral of weight(s, dlo, dhi, rows) * f(s), or * |f(s)| when
+    absolute, over [los[i], his[i]] for every row i; rows indexes los.
+    Panels off the support of f are skipped, so a row whose window misses
+    the support is exactly 0.0. A lone row goes to integrate, the batch of
+    one, and is not integrated at all when its window misses the support."""
+    supp = f._bounds
+
+    def g(s, dlo, dhi, rows):
+        v = f.values(s)
+        return weight(s, dlo, dhi, rows) * (np.abs(v) if absolute else v)
+
+    def off_support(a, b):
+        return not any(pl < b and ph > a for pl, ph in supp)
+
+    if len(los) == 1:
+        lo = float(los[0])
+        hi = float(his[0])
+        if off_support(lo, hi):
+            return np.zeros(1)
+        return np.array([integrate(
+            lambda s, dlo, dhi: g(s, dlo, dhi, _LONE_ROW), lo, hi, quad,
+            f._breaks, off_support)])
+
+    def skip(a, b):
+        a = np.asarray(a)
+        b = np.asarray(b)
+        hit = np.zeros(len(a), dtype=bool)
+        for pl, ph in supp:
+            hit |= (pl < b) & (ph > a)
+        return ~hit
+
+    return _integrate_rows(g, los, his, quad, f._breaks, skip)
+
+
+def _spherical_means(d: int, f: RadialProfile, r, ts,
+                     quad: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
+    """Averages of the radial profile f over the spheres of radii ts whose
+    centers lie at distance r from the origin, integrated together; each
+    entry is bitwise the spherical_mean of its radius."""
+    _check_dim(d)
+    r = float(r)
+    ts = np.array(ts, dtype=float).ravel()
+    if r <= 0.0 or (ts <= 0.0).any():
+        raise DomainError("spherical mean radii must be positive")
+
+    def kern(s, dlo, dhi, rows):
+        return _kernel_factor(d, r, ts[rows], s, dlo, dhi)
+
+    raw = _profile_integrals(f, np.abs(r - ts), r + ts, kern, quad)
+    return _norm_const(d, quad) * raw
 
 
 def spherical_mean(d: int, f: RadialProfile, r, t,
                    quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Average of the radial profile f over the sphere of radius t whose
-    center lies at distance r from the origin."""
+    center lies at distance r from the origin: a batch of one, with the
+    kernel of the batch taken at the scalar t."""
     _check_dim(d)
     r = float(r)
     t = float(t)
     if r <= 0.0 or t <= 0.0:
         raise DomainError("spherical mean radii must be positive")
-    lo = abs(r - t)
-    hi = r + t
-    supp = _support_list(f)
-    if not any(pl < hi and ph > lo for pl, ph in supp):
-        return 0.0
 
-    def g(s, dlo, dhi):
-        return _kernel_factor(d, r, t, s, dlo, dhi) * f.values(s)
+    def kern(s, dlo, dhi, rows):
+        return _kernel_factor(d, r, t, s, dlo, dhi)
 
-    def skip(a, b):
-        return not any(pl < b and ph > a for pl, ph in supp)
-
-    raw = integrate(g, lo, hi, quad, breakpoints=_profile_breakpoints(f),
-                    skip=skip)
-    return _norm_const(d, quad) * raw
+    raw = _profile_integrals(f, (abs(r - t),), (r + t,), kern, quad)
+    return _norm_const(d, quad) * float(raw[0])
 
 
 class MCEstimate(NamedTuple):
@@ -365,6 +415,20 @@ def _containing_component(E: FractalSet, x) -> tuple[Fraction, Fraction] | None:
     return None
 
 
+def _require_inside(E: FractalSet, points) -> None:
+    """One merge walk of the sorted components of E against the increasing
+    points, each component taking the points up to its right end by
+    bisection; raises at the first point outside E."""
+    j = 0
+    for lo, hi in E.intervals:
+        if j < len(points) and points[j] < lo:
+            break
+        j = bisect_right(points, hi, j)
+    if j < len(points):
+        raise ParameterError(
+            f"grid point {points[j]} lies outside the dilation set")
+
+
 def _golden_max(fn, a: float, b: float, iters: int = 36) -> tuple[float, float]:
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -382,6 +446,31 @@ def _golden_max(fn, a: float, b: float, iters: int = 36) -> tuple[float, float]:
     return (c, fc) if fc >= fd else (d, fd)
 
 
+def _sweep_and_polish(values, ts, start: float, window, h: float, eval_at,
+                      iters: int) -> tuple[float, float | None]:
+    """Discretized sup: the first strict maximum of values (over the
+    dilations ts) above start, as a sweep keeping v > best finds it, then a
+    golden polish of eval_at on window(index) within h of that dilation.
+    window returns (lo, hi), or None for no polish. Returns the value and
+    the dilation, which is None when nothing beats start."""
+    if not len(values):
+        return start, None
+    i = int(np.argmax(values))
+    if not values[i] > start:
+        return start, None
+    best_v = float(values[i])
+    best_t = float(ts[i])
+    span = window(i) if h > 0.0 else None
+    if span is not None:
+        a = max(span[0], best_t - h)
+        b = min(span[1], best_t + h)
+        if b > a:
+            tt, vv = _golden_max(eval_at, a, b, iters)
+            if vv > best_v:
+                best_v, best_t = vv, tt
+    return best_v, best_t
+
+
 class MaximalValue(NamedTuple):
     value: float
     t: float
@@ -395,35 +484,28 @@ def maximal_value(d: int, f: RadialProfile, r, E: FractalSet,
     grid point. Returns the supremum value and the dilation attaining it.
 
     Every grid point must lie in E; the polish step then cannot leave E, so
-    the result is a certified lower bound that the grid sweep saturates."""
+    the result is a lower bound for the supremum, up to the quadrature
+    error, which is the |G15 - G7| estimate and not a bound. The grid is
+    swept in one batch of spherical means; the polish is sequential."""
     _check_dim(d)
     r = float(r)
     if r <= 0.0:
         raise DomainError("radius must be positive")
     if grid is None:
         grid = DilationGrid.from_set(E)
-    for p in grid.points:
-        if _containing_component(E, p) is None:
-            raise ParameterError(f"grid point {p} lies outside the dilation set")
+    _require_inside(E, grid.points)
+    ts = [float(p) for p in grid.points]
 
-    best_v = -1.0
-    best_t: Fraction | None = None
-    for p in grid.points:
-        v = abs(spherical_mean(d, f, r, float(p), quad))
-        if v > best_v:
-            best_v, best_t = v, p
-    t_star = float(best_t)
+    def window(i):
+        comp = _containing_component(E, grid.points[i])
+        if comp[1] > comp[0]:
+            return float(comp[0]), float(comp[1])
+        return None
 
-    h = float(grid.refinement)
-    comp = _containing_component(E, best_t)
-    if h > 0.0 and comp is not None and comp[1] > comp[0]:
-        a = max(float(comp[0]), t_star - h)
-        b = min(float(comp[1]), t_star + h)
-        if b > a:
-            tt, vv = _golden_max(
-                lambda x: abs(spherical_mean(d, f, r, x, quad)), a, b)
-            if vv > best_v:
-                best_v, t_star = vv, tt
+    best_v, t_star = _sweep_and_polish(
+        np.abs(_spherical_means(d, f, r, ts, quad)), ts, -1.0, window,
+        float(grid.refinement),
+        lambda x: abs(spherical_mean(d, f, r, x, quad)), 36)
     return MaximalValue(best_v, t_star)
 
 
@@ -572,48 +654,24 @@ def weak_lq_quasinorm(samples, q, d: int) -> float:
 # pointwise decomposition of the maximal operator
 
 
-def _profile_integral(f: RadialProfile, lo: float, hi: float, weight, quad):
-    """Integral of weight(s, dlo, dhi) * |f(s)| over [lo, hi]."""
-    supp = _support_list(f)
-    if not any(pl < hi and ph > lo for pl, ph in supp):
-        return 0.0
-
-    def g(s, dlo, dhi):
-        return weight(s, dlo, dhi) * np.abs(f.values(s))
-
-    def skip(a, b):
-        return not any(pl < b and ph > a for pl, ph in supp)
-
-    return integrate(g, lo, hi, quad, breakpoints=_profile_breakpoints(f),
-                     skip=skip)
-
-
-def _sup_over_dilations(eval_at, cands, E: FractalSet | None,
+def _sup_over_dilations(eval_many, cands, E: FractalSet | None,
                         bounds: tuple[float, float], h: float) -> float:
-    """Discretized sup of eval_at(t): best candidate, then golden polish
-    within its component (or within bounds when E is None)."""
-    best_v = 0.0
-    best_t = None
-    for t in cands:
-        v = eval_at(float(t))
-        if v > best_v:
-            best_v, best_t = v, t
-    if best_t is None or h <= 0.0:
-        return best_v
-    if E is None:
-        wlo, whi = bounds
-    else:
-        comp = _containing_component(E, best_t)
+    """Discretized sup of eval_many over the candidate dilations, evaluated
+    in one batch: best candidate, then golden polish within its component
+    (or within bounds when E is None)."""
+    ts = np.array(cands, dtype=float)
+
+    def window(i):
+        if E is None:
+            return bounds
+        comp = _containing_component(E, float(ts[i]))
         if comp is None or comp[1] <= comp[0]:
-            return best_v
-        wlo = max(float(comp[0]), bounds[0])
-        whi = min(float(comp[1]), bounds[1])
-    a = max(wlo, float(best_t) - h)
-    b = min(whi, float(best_t) + h)
-    if b > a:
-        _, vv = _golden_max(eval_at, a, b, iters=30)
-        best_v = max(best_v, vv)
-    return best_v
+            return None
+        return max(float(comp[0]), bounds[0]), min(float(comp[1]), bounds[1])
+
+    return _sweep_and_polish(
+        eval_many(ts), ts, 0.0, window, h,
+        lambda x: float(eval_many(np.array([x]))[0]), 30)[0]
 
 
 def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
@@ -639,24 +697,30 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
     far_hi = [t for t in pts if t >= 1.5 * r]
     out: dict[str, float] = {}
 
+    def integrals(los, his, weight):
+        # weight(s, dlo, dhi) against |f| over each window [los[i], his[i]]
+        return _profile_integrals(
+            f, los, his, lambda s, dlo, dhi, rows: weight(s, dlo, dhi), quad,
+            absolute=True)
+
+    def one(s, dlo, dhi):
+        return 1.0
+
     if d >= 3:
         w_pow = (d - 1.0) * (1.0 - 1.0 / p) - 1.0 + (d - 1.0) / p
 
-        def main_at(t):
-            return _profile_integral(
-                f, abs(r - t), r + t,
-                lambda s, dlo, dhi: s ** w_pow, quad)
+        def main_at(ts):
+            return integrals(np.abs(r - ts), r + ts,
+                             lambda s, dlo, dhi: s ** w_pow)
 
         out["mainpart"] = 0.0 if not (2.0 / 3.0 < r < 4.0) else \
             _sup_over_dilations(main_at, near, E, (r / 2.0, 1.5 * r), h)
 
-        def rem1_at(t):
-            return _profile_integral(f, r - t, r + t,
-                                     lambda s, dlo, dhi: 1.0, quad)
+        def rem1_at(ts):
+            return integrals(r - ts, r + ts, one)
 
-        def rem2_at(t):
-            return _profile_integral(f, t - r, t + r,
-                                     lambda s, dlo, dhi: 1.0, quad) / r
+        def rem2_at(ts):
+            return integrals(ts - r, ts + r, one) / r
 
         # the remainders run over the whole dilation interval [1, 2]
         out["remainder1"] = 0.0
@@ -673,16 +737,14 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
 
     sqrt_r = math.sqrt(r)
 
-    def main_at(t):
+    def main_at(ts):
         # the g-weight s**(1/p) cancels against the s**(1/2 - 1/p) in front
-        return _profile_integral(
-            f, abs(r - t), r + t,
-            lambda s, dlo, dhi: np.sqrt(s) / np.sqrt(dlo), quad)
+        return integrals(np.abs(r - ts), r + ts,
+                         lambda s, dlo, dhi: np.sqrt(s) / np.sqrt(dlo))
 
-    def main_tilde_at(t):
-        return _profile_integral(
-            f, abs(r - t), r + t,
-            lambda s, dlo, dhi: np.sqrt(s) / np.sqrt(dhi), quad)
+    def main_tilde_at(ts):
+        return integrals(np.abs(r - ts), r + ts,
+                         lambda s, dlo, dhi: np.sqrt(s) / np.sqrt(dhi))
 
     in_main = 2.0 / 3.0 < r < 4.0
     out["mainpart"] = 0.0 if not in_main else \
@@ -690,23 +752,21 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
     out["mainpart_tilde"] = 0.0 if not in_main else \
         _sup_over_dilations(main_tilde_at, near, E, (r / 2.0, 1.5 * r), h)
 
-    def rem1_at(t):
-        return _profile_integral(f, r - t, r,
-                                 lambda s, dlo, dhi: 1.0 / np.sqrt(dlo), quad)
+    def rem1_at(ts):
+        return integrals(r - ts, np.full_like(ts, r),
+                         lambda s, dlo, dhi: 1.0 / np.sqrt(dlo))
 
-    def rem2_at(t):
-        return _profile_integral(f, r, r + t,
-                                 lambda s, dlo, dhi: 1.0 / np.sqrt(dhi), quad)
+    def rem2_at(ts):
+        return integrals(np.full_like(ts, r), r + ts,
+                         lambda s, dlo, dhi: 1.0 / np.sqrt(dhi))
 
-    def rem3_at(t):
-        return _profile_integral(f, t - r, t,
-                                 lambda s, dlo, dhi: 1.0 / np.sqrt(dlo),
-                                 quad) / sqrt_r
+    def rem3_at(ts):
+        return integrals(ts - r, ts,
+                         lambda s, dlo, dhi: 1.0 / np.sqrt(dlo)) / sqrt_r
 
-    def rem4_at(t):
-        return _profile_integral(f, t, t + r,
-                                 lambda s, dlo, dhi: 1.0 / np.sqrt(dhi),
-                                 quad) / sqrt_r
+    def rem4_at(ts):
+        return integrals(ts, ts + r,
+                         lambda s, dlo, dhi: 1.0 / np.sqrt(dhi)) / sqrt_r
 
     outer = r >= 2.0
     inner = r < 4.0 / 3.0

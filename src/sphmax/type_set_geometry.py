@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, ParameterError
 from .fractal_set import as_rational
+from .radial_operator import _check_dim
 
 INCLUDED = "included"
 EXCLUDED = "excluded"
@@ -100,11 +101,6 @@ class TypeSetRegion:
         n = len(self.vertices)
         return tuple((self.vertices[i], self.vertices[(i + 1) % n])
                      for i in range(n))
-
-
-def _check_dim(d) -> None:
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise ParameterError(f"dimension must be an integer >= 2, got {d!r}")
 
 
 def _unit(value, what: str) -> Fraction:

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from sphmax.errors import PrecisionError
-from sphmax.quadrature import DEFAULT_QUAD, QuadratureSpec, integrate
+from sphmax.quadrature import (_CHUNK_ROWS, _NOISE, DEFAULT_QUAD,
+                               QuadratureSpec, _integrate_rows, integrate)
 
 
 def test_polynomial_exact():
@@ -81,3 +83,72 @@ def test_tolerance_scales_with_request():
     exact = 2.0
     val = integrate(lambda s, dlo, dhi: dlo ** -0.5, 0, 1, quad=loose)
     assert abs(val - exact) < 1e-4
+
+
+_MESSAGE = re.compile(
+    r"quadrature on \[(\S+), (\S+)\] stalled: error (\S+) above budget "
+    r"(\S+) \(estimate (\S+)\)")
+
+
+def test_precision_error_reports_enforced_budget():
+    # rel_tol below the noise floor: the budget actually enforced is the
+    # 64 eps * (|estimate| + abs_tol) term, which the message must print
+    tight = QuadratureSpec(rel_tol=1e-16, abs_tol=1e-300, max_refinement=2)
+    with pytest.raises(PrecisionError) as info:
+        integrate(lambda s, dlo, dhi: np.abs(np.sin(40 / (s + 0.01))), 0, 1,
+                  quad=tight)
+    m = _MESSAGE.fullmatch(str(info.value))
+    assert m is not None, str(info.value)
+    lo, hi, error, budget, estimate = (float(g) for g in m.groups())
+    assert (lo, hi) == (0.0, 1.0)
+    enforced = max(tight.abs_tol, tight.rel_tol * abs(estimate),
+                   _NOISE * (abs(estimate) + tight.abs_tol))
+    assert enforced > tight.rel_tol * abs(estimate)
+    assert m.group(4) == f"{enforced:.3e}"
+    assert error > budget
+
+
+def _bumpy(s, dlo, dhi, rows):
+    # smooth for even rows, an endpoint singularity for odd ones
+    return np.where(rows % 2 == 0, np.cos(3.0 * s), dlo ** -0.5 + 1.0)
+
+
+def test_rows_match_lone_integrals_bitwise():
+    calls = []
+
+    def f(s, dlo, dhi, rows):
+        calls.append(s.shape[0])
+        return _bumpy(s, dlo, dhi, rows)
+
+    n = 2 * _CHUNK_ROWS + 3
+    los = np.linspace(0.0, 0.9, n)
+    his = los + np.linspace(0.05, 2.0, n)
+    his[7] = los[7]     # an empty row
+    cuts = (0.25, 0.5, 1.0)
+    batch = _integrate_rows(f, los, his, DEFAULT_QUAD, cuts)
+    assert len(calls) > 3     # odd rows refine beyond the first round
+    for i in range(n):
+        lone = integrate(
+            lambda s, dlo, dhi: _bumpy(s, dlo, dhi, np.array([[i]])),
+            los[i], his[i], breakpoints=cuts)
+        assert batch[i] == lone, i
+    assert batch[7] == 0.0
+
+
+def test_rows_raise_for_first_stalled_row_in_order():
+    # row 5 has two panels and stalls rounds before row 3, which has ten;
+    # the error still names row 3, the first stalled row in order
+    tight = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16, max_refinement=2)
+
+    def f(s, dlo, dhi, rows):
+        rough = np.abs(np.sin(40 / (s + 0.01)))
+        return np.where((rows == 3) | (rows == 5) | (rows == 300), rough, 1.0)
+
+    los = np.zeros(2 * _CHUNK_ROWS)
+    his = np.ones(2 * _CHUNK_ROWS)
+    his[3] = 0.96875
+    his[5] = 0.0625
+    cuts = [k / 10 for k in range(1, 10)]
+    with pytest.raises(PrecisionError,
+                       match=r"on \[0, 0\.96875\] stalled"):
+        _integrate_rows(f, los, his, tight, cuts)

@@ -11,9 +11,11 @@ from sphmax.errors import (ConfigError, DivergentNormError, DomainError,
                            SingularityError)
 from sphmax.fractal_set import (finite_points, from_intervals, full_interval,
                                 middle_cantor)
+from sphmax import quadrature
 from sphmax.quadrature import DEFAULT_QUAD, QuadratureSpec
 from sphmax.radial_operator import (DilationGrid, MaximalValue, RadialProfile,
-                                    ProfilePiece, calibrate_normalization,
+                                    ProfilePiece, _spherical_means,
+                                    calibrate_normalization,
                                     circular_components,
                                     decomposition_components, indicator,
                                     kernel, lp_norm, maximal_value,
@@ -302,6 +304,20 @@ def test_maximal_value_rejects_points_outside_set():
     g = DilationGrid((F(3, 2),), F(1, 32))
     with pytest.raises(ParameterError):
         maximal_value(3, indicator(0, 4), 1.0, E, g)
+    # the first point outside E is named, whether it sits in a gap or
+    # beyond the last component
+    for pts, first in [((F(1), F(9, 8), F(3, 2), F(13, 8), F(2)), "3/2"),
+                       ((F(1), F(7, 4), F(2)), None)]:
+        g = DilationGrid(pts, F(1, 32))
+        if first is None:
+            maximal_value(3, indicator(0, 4), 1.0, E, g)
+            continue
+        with pytest.raises(ParameterError, match=f"grid point {first} "):
+            maximal_value(3, indicator(0, 4), 1.0, E, g)
+    with pytest.raises(ParameterError, match="grid point 2 "):
+        maximal_value(3, indicator(0, 4), 1.0,
+                      from_intervals([(1, F(3, 2))]),
+                      DilationGrid((F(1), F(3, 2), F(2)), F(1, 32)))
 
 
 def test_maximal_value_on_singleton_matches_mean():
@@ -323,6 +339,78 @@ def test_maximal_value_refinement_beats_grid_sweep():
     assert 1.0 <= refined.t <= 2.0
     fine = maximal_value(3, f, 2.2, E, DilationGrid.from_set(E, F(1, 256)))
     assert refined.value == pytest.approx(fine.value, rel=1e-4)
+
+
+_BATCH_PROFILES = {
+    # the window [|r - t|, r + t] misses the support for |r - t| >= 3/10
+    "indicator": indicator(F(1, 10), F(3, 10)),
+    # singular at s = 0, which the window reaches at t = r: for d < 5,
+    # where the kernel does not flatten the singularity, rows refine
+    "power": power_profile(1.0, -0.5, 0.0, 0, F(5, 2)),
+    "log": power_profile(0.8, -0.5, 1.0, 0, F(1, 2)),
+    "mixed": indicator(F(1, 8), F(1, 2)) + power_profile(2.0, -0.5, 0.0,
+                                                         F(1, 2), F(7, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BATCH_PROFILES))
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_spherical_means_match_spherical_mean_bitwise(d, kind, monkeypatch):
+    f = _BATCH_PROFILES[kind]
+    r = 1.5
+    rounds = []
+    pairs = quadrature._pairs
+
+    def counted(*args):
+        rounds.append(len(args[1]))
+        return pairs(*args)
+
+    for n in (1, 255, 256, 257, 4097):
+        ts = np.linspace(1.0, 2.0, n)
+        monkeypatch.setattr(quadrature, "_pairs", counted)
+        rounds.clear()
+        batch = _spherical_means(d, f, r, ts)
+        monkeypatch.undo()
+        chunks = -(-n // quadrature._CHUNK_ROWS)
+        if kind in ("power", "log") and d < 5 and n > 1:
+            assert len(rounds) > chunks      # some rows refined
+        if n == 4097:
+            # every boundary of the 256-row chunks, and a stride through
+            check = sorted({*range(0, n, 7), n - 1,
+                            *(k + j for k in range(256, n - 1, 256)
+                              for j in (-1, 0, 1))})
+        else:
+            check = range(n)
+        for i in check:
+            assert batch[i] == spherical_mean(d, f, r, ts[i]), (n, i)
+        if kind == "indicator":
+            miss = np.abs(r - ts) >= 0.3
+            assert n == 1 or miss.any()
+            assert np.all(batch[miss] == 0.0)
+
+
+def test_maximal_value_default_grid_matches_closed_form_d3():
+    # for d = 3 the mean of chi[a, b] is
+    # (min(b, r + t)**2 - max(a, |r - t|)**2) / (4 r t); with a = 1/10,
+    # b = 9/10, r = 3/2 its sup over [1, 2] is 1/10, at t = 6/5, which lies
+    # between grid points
+    a, b, r = 0.1, 0.9, 1.5
+
+    def closed(t):
+        return (min(b, r + t) ** 2 - max(a, abs(r - t)) ** 2) / (4 * r * t)
+
+    E = full_interval()
+    grid = DilationGrid.from_set(E)
+    assert len(grid.points) == 4097
+    got = maximal_value(3, indicator(F(1, 10), F(9, 10)), r, E)
+
+    def tol(v):
+        return 1e-9 + 1e-7 * abs(v)
+
+    assert abs(got.value - closed(got.t)) <= tol(got.value)
+    assert got.value >= max(closed(float(t)) for t in grid.points) - tol(got.value)
+    assert abs(got.value - 0.1) <= tol(0.1)
+    assert abs(got.t - 1.2) <= 1e-4
 
 
 def test_maximal_value_homogeneous_and_sublinear():
