@@ -7,7 +7,6 @@ probes for the associated maximal operator.
 
 __version__ = "0.1.0"
 
-from .cli import main
 from .errors import (
     ConfigError,
     ConsistencyError,

@@ -23,8 +23,7 @@ import random
 import sys
 
 import numpy as np
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -60,20 +59,13 @@ from .type_set_geometry import (
     vertex,
 )
 
-_SECTIONS = {
-    "set": {"expression"},
-    "dims": {"scales", "thetas"},
-    "region": {"d", "beta", "gamma", "gamma_star", "minkowski_bounded",
-               "assouad_bounded", "regular"},
-    "probe": {"family", "d", "pq", "scales", "t0", "u", "window",
-              "beta", "gamma", "gamma_star"},
-    "quadrature": {"rel_tol", "abs_tol", "max_refinement"},
-    "output": {"dir"},
-}
-
 _TRISTATE = {"yes": True, "true": True, "1": True,
              "no": False, "false": False, "0": False,
              "unknown": None, "none": None}
+
+
+def _text(text: str, field: str) -> str:
+    return text.strip()
 
 
 def _rational(text: str, field: str) -> Fraction:
@@ -88,6 +80,17 @@ def _rational_list(text: str, field: str) -> list[Fraction]:
     if not parts:
         raise ConfigError(f"field {field!r}: empty list")
     return [_rational(p, field) for p in parts]
+
+
+def _rational_tuple(text: str, field: str) -> tuple[Fraction, ...]:
+    return tuple(_rational_list(text, field))
+
+
+def _window(text: str, field: str) -> tuple[Fraction, Fraction]:
+    ends = _rational_list(text, field)
+    if len(ends) != 2:
+        raise ConfigError(f"field {field!r}: expected two endpoints")
+    return ends[0], ends[1]
 
 
 def _scale_list(text: str, field: str) -> list[Fraction]:
@@ -132,17 +135,17 @@ def _pq_list(text: str, field: str) -> list[tuple]:
     return pairs
 
 
-def _int_field(text: str, field: str, minimum: int = 1) -> int:
+def _positive_int(text: str, field: str) -> int:
     try:
         n = int(text)
     except ValueError as exc:
         raise ConfigError(f"field {field!r}: not an integer: {text!r}") from exc
-    if n < minimum:
-        raise ConfigError(f"field {field!r}: must be >= {minimum}, got {n}")
+    if n < 1:
+        raise ConfigError(f"field {field!r}: must be >= 1, got {n}")
     return n
 
 
-def _float_field(text: str, field: str) -> float:
+def _positive_float(text: str, field: str) -> float:
     try:
         v = float(text)
     except ValueError as exc:
@@ -152,24 +155,55 @@ def _float_field(text: str, field: str) -> float:
     return v
 
 
+def _tristate(text: str, field: str) -> bool | None:
+    try:
+        return _TRISTATE[text.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"field {field!r}: expected yes/no/unknown") from None
+
+
+# Every config field: its section, its key and the parser of its value, in
+# the order fields are parsed. The [quadrature] keys are QuadratureSpec
+# fields.
+_FIELDS = {
+    "set": {"expression": _text},
+    "dims": {"scales": _scale_list, "thetas": _rational_tuple},
+    "region": {"d": _positive_int, "beta": _rational, "gamma": _rational,
+               "gamma_star": _rational, "minkowski_bounded": _tristate,
+               "assouad_bounded": _tristate, "regular": _tristate},
+    "probe": {"family": _text, "d": _positive_int, "pq": _pq_list,
+              "scales": _scale_list, "t0": _rational, "u": _rational,
+              "beta": _rational, "gamma": _rational,
+              "gamma_star": _rational, "window": _window},
+    "quadrature": {"rel_tol": _positive_float, "abs_tol": _positive_float,
+                   "max_refinement": _positive_int},
+    "output": {"dir": _text},
+}
+_REQUIRED = {"dims": ("scales",), "region": ("d", "beta"),
+             "probe": ("family", "d", "pq", "scales")}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully parsed configuration; construction validates every field."""
+    """Fully parsed configuration; construction validates every field.
+    sections maps each section present in the file to its parsed fields."""
 
     path: Path | None
     sha256: str
-    set_expr: str | None
-    dims_scales: list[Fraction] | None
-    dims_thetas: tuple[Fraction, ...] | None
-    region_params: dict | None
-    probe_params: dict | None
+    sections: dict[str, dict]
     quad: QuadratureSpec
     out_dir: Path
 
+    def section(self, name: str) -> dict:
+        if name not in self.sections:
+            raise ConfigError(f"missing [{name}] section")
+        return self.sections[name]
+
     def dilation_set(self) -> FractalSet:
-        if self.set_expr is None:
+        expr = self.sections.get("set", {}).get("expression")
+        if expr is None:
             raise ConfigError("missing [set] section with an expression")
-        return parse_set(self.set_expr)
+        return parse_set(expr)
 
 
 def load_config(path: str | None, out_flag: str | None,
@@ -189,96 +223,33 @@ def load_config(path: str | None, out_flag: str | None,
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _FIELDS:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in _SECTIONS[section]:
+            if key not in _FIELDS[section]:
                 raise ConfigError(f"unknown field {key!r} in [{section}]")
 
-    def get(section, key):
-        return parser.get(section, key, fallback=None)
-
-    set_expr = get("set", "expression")
-
-    dims_scales = dims_thetas = None
-    if parser.has_section("dims"):
-        scales_txt = get("dims", "scales")
-        if scales_txt is None:
-            raise ConfigError("field 'scales' missing in [dims]")
-        dims_scales = _scale_list(scales_txt, "dims.scales")
-        thetas_txt = get("dims", "thetas")
-        if thetas_txt is not None:
-            dims_thetas = tuple(_rational_list(thetas_txt, "dims.thetas"))
-
-    region_params = None
-    if parser.has_section("region"):
-        sec = parser["region"]
-        if "d" not in sec or "beta" not in sec:
-            raise ConfigError("[region] needs at least d and beta")
-        region_params = {
-            "d": _int_field(sec["d"], "region.d"),
-            "beta": _rational(sec["beta"], "region.beta"),
-        }
-        for key in ("gamma", "gamma_star"):
-            if key in sec:
-                region_params[key] = _rational(sec[key], f"region.{key}")
-        flag_vals = {}
-        for key, attr in (("minkowski_bounded", "minkowski_char_bounded"),
-                          ("assouad_bounded", "assouad_char_bounded"),
-                          ("regular", "quasi_assouad_regular")):
-            if key in sec:
-                txt = sec[key].strip().lower()
-                if txt not in _TRISTATE:
-                    raise ConfigError(
-                        f"field 'region.{key}': expected yes/no/unknown")
-                flag_vals[attr] = _TRISTATE[txt]
-        if flag_vals:
-            region_params["flags"] = CharacteristicFlags(**flag_vals)
-
-    probe_params = None
-    if parser.has_section("probe"):
-        sec = parser["probe"]
-        for key in ("family", "d", "pq", "scales"):
+    sections = {}
+    for section, fields in _FIELDS.items():
+        if not parser.has_section(section):
+            continue
+        sec = parser[section]
+        for key in _REQUIRED.get(section, ()):
             if key not in sec:
-                raise ConfigError(f"field {key!r} missing in [probe]")
-        probe_params = {
-            "family": sec["family"].strip(),
-            "d": _int_field(sec["d"], "probe.d"),
-            "pq": _pq_list(sec["pq"], "probe.pq"),
-            "scales": _scale_list(sec["scales"], "probe.scales"),
-        }
-        for key in ("t0", "u", "beta", "gamma", "gamma_star"):
-            if key in sec:
-                probe_params[key] = _rational(sec[key], f"probe.{key}")
-        if "window" in sec:
-            ends = _rational_list(sec["window"], "probe.window")
-            if len(ends) != 2:
-                raise ConfigError("field 'probe.window': expected two endpoints")
-            probe_params["window"] = (ends[0], ends[1])
+                raise ConfigError(f"field {key!r} missing in [{section}]")
+        sections[section] = {key: parse(sec[key], f"{section}.{key}")
+                             for key, parse in fields.items() if key in sec}
 
-    rel = DEFAULT_QUAD.rel_tol
-    abs_tol = DEFAULT_QUAD.abs_tol
-    depth = DEFAULT_QUAD.max_refinement
-    if parser.has_section("quadrature"):
-        sec = parser["quadrature"]
-        if "rel_tol" in sec:
-            rel = _float_field(sec["rel_tol"], "quadrature.rel_tol")
-        if "abs_tol" in sec:
-            abs_tol = _float_field(sec["abs_tol"], "quadrature.abs_tol")
-        if "max_refinement" in sec:
-            depth = _int_field(sec["max_refinement"],
-                               "quadrature.max_refinement")
+    quad = replace(DEFAULT_QUAD, **sections.get("quadrature", {}))
     if tol_flag is not None:
         if not tol_flag > 0:
             raise ConfigError(f"--tol must be positive, got {tol_flag}")
-        rel = tol_flag
-    quad = QuadratureSpec(rel_tol=rel, abs_tol=abs_tol, max_refinement=depth)
+        quad = replace(quad, rel_tol=tol_flag)
 
-    out_txt = out_flag or get("output", "dir") or "sphmax-out"
+    out_txt = (out_flag or sections.get("output", {}).get("dir")
+               or "sphmax-out")
     digest = hashlib.sha256(raw).hexdigest() if raw else "-"
-    return ExperimentConfig(cfg_path, digest, set_expr, dims_scales,
-                            dims_thetas, region_params, probe_params,
-                            quad, Path(out_txt))
+    return ExperimentConfig(cfg_path, digest, sections, quad, Path(out_txt))
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +310,11 @@ def cmd_mean(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    config = load_config(args.config, args.out, args.tol)
+    config = load_config(args.config, args.out, None)
     E = config.dilation_set()
-    if config.dims_scales is None:
-        raise ConfigError("missing [dims] section with scales")
-    kwargs = {}
-    if config.dims_thetas is not None:
-        kwargs["thetas"] = config.dims_thetas
-    report = estimate_dimensions(E, config.dims_scales, **kwargs)
+    dims = config.section("dims")
+    kwargs = {"thetas": dims["thetas"]} if "thetas" in dims else {}
+    report = estimate_dimensions(E, dims["scales"], **kwargs)
 
     out = _out_dir(config)
     counts = out / "dims_counts.csv"
@@ -383,12 +351,20 @@ def cmd_dims(args) -> int:
     return 0
 
 
+# tri-state [region] keys and the CharacteristicFlags fields they set
+_REGION_FLAGS = (("minkowski_bounded", "minkowski_char_bounded"),
+                 ("assouad_bounded", "assouad_char_bounded"),
+                 ("regular", "quasi_assouad_regular"))
+
+
 def cmd_region(args) -> int:
-    config = load_config(args.config, args.out, args.tol)
-    if config.region_params is None:
-        raise ConfigError("missing [region] section")
-    params = dict(config.region_params)
-    reg = radial_type_set(params.pop("d"), params.pop("beta"), **params)
+    config = load_config(args.config, args.out, None)
+    rp = config.section("region")
+    kwargs = {key: rp[key] for key in ("gamma", "gamma_star") if key in rp}
+    flags = {attr: rp[key] for key, attr in _REGION_FLAGS if key in rp}
+    if flags:
+        kwargs["flags"] = CharacteristicFlags(**flags)
+    reg = radial_type_set(rp["d"], rp["beta"], **kwargs)
 
     out = _out_dir(config)
     verts = out / "region_vertices.csv"
@@ -406,7 +382,6 @@ def cmd_region(args) -> int:
                 for i, status in enumerate(reg.edge_status)])
 
     summary = out / "region_summary.csv"
-    rp = config.region_params
     _write_csv(summary, ("field", "value"), [
         ("d", rp["d"]),
         ("beta", rp["beta"]),
@@ -423,24 +398,16 @@ def cmd_region(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    if args.threads < 1:
+        raise ConfigError("--threads must be at least 1")
     config = load_config(args.config, args.out, args.tol)
-    if config.probe_params is None:
-        raise ConfigError("missing [probe] section")
+    pp = config.section("probe")
     E = config.dilation_set()
-    pp = config.probe_params
     extra = {k: pp[k] for k in ("t0", "u", "window", "beta", "gamma",
                                 "gamma_star") if k in pp}
-
-    def one(pq):
-        p, q = pq
-        return run_probe(pp["family"], E, pp["d"], p, q, pp["scales"],
+    results = [run_probe(pp["family"], E, pp["d"], p, q, pp["scales"],
                          config.quad, **extra)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one, pp["pq"]))
-    else:
-        results = [one(pq) for pq in pp["pq"]]
+               for p, q in pp["pq"]]
 
     out = _out_dir(config)
     rows_path = out / "probe_rows.csv"
@@ -598,13 +565,11 @@ _CHECKS = (
 
 
 def cmd_verify(args) -> int:
+    config = load_config(args.config, args.out, args.tol)
     rng = random.Random(args.seed)
-    quad = DEFAULT_QUAD if args.tol is None else QuadratureSpec(
-        rel_tol=args.tol, abs_tol=DEFAULT_QUAD.abs_tol,
-        max_refinement=DEFAULT_QUAD.max_refinement)
     results = []
     for name, fn in _CHECKS:
-        cases, failures = fn(rng, quad)
+        cases, failures = fn(rng, config.quad)
         results.append((name, cases, failures))
 
     width = max(len(name) for name, _, _ in results)
@@ -617,7 +582,6 @@ def cmd_verify(args) -> int:
     print(f"{'total':<{width}}  {total_cases:>5}  {total_failures:>6}")
 
     if args.out is not None:
-        config = load_config(args.config, args.out, args.tol)
         out = _out_dir(config)
         path = out / "verify_report.csv"
         _write_csv(path, ("check", "cases", "failed"), results)
@@ -626,7 +590,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    config = load_config(args.config, args.out, args.tol)
+    config = load_config(args.config, args.out, None)
     root = config.out_dir
     if not root.exists():
         raise ConfigError(f"output directory {root} does not exist")
@@ -650,60 +614,51 @@ def cmd_report(args) -> int:
 # argument parsing
 
 
+_FLAGS = {
+    "config": dict(metavar="PATH", help="experiment config file"),
+    "out": dict(metavar="DIR",
+                help="output directory (overrides [output] dir)"),
+    "tol": dict(type=float, metavar="REL",
+                help="relative quadrature tolerance override"),
+    "threads": dict(type=int, default=1, metavar="N",
+                    help="accepted for compatibility and changes nothing: "
+                         "exponent pairs run in order"),
+    "seed": dict(type=int, default=0, metavar="N",
+                 help="seed for the randomized verification oracle"),
+}
+
+# subcommand, handler, help, and the flags it reads
+_COMMANDS = (
+    ("dims", cmd_dims, "covering counts and dimensions", ("config", "out")),
+    ("region", cmd_region, "exact type-set polygon", ("config", "out")),
+    ("probe", cmd_probe, "scaling-law probe sweep",
+     ("config", "out", "tol", "threads")),
+    ("verify", cmd_verify, "randomized property suite",
+     ("config", "out", "tol", "seed")),
+    ("report", cmd_report, "concatenate run manifests", ("config", "out")),
+    ("mean", cmd_mean, "one spherical mean to stdout", ("config", "tol")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sphmax",
         description="Spherical maximal means over fractal dilation sets")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", metavar="PATH",
-                       help="experiment config file")
-        p.add_argument("--out", metavar="DIR",
-                       help="output directory (overrides [output] dir)")
-        p.add_argument("--tol", type=float, metavar="REL",
-                       help="relative quadrature tolerance override")
-        p.add_argument("--threads", type=int, default=1, metavar="N",
-                       help="worker threads for exponent sweeps")
-        p.add_argument("--seed", type=int, default=0, metavar="N",
-                       help="seed for the randomized verification oracle")
-
-    p_dims = sub.add_parser("dims", help="covering counts and dimensions")
-    common(p_dims)
-    p_dims.set_defaults(func=cmd_dims)
-
-    p_region = sub.add_parser("region", help="exact type-set polygon")
-    common(p_region)
-    p_region.set_defaults(func=cmd_region)
-
-    p_probe = sub.add_parser("probe", help="scaling-law probe sweep")
-    common(p_probe)
-    p_probe.set_defaults(func=cmd_probe)
-
-    p_verify = sub.add_parser("verify", help="randomized property suite")
-    common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_report = sub.add_parser("report", help="concatenate run manifests")
-    common(p_report)
-    p_report.set_defaults(func=cmd_report)
-
-    p_mean = sub.add_parser("mean", help="one spherical mean to stdout")
-    p_mean.add_argument("d", type=int)
-    p_mean.add_argument("profile")
-    p_mean.add_argument("r")
-    p_mean.add_argument("t")
-    common(p_mean)
-    p_mean.set_defaults(func=cmd_mean)
-
+    for name, func, help_text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if name == "mean":
+            p.add_argument("d", type=int)
+            for positional in ("profile", "r", "t"):
+                p.add_argument(positional)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -88,6 +89,24 @@ class FractalSet:
             if b != a:
                 seen.append(b)
         return tuple(seen)
+
+    def component(self, x) -> tuple[Fraction, Fraction] | None:
+        """The component of the set that holds x, or None."""
+        i = self._last_start(x)
+        if i >= 0 and x <= self.intervals[i][1]:
+            return self.intervals[i]
+        return None
+
+    def nearest(self, x):
+        """The point of the set nearest to x (x itself when inside); of two
+        equally near points, the left one."""
+        i = self._last_start(x)
+        near = [min(max(x, a), b) for a, b in self.intervals[max(i, 0):i + 2]]
+        return min(near, key=lambda c: abs(c - x))
+
+    def _last_start(self, x) -> int:
+        """Index of the last component starting at or left of x, or -1."""
+        return bisect.bisect_right(self.intervals, x, key=itemgetter(0)) - 1
 
     def __str__(self) -> str:
         return self.generator or f"<set with {len(self.intervals)} components>"

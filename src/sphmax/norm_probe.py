@@ -2,11 +2,13 @@
 
 Each family packages the radial profile of a scaling test function together
 with the witness radii where its lower bound is realized. A probe run sweeps
-the scale, computes a certified lower-bound functional at the witnesses, and
-fits the log-log slope of functional over input norm; the sign of the fitted
-gap mirrors the necessary condition at the chosen exponent pair. Witness
-evaluation anchors the dilation search at one known-good point per radius,
-which keeps every sweep cheap and deterministic.
+the scale, computes a lower-bound functional at the witnesses (a grid and
+golden-polish lower bound on the maximal value, up to the quadrature's
+|G15 - G7| error estimate), and fits the log-log slope of functional over
+input norm; the sign of the fitted gap mirrors the necessary condition at
+the chosen exponent pair. Witness evaluation anchors the dilation search at
+one known-good point per radius, which keeps every sweep cheap and
+deterministic.
 """
 
 from __future__ import annotations
@@ -137,9 +139,13 @@ class ProbeInstance:
 
     @property
     def witness_measure(self) -> Fraction:
-        d = self.family.d
-        return sum(((hi ** d - lo ** d) / d for lo, hi in self.witness_cells),
-                   Fraction(0))
+        return _shell_measure(self.witness_cells, self.family.d)
+
+
+def _shell_measure(cells, d: int) -> Fraction:
+    """Exact sum of (hi^d - lo^d)/d over radial cells (lo, hi): the
+    measure of the shells, without the sphere's area factor."""
+    return sum(((hi ** d - lo ** d) / d for lo, hi in cells), Fraction(0))
 
 
 def _spread(seq, cap: int = _MAX_WITNESS) -> list:
@@ -149,17 +155,16 @@ def _spread(seq, cap: int = _MAX_WITNESS) -> list:
     return [seq[i] for i in dict.fromkeys(idx.tolist())]
 
 
-def _nearest_point(E: FractalSet, x: Fraction) -> Fraction:
-    best = None
-    for a, b in E.intervals:
-        cand = min(max(x, a), b)
-        if best is None or abs(cand - x) < abs(best - x):
-            best = cand
-    return best
-
-
-def _contains(E: FractalSet, x: Fraction) -> bool:
-    return any(a <= x <= b for a, b in E.intervals)
+def _lorentz_ladder(s: Fraction, cap: Fraction):
+    """Dyadic witness radii r = 2s, 4s, ... up to cap for the shell
+    indicator of [1 - s, 1], each anchored at the edge-tangent dilation
+    1 - s + r."""
+    radii = []
+    r = 2 * s
+    while r <= cap:
+        radii.append(r)
+        r *= 2
+    return radii, [1 - s + r for r in radii]
 
 
 def build_probe(family: ProbeFamily, scale,
@@ -186,7 +191,7 @@ def build_probe(family: ProbeFamily, scale,
         if s >= Fraction(1, 2):
             raise InvalidScaleError("annulus probes need scale < 1/2")
         t0 = family.t0
-        if E is not None and not _contains(E, t0):
+        if E is not None and E.component(t0) is None:
             raise DegenerateProbeError(
                 f"annulus center {t0} lies outside the dilation set")
         radii = (s / 4, s / 2, s)
@@ -211,7 +216,7 @@ def build_probe(family: ProbeFamily, scale,
             raise InvalidScaleError("the Stein truncation needs scale <= 1/4")
         profile = power_profile(1, -(d - 1), -1, s, Fraction(1, 2))
         r0 = Fraction(3, 2)
-        anchor = _nearest_point(E, r0) if E is not None else r0
+        anchor = E.nearest(r0) if E is not None else r0
         return ProbeInstance(family, s, profile, (r0,), (anchor,),
                              ((Fraction(1), Fraction(2)),), Fraction(0))
 
@@ -237,13 +242,7 @@ def build_probe(family: ProbeFamily, scale,
         if s > Fraction(1, 16):
             raise InvalidScaleError(
                 "the Lorentz shell needs scale <= 1/16 for a nonempty witness")
-        radii = []
-        anchors = []
-        r = 2 * s
-        while r <= Fraction(1, 4):
-            radii.append(r)
-            anchors.append(1 - s + r)
-            r *= 2
+        radii, anchors = _lorentz_ladder(s, Fraction(1, 4))
         return ProbeInstance(family, s, indicator(1 - s, 1), tuple(radii),
                              tuple(anchors), ((s, Fraction(1, 4)),), s / 4)
 
@@ -295,14 +294,11 @@ class ProbeResult:
 
 
 def _indicator_measure(profile: RadialProfile, d: int) -> Fraction:
-    total = Fraction(0)
-    for pc in profile.pieces:
-        total += (pc.hi ** d - pc.lo ** d) / d
-    return total
+    return _shell_measure(((pc.lo, pc.hi) for pc in profile.pieces), d)
 
 
-def _certified_bound(inst: ProbeInstance, E: FractalSet,
-                     quad: QuadratureSpec) -> float:
+def _witness_bound(inst: ProbeInstance, E: FractalSet,
+                   quad: QuadratureSpec) -> float:
     lam = math.inf
     for r, anchor in zip(inst.witness_radii, inst.witness_anchors):
         grid = DilationGrid((anchor,), inst.anchor_refinement)
@@ -350,7 +346,7 @@ def run_probe(kind: str, E: FractalSet, d: int, p, q, scales,
                 inp = float(_indicator_measure(inst.profile, d)) ** (1.0 / pf)
             else:
                 inp = lp_norm(inst.profile, pf, d, quad)
-            lam = _certified_bound(inst, E, quad)
+            lam = _witness_bound(inst, E, quad)
             out = lam * float(inst.witness_measure) ** (1.0 / qf)
             rows.append(ProbeRow(float(s), inp, out, out / inp))
         except PrecisionError:
@@ -409,19 +405,18 @@ def lorentz_log_probe(scales, s=4, quad: QuadratureSpec = DEFAULT_QUAD,
         delta = as_rational(raw, InvalidScaleError, "probe scale")
         inst = build_probe(family, delta, E)
         # ladder past the conservative 1/4 witness cap: the edge-tangent
-        # dilation 1 - delta + r stays admissible for radii up to 1, and the
-        # measured values are certified bounds wherever they are sampled
+        # dilation 1 - delta + r stays admissible for radii up to 1, and each
+        # sampled value is a grid-and-polish lower bound on the maximal
+        # value, up to the quadrature's |G15 - G7| error estimate
         lams = []
         mus = []
-        r = 2 * delta
         try:
-            while r <= 1:
-                anchor = _nearest_point(E, 1 - delta + r)
-                grid = DilationGrid((anchor,), inst.anchor_refinement)
+            for r, anchor in zip(*_lorentz_ladder(delta, Fraction(1))):
+                grid = DilationGrid((E.nearest(anchor),),
+                                    inst.anchor_refinement)
                 lams.append(maximal_value(2, inst.profile, float(r), E, grid,
                                           quad).value)
-                mus.append(float((r * r - delta * delta) / 2))
-                r *= 2
+                mus.append(float(_shell_measure(((delta, r),), 2)))
         except PrecisionError:
             break
         k = math.log2(1.0 / float(delta))
@@ -468,7 +463,7 @@ def endpoint_log_probe(E: FractalSet, d: int, q, n_values,
         delta = Fraction(1, 2 ** n)
         inst = build_probe(family, delta, E)
         try:
-            value = _certified_bound(inst, E, quad)
+            value = _witness_bound(inst, E, quad)
         except PrecisionError:
             break
         cover = covering_number(E, delta)

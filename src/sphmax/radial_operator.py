@@ -408,13 +408,6 @@ class DilationGrid:
         return cls(tuple(separated_points(E, spacing)), spacing)
 
 
-def _containing_component(E: FractalSet, x) -> tuple[Fraction, Fraction] | None:
-    i = bisect_right([iv[0] for iv in E.intervals], x) - 1
-    if i >= 0 and E.intervals[i][0] <= x <= E.intervals[i][1]:
-        return E.intervals[i]
-    return None
-
-
 def _require_inside(E: FractalSet, points) -> None:
     """One merge walk of the sorted components of E against the increasing
     points, each component taking the points up to its right end by
@@ -497,7 +490,7 @@ def maximal_value(d: int, f: RadialProfile, r, E: FractalSet,
     ts = [float(p) for p in grid.points]
 
     def window(i):
-        comp = _containing_component(E, grid.points[i])
+        comp = E.component(grid.points[i])
         if comp[1] > comp[0]:
             return float(comp[0]), float(comp[1])
         return None
@@ -664,7 +657,7 @@ def _sup_over_dilations(eval_many, cands, E: FractalSet | None,
     def window(i):
         if E is None:
             return bounds
-        comp = _containing_component(E, float(ts[i]))
+        comp = E.component(float(ts[i]))
         if comp is None or comp[1] <= comp[0]:
             return None
         return max(float(comp[0]), bounds[0]), min(float(comp[1]), bounds[1])

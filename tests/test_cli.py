@@ -3,11 +3,15 @@
 import csv
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from sphmax.cli import _pq_list, _scale_list, load_config, main
+from sphmax.cli import _pq_list, _scale_list, build_parser, load_config, main
 from sphmax.errors import ConfigError
 
 F = Fraction
@@ -104,13 +108,16 @@ def test_mean_reference_values(capsys):
     assert capsys.readouterr().out.strip() == "1.333333"
 
 
-def test_mean_precision_exit(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, """
+STALLING_QUAD_CFG = """
 [quadrature]
 rel_tol = 1e-15
 abs_tol = 1e-300
 max_refinement = 2
-""")
+"""
+
+
+def test_mean_precision_exit(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, STALLING_QUAD_CFG)
     code = main(["mean", "3", "pow(1,-1,-1,1/1024,1/2)", "1", "1",
                  "--config", cfg])
     assert code == 4
@@ -315,6 +322,66 @@ def test_report_concatenates_manifests(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "absent")]) == 2
 
 
+def test_verify_rejects_nonpositive_tol(capsys):
+    assert main(["verify", "--tol", "0"]) == 2
+    assert main(["verify", "--tol", "-1"]) == 2
+    assert "--tol must be positive" in capsys.readouterr().err
+
+
+def test_verify_uses_config_quadrature(tmp_path, capsys):
+    # the checks' integrands converge within two refinements even at this
+    # budget, so one refinement is what stalls them
+    cfg = write_cfg(tmp_path, STALLING_QUAD_CFG.replace(
+        "max_refinement = 2", "max_refinement = 1"))
+    assert main(["verify", "--config", cfg]) == 4
+    assert "precision error" in capsys.readouterr().err
+
+
 def test_threads_guard(capsys):
-    assert main(["verify", "--threads", "0"]) == 2
+    assert main(["probe", "--threads", "0"]) == 2
     assert "threads" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# flags
+
+
+FLAG_VALUES = {"--config": "x.cfg", "--out": "x", "--tol": "1e-6",
+               "--threads": "2", "--seed": "1"}
+FLAGS_READ = {
+    "dims": {"--config", "--out"},
+    "region": {"--config", "--out"},
+    "probe": {"--config", "--out", "--tol", "--threads"},
+    "verify": {"--config", "--out", "--tol", "--seed"},
+    "report": {"--config", "--out"},
+    "mean": {"--config", "--tol"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS_READ))
+def test_each_subcommand_takes_only_the_flags_it_reads(command, capsys):
+    # e.g. region --seed 1 and mean --out x are usage errors
+    head = ["mean", "3", "one", "1", "1"] if command == "mean" else [command]
+    for flag, value in FLAG_VALUES.items():
+        argv = head + [flag, value]
+        if flag in FLAGS_READ[command]:
+            build_parser().parse_args(argv)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_module_entry_point_has_no_runpy_warning():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "sphmax.cli",
+         "mean", "3", "one", "1", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1.000000"
+    assert "RuntimeWarning" not in proc.stderr

@@ -516,3 +516,34 @@ def test_fractalset_is_hashable_and_frozen():
     assert hash(E) == hash(middle_cantor(F(1, 3), 2))
     with pytest.raises(AttributeError):
         E.depth = 3
+
+
+def test_component_and_nearest_match_linear_scans():
+    rng = random.Random(11)
+    for _ in range(60):
+        E = random_fractal_set(rng)
+        # component endpoints, the midpoints between components (ties of
+        # nearest), points inside, both ends of [1, 2], and floats
+        probes = [F(1), F(2), *E.endpoints]
+        probes += [(b + a2) / 2 for (_, b), (a2, _) in
+                   zip(E.intervals, E.intervals[1:])]
+        probes += [F(rng.randint(0, 512), 512) + 1 for _ in range(20)]
+        probes += [float(x) for x in probes[:10]]
+        for x in probes:
+            held = [iv for iv in E.intervals if iv[0] <= x <= iv[1]]
+            assert E.component(x) == (held[0] if held else None)
+            best = None
+            for a, b in E.intervals:
+                cand = min(max(x, a), b)
+                if best is None or abs(cand - x) < abs(best - x):
+                    best = cand
+            assert E.nearest(x) == best
+
+
+def test_nearest_tie_takes_the_left_component():
+    E = from_intervals([(1, F(5, 4)), (F(7, 4), 2)])
+    assert E.nearest(F(3, 2)) == F(5, 4)
+    assert E.nearest(F(3, 2) + F(1, 1024)) == F(7, 4)
+    assert E.nearest(F(9, 8)) == F(9, 8)
+    assert E.component(F(3, 2)) is None
+    assert E.component(F(7, 4)) == (F(7, 4), F(2))
