@@ -7,8 +7,9 @@ rational arithmetic; floating point enters only through logarithms and
 regression when estimating dimensions.
 
 Conventions pinned for determinism:
-  * covering_number uses the left-to-right greedy sweep, which is optimal
-    for subsets of the line;
+  * one greedy count, the left-to-right sweep (optimal for subsets of the
+    line), serves the global, local and windowed covering numbers, and
+    one merge walk serves every union of intervals;
   * binary cells are half-open [m 2^j, (m+1) 2^j), tiling the line so that
     every point lies in exactly one cell;
   * window searches for the Assouad-type quantities use dyadic window
@@ -112,6 +113,19 @@ class FractalSet:
         return self.generator or f"<set with {len(self.intervals)} components>"
 
 
+def _merged(pairs) -> list:
+    """Union of closed (lo, hi) pairs sorted by lo, as disjoint sorted pairs;
+    pairs that touch are merged."""
+    out = []
+    for lo, hi in pairs:
+        if out and lo <= out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
+
+
 def _normalize(raw, depth: int, generator: str) -> FractalSet:
     pairs = []
     for lo, hi in raw:
@@ -122,14 +136,7 @@ def _normalize(raw, depth: int, generator: str) -> FractalSet:
         pairs.append((a, b))
     if not pairs:
         raise ParameterError("a dilation set must be non-empty")
-    pairs.sort()
-    merged = [pairs[0]]
-    for a, b in pairs[1:]:
-        pa, pb = merged[-1]
-        if a <= pb:
-            merged[-1] = (pa, max(pb, b))
-        else:
-            merged.append((a, b))
+    merged = _merged(sorted(pairs))
     lo, hi = merged[0][0], merged[-1][1]
     if lo < 1 or hi > 2:
         raise ParameterError(f"dilation sets must stay inside [1, 2], got hull [{lo}, {hi}]")
@@ -172,13 +179,17 @@ def middle_cantor(alpha, depth: int) -> FractalSet:
     return _normalize(cells, depth, f"cantor(alpha={a}, depth={depth})")
 
 
+def _check_count(count) -> None:
+    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        raise ParameterError(f"count must be a positive integer, got {count!r}")
+
+
 def geometric_sequence(base, count: int) -> FractalSet:
     """Points 2 - base**(-n) for n = 1..count, together with 2 itself."""
     b = as_rational(base, ParameterError, "base")
     if b <= 1:
         raise ParameterError(f"base must exceed 1, got {b}")
-    if not isinstance(count, int) or count < 1:
-        raise ParameterError(f"count must be a positive integer, got {count!r}")
+    _check_count(count)
     pts = [(2 - b ** -n) for n in range(1, count + 1)]
     pts.append(_TWO)
     return _normalize([(p, p) for p in pts], count,
@@ -192,8 +203,7 @@ def power_sequence(exponent, count: int) -> FractalSet:
     nearby rationals (denominator <= 2**48), which moves each point by far
     less than any scale the estimators may legally probe.
     """
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise ParameterError(f"count must be a positive integer, got {count!r}")
+    _check_count(count)
     rat = None if isinstance(exponent, float) else as_rational(
         exponent, ParameterError, "exponent")
     a = float(exponent) if rat is None else float(rat)
@@ -219,8 +229,7 @@ def arithmetic_progression(u, delta, m: int) -> FractalSet:
     step = as_rational(delta, ParameterError, "spacing")
     if step <= 0:
         raise ParameterError(f"spacing must be positive, got {step}")
-    if not isinstance(m, int) or m < 1:
-        raise ParameterError(f"count must be a positive integer, got {m!r}")
+    _check_count(m)
     pts = [start + k * step for k in range(m)]
     return _normalize([(p, p) for p in pts], m,
                       f"progression(u={start}, delta={step}, m={m})")
@@ -356,23 +365,40 @@ def parse_set(expr: str) -> FractalSet:
 
 # ------------------------------------------------------------------ coverings
 
-def _greedy_count(intervals, d: Fraction) -> int:
-    """Minimal closed length-d intervals covering a disjoint sorted union."""
+def _meeting(pairs, lo, hi) -> tuple[int, int]:
+    """Index range [first, stop) of the sorted disjoint pairs meeting [lo, hi];
+    only the first can start left of lo and only the last end right of hi."""
+    first = bisect.bisect_left(pairs, lo, key=itemgetter(1))
+    return first, bisect.bisect_right(pairs, hi, first, key=itemgetter(0))
+
+
+def _cover_count(pairs, lo, hi, step) -> int:
+    """Greedy count of closed length-step intervals covering the sorted
+    disjoint pairs clipped to [lo, hi]; 0 when nothing is left. Exact for
+    ints and Fractions alike."""
+    first, stop = _meeting(pairs, lo, hi)
+    last = stop - 1
     count = 0
-    covered_to = None
-    for a, b in intervals:
-        if covered_to is not None and b <= covered_to:
+    covered = None
+    for k in range(first, stop):
+        a, b = pairs[k]
+        if k == last and b > hi:
+            b = hi
+        if covered is None:
+            start = a if a > lo else lo
+        elif b <= covered:
             continue
-        start = a if covered_to is None or covered_to < a else covered_to
-        need = max(1, math.ceil((b - start) / d)) if b > start else 1
+        else:
+            start = a if covered < a else covered
+        need = -((start - b) // step) or 1
         count += need
-        covered_to = start + need * d
+        covered = start + need * step
     return count
 
 
 @lru_cache(maxsize=4096)
 def _covering_cached(intervals, d: Fraction) -> int:
-    return _greedy_count(intervals, d)
+    return _cover_count(intervals, intervals[0][0], intervals[-1][1], d)
 
 
 def covering_number(E: FractalSet, delta) -> int:
@@ -386,16 +412,9 @@ def binary_covering_number(E: FractalSet, j: int) -> int:
     if not isinstance(j, int) or isinstance(j, bool) or j > 0:
         raise InvalidScaleError(f"cell exponent must be an integer <= 0, got {j!r}")
     cell = _TWO ** j
-    spans = sorted((int(a // cell), int(b // cell)) for a, b in E.intervals)
-    total = 0
-    cur_lo, cur_hi = spans[0]
-    for lo, hi in spans[1:]:
-        if lo > cur_hi + 1:
-            total += cur_hi - cur_lo + 1
-            cur_lo, cur_hi = lo, hi
-        else:
-            cur_hi = max(cur_hi, hi)
-    return total + cur_hi - cur_lo + 1
+    # cells m..n as the span [m, n + 1], so adjacent runs touch and merge
+    spans = sorted((int(a // cell), int(b // cell) + 1) for a, b in E.intervals)
+    return sum(hi - lo for lo, hi in _merged(spans))
 
 
 def neighborhood_measure(E: FractalSet, n: int) -> Fraction:
@@ -403,18 +422,8 @@ def neighborhood_measure(E: FractalSet, n: int) -> Fraction:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ParameterError(f"neighborhood index must be a non-negative integer, got {n!r}")
     rad = _TWO ** (1 - n)
-    total = Fraction(0)
-    cur_lo = cur_hi = None
-    for a, b in E.intervals:
-        lo, hi = max(Fraction(0), a - rad), b + rad
-        if cur_lo is None:
-            cur_lo, cur_hi = lo, hi
-        elif lo <= cur_hi:
-            cur_hi = max(cur_hi, hi)
-        else:
-            total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-    return total + cur_hi - cur_lo
+    grown = _merged((max(Fraction(0), a - rad), b + rad) for a, b in E.intervals)
+    return sum((hi - lo for lo, hi in grown), Fraction(0))
 
 
 def annulus_measure(E: FractalSet, n: int) -> Fraction:
@@ -422,21 +431,10 @@ def annulus_measure(E: FractalSet, n: int) -> Fraction:
     return neighborhood_measure(E, n) - neighborhood_measure(E, n + 1)
 
 
-@lru_cache(maxsize=256)
-def _right_ends(intervals):
-    return [b for _, b in intervals]
-
-
 def restrict(E: FractalSet, lo, hi) -> tuple[tuple[Fraction, Fraction], ...]:
     """Components of E clipped to the closed window [lo, hi]; may be empty."""
-    ivs = E.intervals
-    out = []
-    for i in range(bisect.bisect_left(_right_ends(ivs), lo), len(ivs)):
-        a, b = ivs[i]
-        if a > hi:
-            break
-        out.append((max(a, lo), min(b, hi)))
-    return tuple(out)
+    first, stop = _meeting(E.intervals, lo, hi)
+    return tuple((max(a, lo), min(b, hi)) for a, b in E.intervals[first:stop])
 
 
 def local_covering_number(E: FractalSet, window, delta) -> int:
@@ -449,10 +447,7 @@ def local_covering_number(E: FractalSet, window, delta) -> int:
     d = _scale(delta)
     if hi - lo < d:
         raise InvalidWindowError(f"window [{lo}, {hi}] is shorter than the scale {d}")
-    clipped = restrict(E, lo, hi)
-    if not clipped:
-        return 0
-    return _greedy_count(clipped, d)
+    return _cover_count(E.intervals, lo, hi, d)
 
 
 def resolution(E: FractalSet) -> Fraction:
@@ -482,12 +477,24 @@ def separated_points(E: FractalSet, delta) -> list[Fraction]:
 
 # ------------------------------------------------------------ characteristics
 
-def minkowski_characteristic(E: FractalSet, beta, delta) -> float:
-    """delta**beta * N(E, delta)."""
-    b = _unit_exponent(beta, "beta")
+# How many set endpoints anchor the window search: assouad_characteristic
+# keeps up to _ASSOUAD_ANCHORS of them, estimate_dimensions up to
+# _DIMENSION_ANCHORS, spread evenly beyond that.
+_ASSOUAD_ANCHORS = 512
+_DIMENSION_ANCHORS = 256
+
+
+def _char_scale(delta) -> Fraction:
     d = as_rational(delta, ParameterError, "delta")
     if not 0 < d < 1:
         raise ParameterError(f"characteristic scale must lie in (0, 1), got {d}")
+    return d
+
+
+def minkowski_characteristic(E: FractalSet, beta, delta) -> float:
+    """delta**beta * N(E, delta)."""
+    b = _unit_exponent(beta, "beta")
+    d = _char_scale(delta)
     return float(d) ** b * covering_number(E, d)
 
 
@@ -512,38 +519,19 @@ def _anchors(E: FractalSet, cap: int) -> list[Fraction]:
     return picked
 
 
-def _count_scaled(lefts, rights, lo: int, hi: int, step: int) -> int:
-    """Greedy covering count on integer-scaled components clipped to [lo, hi]."""
-    i = bisect.bisect_left(rights, lo)
-    count = 0
-    covered = None
-    n = len(lefts)
-    while i < n and lefts[i] <= hi:
-        a = lefts[i] if lefts[i] > lo else lo
-        b = rights[i] if rights[i] < hi else hi
-        if covered is not None and b <= covered:
-            i += 1
-            continue
-        start = a if covered is None or covered < a else covered
-        need = (b - start + step - 1) // step if b > start else 1
-        count += need
-        covered = start + need * step
-        i += 1
-    return count
-
-
-def _window_counts(E: FractalSet, d: Fraction, min_len: Fraction, cap: int):
-    """Yield (L, count) over dyadic windows anchored at set endpoints.
+def _window_counts(E: FractalSet, d: Fraction, cap: int):
+    """Yield (L, count) over dyadic windows of length L >= d anchored at set
+    endpoints.
 
     Everything is rescaled to a common integer grid fine enough to hold the
     component endpoints, the scale and every dyadic window length, so the
-    counts stay exact while the inner loop runs on machine integers. Anchor
+    greedy counts stay exact while they run on machine integers. Anchor
     density adapts to the window length: long windows are nearly translation
     invariant, so they get proportionally fewer anchors.
     """
     jmax = 0
     L = _ONE
-    while L / 2 >= min_len:
+    while L / 2 >= d:
         jmax += 1
         L = L / 2
     dens = {d.denominator}
@@ -551,8 +539,7 @@ def _window_counts(E: FractalSet, d: Fraction, min_len: Fraction, cap: int):
         dens.add(a.denominator)
         dens.add(b.denominator)
     M = math.lcm(*dens) << jmax
-    lefts = [int(a * M) for a, _ in E.intervals]
-    rights = [int(b * M) for _, b in E.intervals]
+    pairs = [(int(a * M), int(b * M)) for a, b in E.intervals]
     step = int(d * M)
     anchors = [int(e * M) for e in _anchors(E, cap)]
     for j in range(jmax + 1):
@@ -562,12 +549,23 @@ def _window_counts(E: FractalSet, d: Fraction, min_len: Fraction, cap: int):
         stride = max(1, len(anchors) // per_j)
         for e in anchors[::stride]:
             for lo, hi in ((e, e + Lint), (e - Lint, e)):
-                count = _count_scaled(lefts, rights, lo, hi, step)
+                count = _cover_count(pairs, lo, hi, step)
                 if count:
                     yield Lfrac, count
 
 
-def assouad_characteristic(E: FractalSet, gamma, delta, cap: int = 512) -> float:
+def _assouad_sup(df: float, gamma: float, n_full: int, windows) -> float:
+    """Max of (df/L)**gamma * count over the (L, count) windows, starting
+    from the full-hull value df**gamma * n_full."""
+    best = df ** gamma * n_full
+    for L, count in windows:
+        val = (df / float(L)) ** gamma * count
+        if val > best:
+            best = val
+    return best
+
+
+def assouad_characteristic(E: FractalSet, gamma, delta) -> float:
     """Windowed characteristic sup_I (delta/|I|)**gamma N(E cap I, delta).
 
     The sup runs over dyadic window lengths anchored at interval endpoints,
@@ -576,16 +574,9 @@ def assouad_characteristic(E: FractalSet, gamma, delta, cap: int = 512) -> float
     at the same exponent.
     """
     g = _unit_exponent(gamma, "gamma")
-    d = as_rational(delta, ParameterError, "delta")
-    if not 0 < d < 1:
-        raise ParameterError(f"characteristic scale must lie in (0, 1), got {d}")
-    df = float(d)
-    best = df ** g * covering_number(E, d)
-    for L, count in _window_counts(E, d, d, cap):
-        val = (df / float(L)) ** g * count
-        if val > best:
-            best = val
-    return best
+    d = _char_scale(delta)
+    return _assouad_sup(float(d), g, covering_number(E, d),
+                        _window_counts(E, d, _ASSOUAD_ANCHORS))
 
 
 @dataclass(frozen=True)
@@ -602,8 +593,8 @@ class DimensionReport:
     char_assouad: tuple[tuple[Fraction, float], ...]
 
 
-def estimate_dimensions(E: FractalSet, scales, thetas=(0.5, 0.7, 0.9),
-                        cap: int = 256) -> DimensionReport:
+def estimate_dimensions(E: FractalSet, scales,
+                        thetas=(0.5, 0.7, 0.9)) -> DimensionReport:
     """Estimate box, spectrum, quasi-Assouad and Assouad quantities.
 
     scales must decrease and stay at or above the set's resolution; at
@@ -634,7 +625,7 @@ def estimate_dimensions(E: FractalSet, scales, thetas=(0.5, 0.7, 0.9),
 
     spec = {t: 0.0 for t in ths}
     assouad = 0.0
-    windows = {d: tuple(_window_counts(E, d, d, cap)) for d in ds}
+    windows = {d: tuple(_window_counts(E, d, _DIMENSION_ANCHORS)) for d in ds}
     for d in ds:
         df = float(d)
         floors = {t: df ** t for t in ths}
@@ -652,20 +643,10 @@ def estimate_dimensions(E: FractalSet, scales, thetas=(0.5, 0.7, 0.9),
     quasi = spec[ths[-1]]
     beta_hat = min(1.0, max(0.0, float(slope)))
     gamma_hat = min(1.0, max(0.0, quasi))
-    char_m = tuple((d, minkowski_characteristic(E, beta_hat, d))
-                   for d in ds if 0 < d < 1)
-    char_a = []
-    for d, n_full in table:
-        if not 0 < d < 1:
-            continue
-        df = float(d)
-        best = df ** gamma_hat * n_full
-        for L, count in windows[d]:
-            val = (df / float(L)) ** gamma_hat * count
-            if val > best:
-                best = val
-        char_a.append((d, best))
-    char_a = tuple(char_a)
+    # the characteristics are defined for scales below 1 only
+    char_m = tuple((d, float(d) ** beta_hat * n) for d, n in table if d < 1)
+    char_a = tuple((d, _assouad_sup(float(d), gamma_hat, n, windows[d]))
+                   for d, n in table if d < 1)
     return DimensionReport(
         covering_table=table,
         minkowski_estimate=float(slope),

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .fractal_set import (
     FractalSet,
+    _merged,
     as_rational,
     covering_number,
     from_intervals,
@@ -228,13 +229,7 @@ def build_probe(family: ProbeFamily, scale,
             raise ParameterError("the endpoint witness needs the dilation set")
         anchors = _spread([b for _, b in E.intervals], 4)
         radii = tuple(b + s for b in anchors)
-        cells = []
-        for a, b in E.intervals:
-            lo, hi = a - s, b + s
-            if cells and lo <= cells[-1][1]:
-                cells[-1] = (cells[-1][0], hi)
-            else:
-                cells.append((lo, hi))
+        cells = _merged((a - s, b + s) for a, b in E.intervals)
         return ProbeInstance(family, s, profile, radii, tuple(anchors),
                              tuple(cells), Fraction(0))
 

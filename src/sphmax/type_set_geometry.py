@@ -173,46 +173,36 @@ def _dedupe(points: list[RegionPoint]) -> list[RegionPoint]:
     return out
 
 
-def _uniform_region(points: list[RegionPoint], provenance: str) -> TypeSetRegion:
-    verts = _dedupe(points)
-    n = len(verts)
-    return TypeSetRegion(tuple(verts), (INCLUDED,) * n, (INCLUDED,) * n,
-                         provenance)
-
-
 def region(kind: str, d: int, beta=None, gamma=None) -> TypeSetRegion:
     """Bare closed region of the given kind, every part included. Duplicate
     vertices produced by degenerate parameters are merged."""
     _check_dim(d)
     if kind not in REGION_KINDS:
         raise ParameterError(f"unknown region kind {kind!r}")
+    b = _unit(beta, "beta")
     if kind == "Delta":
-        b = _unit(beta, "beta")
-        return _uniform_region(
-            [_ORIGIN, vertex("Q2", d, b), vertex("Q1", d, b)], "triangle")
-    if kind == "P":
-        b = _unit(beta, "beta")
+        points = [_ORIGIN, vertex("Q2", d, b), vertex("Q1", d, b)]
+        prov = "triangle"
+    elif kind == "P":
         g = _unit(gamma, "gamma")
         if b > g:
             raise ParameterError(f"need beta <= gamma, got {b} > {g}")
-        return _uniform_region(
-            [_ORIGIN, vertex("P3", d, gamma=g), vertex("P2", d, b),
-             vertex("P1", d, b)], "general-region")
-    b = _unit(beta, "beta")
-    g = _unit(gamma, "gamma")
-    if d != 2:
-        raise ParameterError(f"region kind {kind!r} exists only in dimension 2")
-    if 2 * g < 1:
-        raise ParameterError(
-            f"region kind {kind!r} needs gamma >= 1/2, got {g}")
-    q2 = vertex("Q2", d, 2 * g - 1)
-    q1 = vertex("Q1", d, b)
-    if kind == "Q":
+        points = [_ORIGIN, vertex("P3", d, gamma=g), vertex("P2", d, b),
+                  vertex("P1", d, b)]
+        prov = "general-region"
+    else:
+        g = _unit(gamma, "gamma")
+        if d != 2:
+            raise ParameterError(f"region kind {kind!r} exists only in dimension 2")
+        if 2 * g < 1:
+            raise ParameterError(
+                f"region kind {kind!r} needs gamma >= 1/2, got {g}")
         # Q3 itself enforces the supercritical constraint 2*gamma >= beta + 1
-        mid = vertex("Q3", d, b, g)
-        return _uniform_region([_ORIGIN, q2, mid, q1], "quadrilateral")
-    mid = vertex("Q3tilde", d, b)
-    return _uniform_region([_ORIGIN, q2, mid, q1], "quadrilateral-tilde")
+        mid = vertex("Q3", d, b, g) if kind == "Q" else vertex("Q3tilde", d, b)
+        points = [_ORIGIN, vertex("Q2", d, 2 * g - 1), mid, vertex("Q1", d, b)]
+        prov = "quadrilateral" if kind == "Q" else "quadrilateral-tilde"
+    return _statused_region(points, {}, {}, prov, EXCLUDED,
+                            default_v=INCLUDED, default_e=INCLUDED)
 
 
 @dataclass(frozen=True)
@@ -238,6 +228,17 @@ def _statused_region(points, vstat_map, estat_map, provenance, exterior,
         estat.append(estat_map.get(pair, default_e))
     return TypeSetRegion(tuple(verts), vstat, tuple(estat), provenance,
                          exterior)
+
+
+def _inclusion_only(d: int, base, gs, rest, provenance, exterior) -> TypeSetRegion:
+    """Region O, Q2(base), *rest (ending in Q1) of which only the interior,
+    [O, Q1) and (O, Q2(max{base, 2*gs - 1})) are proved: a cut vertex
+    Q2(2*gs - 1) goes in before Q2(base) when it lies beyond it."""
+    q2 = vertex("Q2", d, base)
+    cut = vertex("Q2", d, 2 * gs - 1) if 2 * gs - 1 > base else q2
+    estat = {(rest[-1], _ORIGIN): INCLUDED, (_ORIGIN, cut): INCLUDED}
+    return _statused_region([_ORIGIN, cut, q2, *rest], {_ORIGIN: INCLUDED},
+                            estat, provenance, exterior)
 
 
 def radial_type_set(d: int, beta, gamma=None, gamma_star=None,
@@ -295,24 +296,10 @@ def radial_type_set(d: int, beta, gamma=None, gamma_star=None,
             # subcritical with bounded characteristics: the whole closed
             # triangle, matched by the easy outer containment
             return _statused_region(
-                [_ORIGIN, q2b, q1],
-                {_ORIGIN: INCLUDED, q2b: INCLUDED, q1: INCLUDED},
-                {(_ORIGIN, q2b): INCLUDED, (q2b, q1): INCLUDED,
-                 (q1, _ORIGIN): INCLUDED},
-                "2d-subcritical-endpoint", EXCLUDED)
-        # inclusion-only: interior, [O, Q1) and (O, Q2(max{beta, 2*gs-1}))
-        cut = max(b, 2 * gs - 1)
-        points = [_ORIGIN, q2b, q1]
-        vstat = {_ORIGIN: INCLUDED}
-        estat = {(q1, _ORIGIN): INCLUDED}
-        if cut > b:
-            q2cut = vertex("Q2", d, cut)
-            points = [_ORIGIN, q2cut, q2b, q1]
-            estat[(_ORIGIN, q2cut)] = INCLUDED
-        else:
-            estat[(_ORIGIN, q2b)] = INCLUDED
-        return _statused_region(points, vstat, estat,
-                                "2d-subcritical-inclusion", EXCLUDED)
+                [_ORIGIN, q2b, q1], {}, {}, "2d-subcritical-endpoint",
+                EXCLUDED, default_v=INCLUDED, default_e=INCLUDED)
+        return _inclusion_only(d, b, gs, [q1], "2d-subcritical-inclusion",
+                               EXCLUDED)
 
     # supercritical 2*gamma >= beta + 1
     q2g = vertex("Q2", d, 2 * g - 1)
@@ -323,22 +310,11 @@ def radial_type_set(d: int, beta, gamma=None, gamma_star=None,
                  q1: INCLUDED}
         if q3 == q2g:
             vstat[q3] = RESTRICTED_WEAK
-        estat_default = INCLUDED
         return _statused_region(
             [_ORIGIN, q2g, q3, q1], vstat, {}, "2d-critical-endpoint",
-            exterior, default_v=INCLUDED, default_e=estat_default)
-    # inclusion-only: interior, [O, Q1) and (O, Q2(2*gs - 1))
-    points = [_ORIGIN, q2g, q3, q1]
-    vstat = {_ORIGIN: INCLUDED}
-    estat = {(q1, _ORIGIN): INCLUDED}
-    if gs > g:
-        q2cut = vertex("Q2", d, 2 * gs - 1)
-        points = [_ORIGIN, q2cut, q2g, q3, q1]
-        estat[(_ORIGIN, q2cut)] = INCLUDED
-    else:
-        estat[(_ORIGIN, q2g)] = INCLUDED
-    return _statused_region(points, vstat, estat,
-                            "2d-supercritical-inclusion", exterior)
+            exterior, default_v=INCLUDED, default_e=INCLUDED)
+    return _inclusion_only(d, 2 * g - 1, gs, [q3, q1],
+                           "2d-supercritical-inclusion", exterior)
 
 
 # ---------------------------------------------------------------------------

@@ -398,6 +398,87 @@ def test_dimensions_reject_scales_below_resolution():
         estimate_dimensions(E, [F(1, 4), F(1, 16), F(3) ** -5])
 
 
+# Values recorded before the covering counts were folded into one greedy
+# walk. cantor(1/3, 9) has 1024 endpoints, more than either anchor cap, so
+# the subsampled window search is pinned too. The fields that go through
+# np.polyfit (LAPACK) are compared to 1e-9; every other value is exact.
+_GOLDEN = {
+    "cantor": dict(
+        table=((F(1, 3), 2), (F(1, 9), 4), (F(1, 27), 8), (F(1, 81), 16),
+               (F(1, 243), 32), (F(1, 729), 64)),
+        slope=0.6309297535714576,
+        residual=1.937861347180406e-15,
+        spectrum=((0.5, 0.6309297535714574), (0.7, 0.8547556456757274),
+                  (0.9, 0.8547556456757274)),
+        quasi=0.8547556456757274,
+        assouad=0.8547556456757274,
+        char_m=(0.9999999999999998, 0.9999999999999996, 0.9999999999999993,
+                0.9999999999999991, 0.9999999999999989, 0.9999999999999986),
+        char_a=(1.414213562373095, 1.8084524252442165, 1.2787689733434435,
+                1.6352500871858444, 1.1562964255850037, 1.4786359930260284),
+        windowed=(1.539600717839002, 1.5802469135802468),
+        local=(2, 9),
+    ),
+    "progression": dict(
+        table=((F(1, 8), 1), (F(1, 16), 2), (F(1, 32), 4), (F(1, 64), 6),
+               (F(1, 128), 8)),
+        slope=0.7584962500721155,
+        residual=0.13460243237052713,
+        spectrum=((0.5, 0.8616541669070521), (0.7, 1.0), (0.9, 1.0)),
+        quasi=1.0,
+        assouad=1.0,
+        char_m=(0.2065425960445377, 0.24417967096529353, 0.288675134594813,
+                0.2559590638849025, 0.201734012569891),
+        char_a=(1.0, 1.0, 1.0, 1.0, 1.0),
+        windowed=(2.1773242158072694, 1.5802469135802468),
+        local=(3, 8),
+    ),
+    "union": dict(
+        table=((F(1, 2), 2), (F(1, 4), 4), (F(1, 8), 5), (F(1, 16), 9)),
+        slope=0.68317030992143,
+        residual=0.09696258148257685,
+        spectrum=((0.5, 1.0), (0.7, 1.0), (0.9, 1.0)),
+        quasi=1.0,
+        assouad=1.0,
+        char_m=(1.2455903651443765, 1.5514953577405013, 1.2078297932298727,
+                1.3540150378633085),
+        char_a=(1.0, 1.0, 1.0, 1.0),
+        windowed=(1.9245008972987527, 1.5802469135802468),
+        local=(4, 10),
+    ),
+}
+
+
+def _golden_set(name):
+    if name == "cantor":
+        return middle_cantor(F(1, 3), 9)
+    if name == "progression":
+        return arithmetic_progression(F(5, 4), F(1, 128), 16)
+    return union_of(middle_cantor(F(1, 3), 3), finite_points([F(3, 2), F(31, 20)]))
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_dimension_report_and_window_counts_golden(name):
+    E = _golden_set(name)
+    want = _GOLDEN[name]
+    scales = [d for d, _ in want["table"]]
+    report = estimate_dimensions(E, scales)
+    assert report.covering_table == want["table"]
+    assert report.minkowski_estimate == pytest.approx(want["slope"], rel=1e-9)
+    assert report.minkowski_residual == pytest.approx(want["residual"], abs=1e-9)
+    assert report.spectrum == want["spectrum"]
+    assert report.quasi_assouad_estimate == want["quasi"]
+    assert report.assouad_estimate == want["assouad"]
+    assert [d for d, _ in report.char_minkowski] == scales
+    assert [v for _, v in report.char_minkowski] == pytest.approx(
+        want["char_m"], rel=1e-9)
+    assert report.char_assouad == tuple(zip(scales, want["char_a"]))
+    assert (assouad_characteristic(E, 0.5, F(1, 27)),
+            assouad_characteristic(E, 1, F(1, 81))) == want["windowed"]
+    assert (local_covering_number(E, (F(4, 3), F(5, 3)), F(1, 81)),
+            local_covering_number(E, (F(10, 9), F(3, 2)), F(1, 100))) == want["local"]
+
+
 # ------------------------------------------------------------------ generators
 
 def test_cantor_generation_counts():
@@ -425,6 +506,13 @@ def test_geometric_sequence_points():
     assert flat == [F(3, 2), F(7, 4), F(15, 8), 2]
     with pytest.raises(ParameterError):
         geometric_sequence(1, 3)
+    # a bool is not a count, for every count-taking generator
+    for make in (lambda c: geometric_sequence(2, c),
+                 lambda c: power_sequence(2, c),
+                 lambda c: arithmetic_progression(1, 1, c)):
+        for bad in (True, False, 0, 2.0):
+            with pytest.raises(ParameterError, match="count must be a positive"):
+                make(bad)
 
 
 def test_power_sequence_integer_exponent_exact():
