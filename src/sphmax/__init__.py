@@ -24,9 +24,7 @@ from .errors import (
 from .fractal_set import (
     DimensionReport,
     FractalSet,
-    annulus_measure,
     arithmetic_progression,
-    assouad_characteristic,
     binary_covering_number,
     covering_number,
     estimate_dimensions,
@@ -36,7 +34,6 @@ from .fractal_set import (
     geometric_sequence,
     local_covering_number,
     middle_cantor,
-    minkowski_characteristic,
     neighborhood_measure,
     parse_set,
     power_sequence,
@@ -71,7 +68,6 @@ from .radial_operator import (
     profile_expression,
     sphere_average_mc,
     spherical_mean,
-    weak_lq_quasinorm,
 )
 from .type_set_geometry import (
     CharacteristicFlags,

@@ -455,27 +455,20 @@ def _random_set(rng: random.Random) -> FractalSet:
 
 
 def _check_normalization(rng, quad):
-    failures = 0
-    cases = 0
     grid = [2.0 ** (k / 2.0) for k in range(-6, 7)]
     one = parse_profile("one")
     for d in (2, 3, 4, 5):
         for _ in range(6):
             r, t = rng.choice(grid), rng.choice(grid)
-            cases += 1
-            if abs(spherical_mean(d, one, r, t, quad) - 1.0) > 1e-6:
-                failures += 1
-    return cases, failures
+            yield abs(spherical_mean(d, one, r, t, quad) - 1.0) <= 1e-6
 
 
 def _check_closed_form(rng, quad):
     val = spherical_mean(3, parse_profile("pow(1,1,0,0,8)"), 1, 1, quad)
-    return 1, (0 if abs(val - 4.0 / 3.0) <= 1e-6 else 1)
+    yield abs(val - 4.0 / 3.0) <= 1e-6
 
 
 def _check_monte_carlo(rng, quad):
-    failures = 0
-    cases = 0
     gen_seed = rng.randrange(2 ** 31)
     profiles = [indicator(Fraction(1, 2), 3), power_profile(1, 2, 0, 0, 6)]
     for d in (2, 3):
@@ -485,59 +478,38 @@ def _check_monte_carlo(rng, quad):
             exact = spherical_mean(d, prof, r, t, quad)
             mc = sphere_average_mc(d, prof, r, t, samples=200_000,
                                    rng=np.random.default_rng(gen_seed + i))
-            cases += 1
-            if abs(mc.value - exact) > 4.0 * max(mc.stderr, 1e-9):
-                failures += 1
-    return cases, failures
+            yield abs(mc.value - exact) <= 4.0 * max(mc.stderr, 1e-9)
 
 
 def _check_covering_sandwich(rng, quad):
-    failures = 0
-    cases = 0
     for _ in range(10):
         E = _random_set(rng)
         for n in range(0, 9):
             N = covering_number(E, Fraction(2) ** -n)
             Nt = binary_covering_number(E, -n)
             w = neighborhood_measure(E, n)
-            cases += 1
-            ok = (N <= Nt <= 3 * N
-                  and Fraction(2) ** (-n - 2) * N <= w
-                  <= Fraction(2) ** (-n + 3) * N)
-            if not ok:
-                failures += 1
-    return cases, failures
+            yield (N <= Nt <= 3 * N
+                   and Fraction(2) ** (-n - 2) * N <= w
+                   <= Fraction(2) ** (-n + 3) * N)
 
 
 def _check_region_degeneracy(rng, quad):
-    failures = 0
-    cases = 0
     for _ in range(10):
         beta = Fraction(rng.randrange(1, 64), 64)
         crit = region("Q", 2, beta=beta, gamma=(beta + 1) / 2)
         tri = region("Delta", 2, beta=beta)
-        cases += 1
-        if crit.vertices != tri.vertices:
-            failures += 1
-    return cases, failures
+        yield crit.vertices == tri.vertices
 
 
 def _check_supporting_line(rng, quad):
-    failures = 0
-    cases = 0
     for _ in range(8):
         beta = Fraction(rng.randrange(0, 32), 32)
         gamma = max((beta + 1) / 2, Fraction(rng.randrange(16, 33), 32))
         q2 = vertex("Q2", 2, beta=2 * gamma - 1)
-        cases += 1
-        if supporting_line_value(q2.x, q2.y, beta, gamma) != 0:
-            failures += 1
+        yield supporting_line_value(q2.x, q2.y, beta, gamma) == 0
         if beta + 1 <= 2 * gamma and beta <= gamma:
             q3 = vertex("Q3", 2, beta=beta, gamma=gamma)
-            cases += 1
-            if supporting_line_value(q3.x, q3.y, beta, gamma) != 0:
-                failures += 1
-    return cases, failures
+            yield supporting_line_value(q3.x, q3.y, beta, gamma) == 0
 
 
 def _check_membership(rng, quad):
@@ -548,9 +520,8 @@ def _check_membership(rng, quad):
         (2, 4): "interior",
         (4, 2): "outside",
     }
-    failures = sum(membership(reg, p, q) != status
-                   for (p, q), status in wanted.items())
-    return len(wanted), failures
+    for (p, q), status in wanted.items():
+        yield membership(reg, p, q) == status
 
 
 _CHECKS = (
@@ -569,8 +540,8 @@ def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     results = []
     for name, fn in _CHECKS:
-        cases, failures = fn(rng, config.quad)
-        results.append((name, cases, failures))
+        passed = list(fn(rng, config.quad))
+        results.append((name, len(passed), passed.count(False)))
 
     width = max(len(name) for name, _, _ in results)
     print(f"{'check':<{width}}  cases  failed")

@@ -12,9 +12,10 @@ Conventions pinned for determinism:
     one merge walk serves every union of intervals;
   * binary cells are half-open [m 2^j, (m+1) 2^j), tiling the line so that
     every point lies in exactly one cell;
-  * window searches for the Assouad-type quantities use dyadic window
-    lengths anchored at interval endpoints of the set, a documented
-    constant-factor stand-in for the sup over all windows.
+  * the window search of estimate_dimensions (the spectrum, the
+    quasi-Assouad and Assouad estimates and the windowed characteristic)
+    uses dyadic window lengths anchored at interval endpoints of the set,
+    a documented constant-factor stand-in for the sup over all windows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
@@ -73,14 +73,6 @@ class FractalSet:
     intervals: tuple[tuple[Fraction, Fraction], ...]
     depth: int = 0
     generator: str = ""
-
-    @property
-    def hull(self) -> tuple[Fraction, Fraction]:
-        return (self.intervals[0][0], self.intervals[-1][1])
-
-    @property
-    def measure(self) -> Fraction:
-        return sum((b - a for a, b in self.intervals), Fraction(0))
 
     @property
     def endpoints(self) -> tuple[Fraction, ...]:
@@ -396,15 +388,10 @@ def _cover_count(pairs, lo, hi, step) -> int:
     return count
 
 
-@lru_cache(maxsize=4096)
-def _covering_cached(intervals, d: Fraction) -> int:
-    return _cover_count(intervals, intervals[0][0], intervals[-1][1], d)
-
-
 def covering_number(E: FractalSet, delta) -> int:
     """Minimal number of closed intervals of length delta covering E."""
     d = _scale(delta)
-    return _covering_cached(E.intervals, d)
+    return _cover_count(E.intervals, E.intervals[0][0], E.intervals[-1][1], d)
 
 
 def binary_covering_number(E: FractalSet, j: int) -> int:
@@ -424,11 +411,6 @@ def neighborhood_measure(E: FractalSet, n: int) -> Fraction:
     rad = _TWO ** (1 - n)
     grown = _merged((max(Fraction(0), a - rad), b + rad) for a, b in E.intervals)
     return sum((hi - lo for lo, hi in grown), Fraction(0))
-
-
-def annulus_measure(E: FractalSet, n: int) -> Fraction:
-    """Measure of the shell 2**(-n) < dist(r, E) <= 2**(1-n), exactly."""
-    return neighborhood_measure(E, n) - neighborhood_measure(E, n + 1)
 
 
 def restrict(E: FractalSet, lo, hi) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -477,25 +459,9 @@ def separated_points(E: FractalSet, delta) -> list[Fraction]:
 
 # ------------------------------------------------------------ characteristics
 
-# How many set endpoints anchor the window search: assouad_characteristic
-# keeps up to _ASSOUAD_ANCHORS of them, estimate_dimensions up to
-# _DIMENSION_ANCHORS, spread evenly beyond that.
-_ASSOUAD_ANCHORS = 512
+# How many set endpoints anchor the window search of estimate_dimensions,
+# spread evenly beyond that.
 _DIMENSION_ANCHORS = 256
-
-
-def _char_scale(delta) -> Fraction:
-    d = as_rational(delta, ParameterError, "delta")
-    if not 0 < d < 1:
-        raise ParameterError(f"characteristic scale must lie in (0, 1), got {d}")
-    return d
-
-
-def minkowski_characteristic(E: FractalSet, beta, delta) -> float:
-    """delta**beta * N(E, delta)."""
-    b = _unit_exponent(beta, "beta")
-    d = _char_scale(delta)
-    return float(d) ** b * covering_number(E, d)
 
 
 def _unit_exponent(value, what: str) -> float:
@@ -508,18 +474,18 @@ def _unit_exponent(value, what: str) -> float:
     return x
 
 
-def _anchors(E: FractalSet, cap: int) -> list[Fraction]:
+def _anchors(E: FractalSet) -> list[Fraction]:
     pts = sorted(set(E.endpoints))
-    if len(pts) <= cap:
+    if len(pts) <= _DIMENSION_ANCHORS:
         return pts
-    stride = -(-len(pts) // cap)
+    stride = -(-len(pts) // _DIMENSION_ANCHORS)
     picked = pts[::stride]
     if picked[-1] != pts[-1]:
         picked.append(pts[-1])
     return picked
 
 
-def _window_counts(E: FractalSet, d: Fraction, cap: int):
+def _window_counts(E: FractalSet, d: Fraction):
     """Yield (L, count) over dyadic windows of length L >= d anchored at set
     endpoints.
 
@@ -541,7 +507,7 @@ def _window_counts(E: FractalSet, d: Fraction, cap: int):
     M = math.lcm(*dens) << jmax
     pairs = [(int(a * M), int(b * M)) for a, b in E.intervals]
     step = int(d * M)
-    anchors = [int(e * M) for e in _anchors(E, cap)]
+    anchors = [int(e * M) for e in _anchors(E)]
     for j in range(jmax + 1):
         Lint = M >> j
         Lfrac = Fraction(1, 1 << j)
@@ -563,20 +529,6 @@ def _assouad_sup(df: float, gamma: float, n_full: int, windows) -> float:
         if val > best:
             best = val
     return best
-
-
-def assouad_characteristic(E: FractalSet, gamma, delta) -> float:
-    """Windowed characteristic sup_I (delta/|I|)**gamma N(E cap I, delta).
-
-    The sup runs over dyadic window lengths anchored at interval endpoints,
-    a constant-factor proxy for the sup over all windows. The full-hull
-    window is always included, so this dominates the Minkowski variant
-    at the same exponent.
-    """
-    g = _unit_exponent(gamma, "gamma")
-    d = _char_scale(delta)
-    return _assouad_sup(float(d), g, covering_number(E, d),
-                        _window_counts(E, d, _ASSOUAD_ANCHORS))
 
 
 @dataclass(frozen=True)
@@ -625,7 +577,7 @@ def estimate_dimensions(E: FractalSet, scales,
 
     spec = {t: 0.0 for t in ths}
     assouad = 0.0
-    windows = {d: tuple(_window_counts(E, d, _DIMENSION_ANCHORS)) for d in ds}
+    windows = {d: tuple(_window_counts(E, d)) for d in ds}
     for d in ds:
         df = float(d)
         floors = {t: df ** t for t in ths}

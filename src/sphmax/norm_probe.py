@@ -112,18 +112,6 @@ class ProbeFamily:
         elif self.u is not None or self.window is not None:
             raise ParameterError(f"{self.kind} takes no offset or window")
 
-    @property
-    def witness(self) -> str:
-        return {
-            "BallR": "ball of radii up to half the ball radius",
-            "AnnulusDelta": "ball of radii up to the annulus half-width",
-            "SmallBallDelta": "annuli of width delta around separated dilations",
-            "SteinLog": "the single radius 3/2",
-            "EndpointLog": "radii one scale-step outside each component",
-            "Lorentz2D": "dyadic radii between delta and 1/4",
-            "LocalAnnulus": "annuli of width delta/2 at window dilations minus u",
-        }[self.kind]
-
 
 @dataclass(frozen=True)
 class ProbeInstance:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -439,28 +439,39 @@ def _golden_max(fn, a: float, b: float, iters: int = 36) -> tuple[float, float]:
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _sweep_and_polish(values, ts, start: float, window, h: float, eval_at,
-                      iters: int) -> tuple[float, float | None]:
-    """Discretized sup: the first strict maximum of values (over the
-    dilations ts) above start, as a sweep keeping v > best finds it, then a
-    golden polish of eval_at on window(index) within h of that dilation.
-    window returns (lo, hi), or None for no polish. Returns the value and
-    the dilation, which is None when nothing beats start."""
-    if not len(values):
+def _sup_over_dilations(eval_many, points, E: FractalSet | None,
+                        bounds: tuple[float, float], h: float, start: float = 0.0,
+                        iters: int = 30, eval_at=None) -> tuple[float, float | None]:
+    """Discretized sup of eval_many over the candidate dilations points,
+    swept in one batch at their floats: the first strict maximum above
+    start, as a sweep keeping v > best finds it, then a golden polish of
+    eval_at (by default eval_many on a batch of one) within h of that
+    dilation, inside the component of E holding the exact point, cut to
+    bounds, or inside bounds when E is None. Returns the value and the
+    dilation, which is None when nothing beats start."""
+    if not len(points):
         return start, None
+    ts = np.array([float(p) for p in points])
+    values = eval_many(ts)
     i = int(np.argmax(values))
     if not values[i] > start:
         return start, None
     best_v = float(values[i])
     best_t = float(ts[i])
-    span = window(i) if h > 0.0 else None
-    if span is not None:
-        a = max(span[0], best_t - h)
-        b = min(span[1], best_t + h)
-        if b > a:
-            tt, vv = _golden_max(eval_at, a, b, iters)
-            if vv > best_v:
-                best_v, best_t = vv, tt
+    lo, hi = bounds
+    if E is not None:
+        comp = E.component(points[i])
+        if comp is None or comp[1] <= comp[0]:
+            return best_v, best_t
+        lo, hi = max(float(comp[0]), lo), min(float(comp[1]), hi)
+    a = max(lo, best_t - h)
+    b = min(hi, best_t + h)
+    if b > a:
+        if eval_at is None:
+            eval_at = lambda x: float(eval_many(np.array([x]))[0])
+        tt, vv = _golden_max(eval_at, a, b, iters)
+        if vv > best_v:
+            best_v, best_t = vv, tt
     return best_v, best_t
 
 
@@ -487,18 +498,10 @@ def maximal_value(d: int, f: RadialProfile, r, E: FractalSet,
     if grid is None:
         grid = DilationGrid.from_set(E)
     _require_inside(E, grid.points)
-    ts = [float(p) for p in grid.points]
-
-    def window(i):
-        comp = E.component(grid.points[i])
-        if comp[1] > comp[0]:
-            return float(comp[0]), float(comp[1])
-        return None
-
-    best_v, t_star = _sweep_and_polish(
-        np.abs(_spherical_means(d, f, r, ts, quad)), ts, -1.0, window,
-        float(grid.refinement),
-        lambda x: abs(spherical_mean(d, f, r, x, quad)), 36)
+    best_v, t_star = _sup_over_dilations(
+        lambda ts: np.abs(_spherical_means(d, f, r, ts, quad)), grid.points,
+        E, (-math.inf, math.inf), float(grid.refinement), -1.0, 36,
+        lambda x: abs(spherical_mean(d, f, r, x, quad)))
     return MaximalValue(best_v, t_star)
 
 
@@ -606,65 +609,8 @@ def lp_norm(f: RadialProfile, p, d: int,
     return total ** (1.0 / p)
 
 
-def weak_lq_quasinorm(samples, q, d: int) -> float:
-    """Weak L^q quasinorm sup lam * mu(|f| > lam)**(1/q) of a simple radial
-    function described by cells (lo, hi, value), or by left-rule pairs
-    (r, value) that are turned into cells between consecutive radii."""
-    _check_dim(d)
-    q = float(q)
-    if not q >= 1.0:
-        raise ParameterError(f"q must lie in [1, inf), got {q!r}")
-    rows = list(samples)
-    if not rows:
-        raise InsufficientDataError("no cells given")
-    widths = {len(row) for row in rows}
-    if widths == {2}:
-        rows.sort(key=lambda rv: float(rv[0]))
-        if len(rows) < 2:
-            raise InsufficientDataError("left-rule sampling needs two radii")
-        cells = [(float(a[0]), float(b[0]), float(a[1]))
-                 for a, b in zip(rows, rows[1:])]
-    elif widths == {3}:
-        cells = [(float(lo), float(hi), float(v)) for lo, hi, v in rows]
-    else:
-        raise ParameterError("samples must be all (r, value) or all (lo, hi, value)")
-    weighted = []
-    for lo, hi, v in cells:
-        if lo < 0.0 or hi <= lo:
-            raise ParameterError(f"bad cell [{lo:g}, {hi:g}]")
-        weighted.append((abs(v), (hi ** d - lo ** d) / d))
-    weighted.sort(reverse=True)
-    best = 0.0
-    mass = 0.0
-    for v, mu in weighted:
-        mass += mu
-        if v > 0.0:
-            best = max(best, v * mass ** (1.0 / q))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # pointwise decomposition of the maximal operator
-
-
-def _sup_over_dilations(eval_many, cands, E: FractalSet | None,
-                        bounds: tuple[float, float], h: float) -> float:
-    """Discretized sup of eval_many over the candidate dilations, evaluated
-    in one batch: best candidate, then golden polish within its component
-    (or within bounds when E is None)."""
-    ts = np.array(cands, dtype=float)
-
-    def window(i):
-        if E is None:
-            return bounds
-        comp = E.component(float(ts[i]))
-        if comp is None or comp[1] <= comp[0]:
-            return None
-        return max(float(comp[0]), bounds[0]), min(float(comp[1]), bounds[1])
-
-    return _sweep_and_polish(
-        eval_many(ts), ts, 0.0, window, h,
-        lambda x: float(eval_many(np.array([x]))[0]), 30)[0]
 
 
 def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
@@ -684,10 +630,12 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
     if grid is None:
         grid = DilationGrid.from_set(E)
     h = float(grid.refinement)
-    pts = [float(t) for t in grid.points]
-    near = [t for t in pts if r / 2.0 < t < 1.5 * r]
-    far_lo = [t for t in pts if t <= r / 2.0]
-    far_hi = [t for t in pts if t >= 1.5 * r]
+    # candidates are split on their floats, which keep the order of the
+    # exact grid points
+    pts = grid.points
+    i_lo = bisect_right(pts, r / 2.0, key=float)
+    i_hi = bisect_left(pts, 1.5 * r, key=float)
+    near, far_lo, far_hi = pts[i_lo:i_hi], pts[:i_lo], pts[i_hi:]
     out: dict[str, float] = {}
 
     def integrals(los, his, weight):
@@ -707,7 +655,7 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
                              lambda s, dlo, dhi: s ** w_pow)
 
         out["mainpart"] = 0.0 if not (2.0 / 3.0 < r < 4.0) else \
-            _sup_over_dilations(main_at, near, E, (r / 2.0, 1.5 * r), h)
+            _sup_over_dilations(main_at, near, E, (r / 2.0, 1.5 * r), h)[0]
 
         def rem1_at(ts):
             return integrals(r - ts, r + ts, one)
@@ -720,12 +668,12 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
         if r >= 2.0:
             hi_t = min(2.0, r / 2.0)
             out["remainder1"] = _sup_over_dilations(
-                rem1_at, np.linspace(1.0, hi_t, 33), None, (1.0, hi_t), h)
+                rem1_at, np.linspace(1.0, hi_t, 33), None, (1.0, hi_t), h)[0]
         out["remainder2"] = 0.0
         lo_t = max(1.0, 1.5 * r)
         if r < 4.0 / 3.0 and lo_t <= 2.0:
             out["remainder2"] = _sup_over_dilations(
-                rem2_at, np.linspace(lo_t, 2.0, 33), None, (lo_t, 2.0), h)
+                rem2_at, np.linspace(lo_t, 2.0, 33), None, (lo_t, 2.0), h)[0]
         return out
 
     sqrt_r = math.sqrt(r)
@@ -741,9 +689,9 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
 
     in_main = 2.0 / 3.0 < r < 4.0
     out["mainpart"] = 0.0 if not in_main else \
-        _sup_over_dilations(main_at, near, E, (r / 2.0, 1.5 * r), h)
+        _sup_over_dilations(main_at, near, E, (r / 2.0, 1.5 * r), h)[0]
     out["mainpart_tilde"] = 0.0 if not in_main else \
-        _sup_over_dilations(main_tilde_at, near, E, (r / 2.0, 1.5 * r), h)
+        _sup_over_dilations(main_tilde_at, near, E, (r / 2.0, 1.5 * r), h)[0]
 
     def rem1_at(ts):
         return integrals(r - ts, np.full_like(ts, r),
@@ -764,13 +712,13 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
     outer = r >= 2.0
     inner = r < 4.0 / 3.0
     out["remainder1"] = 0.0 if not outer else \
-        _sup_over_dilations(rem1_at, far_lo, E, (0.0, r / 2.0), h)
+        _sup_over_dilations(rem1_at, far_lo, E, (0.0, r / 2.0), h)[0]
     out["remainder2"] = 0.0 if not outer else \
-        _sup_over_dilations(rem2_at, far_lo, E, (0.0, r / 2.0), h)
+        _sup_over_dilations(rem2_at, far_lo, E, (0.0, r / 2.0), h)[0]
     out["remainder3"] = 0.0 if not inner else \
-        _sup_over_dilations(rem3_at, far_hi, E, (1.5 * r, math.inf), h)
+        _sup_over_dilations(rem3_at, far_hi, E, (1.5 * r, math.inf), h)[0]
     out["remainder4"] = 0.0 if not inner else \
-        _sup_over_dilations(rem4_at, far_hi, E, (1.5 * r, math.inf), h)
+        _sup_over_dilations(rem4_at, far_hi, E, (1.5 * r, math.inf), h)[0]
     return out
 
 

@@ -96,12 +96,6 @@ class TypeSetRegion:
         if area2 <= 0:
             raise ConsistencyError("region is degenerate")
 
-    @property
-    def edges(self) -> tuple[tuple[RegionPoint, RegionPoint], ...]:
-        n = len(self.vertices)
-        return tuple((self.vertices[i], self.vertices[(i + 1) % n])
-                     for i in range(n))
-
 
 def _unit(value, what: str) -> Fraction:
     v = as_rational(value, what=what)

@@ -385,3 +385,64 @@ def test_module_entry_point_has_no_runpy_warning():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1.000000"
     assert "RuntimeWarning" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# golden artifacts of the README examples
+
+
+README_CFGS = {
+    "dims": "[set]\nexpression = cantor(alpha=1/3, depth=10)\n\n"
+            "[dims]\nscales = 3^-2..3^-8\n",
+    "region": "[region]\nd = 3\nbeta = 1\n",
+}
+README_SHA256 = {
+    "dims_characteristics.csv":
+        "6fb36d1ee4723a8f9d460fdcef39d1098b565fd6402ff675472c932259ccebe0",
+    "dims_counts.csv":
+        "a2bd8bf40c3f3c42a7b821e4f7bb774dc94f469ef8cfc8adf83c3ce42f9ec5bb",
+    "dims_summary.csv":
+        "3b617a0c4e54739c329291c2c6498d1e34d025993a9e8fe9233f5a6967b95d7c",
+    "region_edges.csv":
+        "70f4ae53db3d6bd1f04231ef221b5e845fa1cec16cfa66edf23ce77eb10cd628",
+    "region_summary.csv":
+        "560678d9297e5ecf24f4a89a8621600ca23737a8f6c14abe3ce819ae394b2c0f",
+    "region_vertices.csv":
+        "7b163bdb667f2270880e70677e4d42d6e545c76afe996318dfa9c2b4f2bc5fb3",
+}
+
+
+def test_readme_artifacts_golden(tmp_path, capsys):
+    for command, text in README_CFGS.items():
+        cfg = write_cfg(tmp_path, text, f"{command}.cfg")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in README_SHA256}
+    assert got == README_SHA256
+
+    cfg = write_cfg(tmp_path, PROBE_CFG.replace("d = 2", "d = 3"), "probe.cfg")
+    assert main(["probe", "--config", cfg, "--out", str(tmp_path / "probe"),
+                 "--threads", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "p=2 q=4 fitted=+0.2499 predicted=+0.2500 verdict=consistent",
+        "p=2 q=5 fitted=+0.0999 predicted=+0.1000 verdict=consistent",
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_battery_golden(seed, tmp_path, capsys):
+    out = tmp_path / "ver"
+    assert main(["verify", "--seed", str(seed), "--out", str(out)]) == 0
+    rows = [(name, int(cases), int(failed))
+            for name, cases, failed in read_csv(out / "verify_report.csv")[1:]]
+    assert rows == [
+        ("kernel-normalization", 24, 0),
+        ("closed-form-mean", 1, 0),
+        ("monte-carlo-agreement", 4, 0),
+        ("covering-sandwich", 90, 0),
+        ("region-degeneracy", 10, 0),
+        ("supporting-line-zeros", 16, 0),
+        ("membership-references", 4, 0),
+    ]
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["total", "149", "0"]

@@ -14,9 +14,7 @@ from sphmax.errors import (
 )
 from sphmax.fractal_set import (
     FractalSet,
-    annulus_measure,
     arithmetic_progression,
-    assouad_characteristic,
     binary_covering_number,
     covering_number,
     estimate_dimensions,
@@ -26,7 +24,6 @@ from sphmax.fractal_set import (
     geometric_sequence,
     local_covering_number,
     middle_cantor,
-    minkowski_characteristic,
     neighborhood_measure,
     parse_set,
     power_sequence,
@@ -206,12 +203,17 @@ def test_neighborhood_merges_and_clamps():
     assert neighborhood_measure(E, 0) == 4
 
 
+def shell_measure(E, n):
+    """Measure of the shell 2**(-n) < dist(r, E) <= 2**(1-n)."""
+    return neighborhood_measure(E, n) - neighborhood_measure(E, n + 1)
+
+
 def test_annulus_point():
-    assert annulus_measure(finite_points([F(3, 2)]), 2) == F(1, 2)
+    assert shell_measure(finite_points([F(3, 2)]), 2) == F(1, 2)
 
 
 def test_annulus_interval():
-    assert annulus_measure(full_interval(), 3) == F(1, 4)
+    assert shell_measure(full_interval(), 3) == F(1, 4)
 
 
 def test_annulus_matches_direct_set_difference():
@@ -219,17 +221,17 @@ def test_annulus_matches_direct_set_difference():
     for n in (0, 3, 6, 9):
         outer = dilated_intervals(E, F(2) ** (1 - n))
         inner = dilated_intervals(E, F(2) ** (-n))
-        assert annulus_measure(E, n) == interval_difference_measure(outer, inner)
+        assert neighborhood_measure(E, n) == interval_difference_measure(outer, [])
+        assert neighborhood_measure(E, n + 1) == interval_difference_measure(inner, [])
+        assert shell_measure(E, n) == interval_difference_measure(outer, inner)
 
 
-def test_annulus_telescopes():
+def test_neighborhood_does_not_increase():
     rng = random.Random(44)
     for _ in range(50):
         E = random_fractal_set(rng)
         m = rng.randint(0, 10)
-        total = sum(annulus_measure(E, n) for n in range(m + 1))
-        assert total == neighborhood_measure(E, 0) - neighborhood_measure(E, m + 1)
-        assert all(annulus_measure(E, n) >= 0 for n in range(m + 1))
+        assert all(shell_measure(E, n) >= 0 for n in range(m + 1))
 
 
 def test_binary_sandwich_exact():
@@ -290,44 +292,45 @@ def test_local_bounded_by_global():
 # -------------------------------------------------------------- characteristics
 
 def test_minkowski_characteristic_interval():
-    E = full_interval()
-    for k in (1, 3, 6):
-        assert minkowski_characteristic(E, 1, F(2) ** -k) == pytest.approx(1.0)
+    report = estimate_dimensions(full_interval(), [F(2) ** -k for k in (1, 3, 6)])
+    for _, char in report.char_minkowski:
+        assert char == pytest.approx(1.0)
 
 
 def test_minkowski_characteristic_cantor_bounded():
     # at beta = log2/log3 the characteristic of the depth-8 set is 1 up to
     # float rounding: N(3^-8) = 2^8 and (3^-8)^beta = 2^-8
     E = middle_cantor(F(1, 3), 8)
-    beta = math.log(2) / math.log(3)
-    val = minkowski_characteristic(E, beta, F(3) ** -8)
-    assert 0.9 <= val <= 1.1
+    report = estimate_dimensions(E, [F(3) ** -k for k in range(2, 9)])
+    assert report.char_minkowski[-1][0] == F(3) ** -8
+    assert 0.9 <= report.char_minkowski[-1][1] <= 1.1
 
 
 def test_characteristic_rejects_bad_parameters():
     E = full_interval()
-    with pytest.raises(ParameterError):
-        minkowski_characteristic(E, 1.5, F(1, 4))
-    with pytest.raises(ParameterError):
-        minkowski_characteristic(E, 0.5, F(1))
-    with pytest.raises(ParameterError):
-        assouad_characteristic(E, -0.1, F(1, 4))
-
-
-def test_assouad_separated_points_weight_zero():
-    # gamma = 0 turns the weight off, and the best window sees every point
-    pts = [1 + k * F(9, 128) for k in range(12)]
-    E = finite_points(pts)
-    assert assouad_characteristic(E, 0, F(1, 16)) == 12
+    scales = [F(1), F(1, 2), F(1, 4)]
+    for thetas in ((0.5, 1.5), (-0.1,), ("x",)):
+        with pytest.raises(ParameterError):
+            estimate_dimensions(E, scales, thetas)
+    # the characteristics are defined below scale 1 only
+    report = estimate_dimensions(E, scales)
+    assert [d for d, _ in report.char_minkowski] == scales[1:]
+    assert [d for d, _ in report.char_assouad] == scales[1:]
 
 
 def test_assouad_dominates_minkowski():
+    # the windowed characteristic starts from the full-hull window, so it
+    # dominates delta**gamma * N(E, delta) at its own exponent gamma
     rng = random.Random(47)
     for _ in range(40):
         E = random_fractal_set(rng)
-        g = rng.choice([0.0, 0.3, 0.63, 1.0])
-        d = F(1, 2 ** rng.randint(2, 7))
-        assert assouad_characteristic(E, g, d) >= minkowski_characteristic(E, g, d) - 1e-12
+        ds = [F(1, 2 ** k) for k in range(2, 8) if F(1, 2 ** k) >= resolution(E)]
+        if len(ds) < 3:
+            continue
+        report = estimate_dimensions(E, ds)
+        g = min(1.0, max(0.0, report.quasi_assouad_estimate))
+        for (d, w), (_, n) in zip(report.char_assouad, report.covering_table):
+            assert w >= float(d) ** g * n - 1e-12
 
 
 def test_equivalence_of_characteristic_and_shell_measures():
@@ -335,10 +338,11 @@ def test_equivalence_of_characteristic_and_shell_measures():
     E = middle_cantor(F(1, 3), 8)
     beta = math.log(2) / math.log(3)
     ns = range(0, 13)
-    C = max(minkowski_characteristic(E, beta, F(2) ** -n) for n in range(1, 13))
+    C = max(float(F(2) ** -n) ** beta * covering_number(E, F(2) ** -n)
+            for n in range(1, 13))
     for n in ns:
         w = float(neighborhood_measure(E, n)) * 2.0 ** (n * (1 - beta))
-        dshell = float(annulus_measure(E, n)) * 2.0 ** (n * (1 - beta))
+        dshell = float(shell_measure(E, n)) * 2.0 ** (n * (1 - beta))
         assert w <= 8 * C + 1e-9
         assert dshell <= 8 * C + 1e-9
 
@@ -416,7 +420,6 @@ _GOLDEN = {
                 0.9999999999999991, 0.9999999999999989, 0.9999999999999986),
         char_a=(1.414213562373095, 1.8084524252442165, 1.2787689733434435,
                 1.6352500871858444, 1.1562964255850037, 1.4786359930260284),
-        windowed=(1.539600717839002, 1.5802469135802468),
         local=(2, 9),
     ),
     "progression": dict(
@@ -430,7 +433,6 @@ _GOLDEN = {
         char_m=(0.2065425960445377, 0.24417967096529353, 0.288675134594813,
                 0.2559590638849025, 0.201734012569891),
         char_a=(1.0, 1.0, 1.0, 1.0, 1.0),
-        windowed=(2.1773242158072694, 1.5802469135802468),
         local=(3, 8),
     ),
     "union": dict(
@@ -443,7 +445,6 @@ _GOLDEN = {
         char_m=(1.2455903651443765, 1.5514953577405013, 1.2078297932298727,
                 1.3540150378633085),
         char_a=(1.0, 1.0, 1.0, 1.0),
-        windowed=(1.9245008972987527, 1.5802469135802468),
         local=(4, 10),
     ),
 }
@@ -473,8 +474,6 @@ def test_dimension_report_and_window_counts_golden(name):
     assert [v for _, v in report.char_minkowski] == pytest.approx(
         want["char_m"], rel=1e-9)
     assert report.char_assouad == tuple(zip(scales, want["char_a"]))
-    assert (assouad_characteristic(E, 0.5, F(1, 27)),
-            assouad_characteristic(E, 1, F(1, 81))) == want["windowed"]
     assert (local_covering_number(E, (F(4, 3), F(5, 3)), F(1, 81)),
             local_covering_number(E, (F(10, 9), F(3, 2)), F(1, 100))) == want["local"]
 

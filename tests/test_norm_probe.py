@@ -63,7 +63,7 @@ def test_family_validation():
     with pytest.raises(ParameterError):
         ProbeFamily("LocalAnnulus", 2, u=F(15, 8), window=(F(1), F(2)))
     for kind in ("BallR", "SteinLog", "EndpointLog", "Lorentz2D"):
-        assert ProbeFamily(kind, 2).witness
+        assert ProbeFamily(kind, 2).kind == kind
 
 
 def test_build_annulus_matches_proof_layout():

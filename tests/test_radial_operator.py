@@ -21,7 +21,7 @@ from sphmax.radial_operator import (DilationGrid, MaximalValue, RadialProfile,
                                     kernel, lp_norm, maximal_value,
                                     parse_profile, power_profile,
                                     profile_expression, sphere_average_mc,
-                                    spherical_mean, weak_lq_quasinorm)
+                                    spherical_mean)
 
 TIGHT = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13, max_refinement=30)
 
@@ -532,47 +532,6 @@ def test_lp_norm_rejects_bad_p():
         lp_norm(indicator(0, 1), 0.5, 2)
 
 
-def test_weak_quasinorm_two_level_example():
-    cells = [(0.0, 1.0, 2.0), (1.0, 2.0, 1.0)]
-    # level 2: measure 1/2; level 1: measure 2
-    want = max(2.0 * (0.5) ** 0.5, 1.0 * 2.0 ** 0.5)
-    assert weak_lq_quasinorm(cells, 2, 2) == pytest.approx(want, rel=1e-12)
-
-
-def test_weak_quasinorm_left_rule_pairs():
-    pairs = [(0.0, 2.0), (1.0, 1.0), (2.0, 0.0)]
-    cells = [(0.0, 1.0, 2.0), (1.0, 2.0, 1.0)]
-    assert weak_lq_quasinorm(pairs, 3, 2) == pytest.approx(
-        weak_lq_quasinorm(cells, 3, 2), rel=1e-12)
-
-
-def test_weak_quasinorm_below_strong_norm():
-    rng = random.Random(1717)
-    for _ in range(30):
-        d = rng.choice([2, 3])
-        q = rng.uniform(1.0, 4.0)
-        cells = []
-        lo = 0.0
-        for _ in range(rng.randint(2, 8)):
-            hi = lo + rng.uniform(0.05, 1.0)
-            cells.append((lo, hi, rng.uniform(0.0, 3.0)))
-            lo = hi
-        weak = weak_lq_quasinorm(cells, q, d)
-        strong = sum(v ** q * (b ** d - a ** d) / d for a, b, v in cells) ** (1 / q)
-        assert weak <= strong + 1e-12
-
-
-def test_weak_quasinorm_guards():
-    with pytest.raises(InsufficientDataError):
-        weak_lq_quasinorm([], 2, 2)
-    with pytest.raises(InsufficientDataError):
-        weak_lq_quasinorm([(1.0, 2.0)], 2, 2)
-    with pytest.raises(ParameterError):
-        weak_lq_quasinorm([(0, 1, 1), (1, 2)], 2, 2)
-    with pytest.raises(ParameterError):
-        weak_lq_quasinorm([(0, 1, 1)], 0.5, 2)
-
-
 # ---------------------------------------------------------------------------
 # decomposition components
 
@@ -605,6 +564,18 @@ def test_components_2d_keys_and_zones():
     far = decomposition_components(2, E, f, 2, 3.0, grid=g)
     assert far["remainder1"] > 0.0 and far["remainder2"] > 0.0
     assert far["remainder3"] == 0.0 and far["remainder4"] == 0.0
+
+
+def test_components_polish_at_left_endpoints_off_by_rounding():
+    # 47/27 is the left end of a component of E and float(47/27) < 47/27,
+    # so the component must be looked up at the exact grid point; the sup of
+    # remainder1 is 2 sqrt(t - 1/2) at t = 7/4, inside [47/27, 16/9]
+    E = middle_cantor(F(1, 3), 3)
+    assert float(F(47, 27)) < F(47, 27)
+    g = DilationGrid.from_set(E, F(1, 64))
+    comp = decomposition_components(2, E, parse_profile("chi(1/4,3)"), 2, 3.5,
+                                    grid=g)
+    assert comp["remainder1"] == pytest.approx(math.sqrt(5), rel=1e-8)
 
 
 def test_components_dominate_maximal_function_d3():
