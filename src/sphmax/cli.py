@@ -22,7 +22,6 @@ import math
 import random
 import sys
 
-import numpy as np
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -43,13 +42,7 @@ from .fractal_set import (
 )
 from .norm_probe import run_probe
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
-from .radial_operator import (
-    indicator,
-    parse_profile,
-    power_profile,
-    sphere_average_mc,
-    spherical_mean,
-)
+from .radial_operator import parse_profile, spherical_mean
 from .type_set_geometry import (
     CharacteristicFlags,
     membership,
@@ -454,31 +447,38 @@ def _random_set(rng: random.Random) -> FractalSet:
     return union_of(from_intervals(cells), finite_points([Fraction(2)]))
 
 
-def _check_normalization(rng, quad):
+def _shell_share(d, r, t):
+    """Share of the sphere inside the shell 1/2 <= |y| <= 3. On the sphere
+    |y|^2 = r^2 + t^2 + 2rtc, c the cosine of the angle at its center, and c
+    is uniform on [-1, 1] in d = 3 while the angle is uniform in d = 2."""
+    lo, hi = (min(1.0, max(-1.0, (e * e - r * r - t * t) / (2 * r * t)))
+              for e in (0.5, 3.0))
+    if d == 2:
+        return (math.acos(lo) - math.acos(hi)) / math.pi
+    return (hi - lo) / 2
+
+
+# profile, its dimensions and its exact spherical mean at (d, r, t); the
+# supports reach 16, past every r + t of the grid, so each formula holds
+_EXACT_MEANS = (
+    ("one", (2, 3, 4, 5), lambda d, r, t: 1.0),
+    ("pow(1,1,0,0,16)", (3,),
+     lambda d, r, t: ((r + t) ** 3 - abs(r - t) ** 3) / (6 * r * t)),
+    ("pow(1,2,0,0,16)", (2, 3, 4, 5), lambda d, r, t: r * r + t * t),
+    ("chi(1/2,3)", (2, 3), _shell_share),
+)
+
+
+def _check_means(rng, quad):
     grid = [2.0 ** (k / 2.0) for k in range(-6, 7)]
-    one = parse_profile("one")
-    for d in (2, 3, 4, 5):
-        for _ in range(6):
-            r, t = rng.choice(grid), rng.choice(grid)
-            yield abs(spherical_mean(d, one, r, t, quad) - 1.0) <= 1e-6
-
-
-def _check_closed_form(rng, quad):
-    val = spherical_mean(3, parse_profile("pow(1,1,0,0,8)"), 1, 1, quad)
-    yield abs(val - 4.0 / 3.0) <= 1e-6
-
-
-def _check_monte_carlo(rng, quad):
-    gen_seed = rng.randrange(2 ** 31)
-    profiles = [indicator(Fraction(1, 2), 3), power_profile(1, 2, 0, 0, 6)]
-    for d in (2, 3):
-        for i, prof in enumerate(profiles):
-            r = 0.5 + rng.random() * 2.0
-            t = 0.5 + rng.random() * 2.0
-            exact = spherical_mean(d, prof, r, t, quad)
-            mc = sphere_average_mc(d, prof, r, t, samples=200_000,
-                                   rng=np.random.default_rng(gen_seed + i))
-            yield abs(mc.value - exact) <= 4.0 * max(mc.stderr, 1e-9)
+    for expr, dims, exact in _EXACT_MEANS:
+        f = parse_profile(expr)
+        for d in dims:
+            for _ in range(6):
+                r, t = rng.choice(grid), rng.choice(grid)
+                want = exact(d, r, t)
+                yield (abs(spherical_mean(d, f, r, t, quad) - want)
+                       <= 1e-6 * max(1.0, abs(want)))
 
 
 def _check_covering_sandwich(rng, quad):
@@ -525,9 +525,7 @@ def _check_membership(rng, quad):
 
 
 _CHECKS = (
-    ("kernel-normalization", _check_normalization),
-    ("closed-form-mean", _check_closed_form),
-    ("monte-carlo-agreement", _check_monte_carlo),
+    ("exact-means", _check_means),
     ("covering-sandwich", _check_covering_sandwich),
     ("region-degeneracy", _check_region_degeneracy),
     ("supporting-line-zeros", _check_supporting_line),
@@ -595,7 +593,7 @@ _FLAGS = {
                     help="accepted for compatibility and changes nothing: "
                          "exponent pairs run in order"),
     "seed": dict(type=int, default=0, metavar="N",
-                 help="seed for the randomized verification oracle"),
+                 help="seed that draws the verification inputs"),
 }
 
 # subcommand, handler, help, and the flags it reads
@@ -604,7 +602,7 @@ _COMMANDS = (
     ("region", cmd_region, "exact type-set polygon", ("config", "out")),
     ("probe", cmd_probe, "scaling-law probe sweep",
      ("config", "out", "tol", "threads")),
-    ("verify", cmd_verify, "randomized property suite",
+    ("verify", cmd_verify, "seeded self check battery",
      ("config", "out", "tol", "seed")),
     ("report", cmd_report, "concatenate run manifests", ("config", "out")),
     ("mean", cmd_mean, "one spherical mean to stdout", ("config", "tol")),

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from sphmax import radial_operator
 from sphmax.cli import _pq_list, _scale_list, build_parser, load_config, main
 from sphmax.errors import ConfigError
 
@@ -303,7 +304,7 @@ def test_verify_suite_passes(tmp_path, capsys):
     out = tmp_path / "ver"
     assert main(["verify", "--seed", "3", "--out", str(out)]) == 0
     text = capsys.readouterr().out
-    assert "kernel-normalization" in text
+    assert "exact-means" in text
     report = read_csv(out / "verify_report.csv")
     assert report[0] == ["check", "cases", "failed"]
     assert all(row[2] == "0" for row in report[1:])
@@ -430,19 +431,30 @@ def test_readme_artifacts_golden(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+# seed 666 draws d = 2, f = s^2, where a Monte Carlo check with a fixed
+# 4-sigma threshold once failed although the quadrature was exact
+@pytest.mark.parametrize("seed", [0, 1, 2, 666])
 def test_verify_battery_golden(seed, tmp_path, capsys):
     out = tmp_path / "ver"
     assert main(["verify", "--seed", str(seed), "--out", str(out)]) == 0
     rows = [(name, int(cases), int(failed))
             for name, cases, failed in read_csv(out / "verify_report.csv")[1:]]
     assert rows == [
-        ("kernel-normalization", 24, 0),
-        ("closed-form-mean", 1, 0),
-        ("monte-carlo-agreement", 4, 0),
+        ("exact-means", 66, 0),
         ("covering-sandwich", 90, 0),
         ("region-degeneracy", 10, 0),
         ("supporting-line-zeros", 16, 0),
         ("membership-references", 4, 0),
     ]
-    assert capsys.readouterr().out.splitlines()[-1].split() == ["total", "149", "0"]
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["total", "186", "0"]
+
+
+def test_verify_fails_on_a_mutated_kernel(tmp_path, monkeypatch, capsys):
+    norm_const = radial_operator._norm_const
+    monkeypatch.setattr(radial_operator, "_norm_const",
+                        lambda d, quad: 1.01 * norm_const(d, quad))
+    out = tmp_path / "ver"
+    assert main(["verify", "--seed", "0", "--out", str(out)]) == 1
+    failing = [name for name, _, failed in read_csv(out / "verify_report.csv")[1:]
+               if failed != "0"]
+    assert failing == ["exact-means"]
