@@ -17,6 +17,17 @@ Internally every call is a batch of independent integrals ("rows"). The
 panels of all rows are evaluated together, one integrand call per round,
 and each row refines its own worst panel in lockstep with the others, so a
 row's value is bitwise the one it gets when integrated alone.
+
+Rows go through in chunks of at most _CHUNK_ROWS. A chunk of at least
+_ARRAY_ROWS rows, such as a dilation sweep, is laid out and summed over
+its first round as numpy columns, with no Python per panel; only the rows
+that miss their budget get a heap of panels for the lockstep refinement.
+Smaller batches and lone
+rows, such as the golden polish, keep the per-panel Python layout: below
+about 32 rows the fixed cost of the array steps is larger than what they
+save. Both layouts produce the same panels in the same order and sum
+them in the same order, so every value is bitwise that of the point by
+point computation.
 """
 
 from __future__ import annotations
@@ -59,6 +70,11 @@ _NOISE = 64.0 * np.finfo(float).eps
 _MAX_SPLITS = 40_000
 # rows integrated together; bounds the memory of one round, not a tuning knob
 _CHUNK_ROWS = 256
+# the fewest rows of a chunk laid out and first summed as arrays; below it
+# the fixed cost of the array steps outweighs the per-panel Python they
+# save (measured on a 2-CPU host: per row the arrays cost more at 24 rows,
+# about the same at 32, less at 48, and three times as much for one row)
+_ARRAY_ROWS = 32
 
 
 def _budget(total: float, quad: QuadratureSpec) -> float:
@@ -66,18 +82,17 @@ def _budget(total: float, quad: QuadratureSpec) -> float:
                _NOISE * (abs(total) + quad.abs_tol))
 
 
-def _layout(los: list, his: list, chunk: range, cuts: list, skip) -> list:
-    """Initial panels of the rows in chunk that have hi > lo, grouped by row
-    and left to right within it. A panel is a tuple
+def _layout(los: list, his: list, start: int, cuts: list, skip) -> list:
+    """Initial panels of the rows of a chunk that have hi > lo, grouped by
+    row and left to right within it; los and his hold the chunk's ends, and
+    its first row is row start of the batch. A panel is a tuple
     (a, b, base, sign, dlo0, dhi0, row): on u in [a, b] it samples
     s = base + sign * u**2, at distances dlo0 + sign * u**2 and
     dhi0 - sign * u**2 from the ends of its row, so u = 0 sits on the
     nearer end. cuts is the sorted list of breakpoints; skip(a, b) maps the
-    lists of panel edges in s to the panels to drop, as booleans."""
+    arrays of panel edges in s to the panels to drop, as booleans."""
     rows, sa, sb = [], [], []
-    for i in chunk:
-        lo = los[i]
-        hi = his[i]
+    for i, (lo, hi) in enumerate(zip(los, his)):
         if not hi > lo:
             continue
         # a row without interior cut is cut at its midpoint, so both
@@ -101,7 +116,7 @@ def _layout(los: list, his: list, chunk: range, cuts: list, skip) -> list:
             sa.append(a)
             sb.append(b)
     if skip is not None and rows:
-        keep = [not x for x in skip(sa, sb)]
+        keep = np.logical_not(skip(np.array(sa), np.array(sb))).tolist()
         rows = list(compress(rows, keep))
         sa = list(compress(sa, keep))
         sb = list(compress(sb, keep))
@@ -111,19 +126,76 @@ def _layout(los: list, his: list, chunk: range, cuts: list, skip) -> list:
         hi = his[i]
         if a - lo <= hi - b:
             panels.append((math.sqrt(a - lo), math.sqrt(b - lo), lo, 1.0,
-                           0.0, hi - lo, i))
+                           0.0, hi - lo, start + i))
         else:
             panels.append((math.sqrt(hi - b), math.sqrt(hi - a), hi, -1.0,
-                           hi - lo, 0.0, i))
+                           hi - lo, 0.0, start + i))
     return panels
 
 
-def _pairs(f, panels: list) -> tuple[list, list]:
+def _layout_array(lo: np.ndarray, hi: np.ndarray, start: int,
+                  cuts: np.ndarray, skip) -> np.ndarray:
+    """_layout with one numpy operation per step instead of per panel: the
+    same panels, bitwise and in the same order, as an (n, 7) array whose
+    columns are the fields of _layout's tuples."""
+    rows = np.flatnonzero(hi > lo)
+    lo = lo[rows]
+    hi = hi[rows]
+    first = np.searchsorted(cuts, lo, side="right")
+    inner = np.searchsorted(cuts, hi, side="left") - first
+    # every row's edges: lo, its inner cuts or else its midpoint, hi
+    n_edges = np.maximum(inner, 1) + 2
+    row = np.repeat(np.arange(len(rows)), n_edges)
+    at = np.arange(len(row)) - np.repeat(np.cumsum(n_edges) - n_edges,
+                                         n_edges)
+    last = at == n_edges[row] - 1
+    cut = np.take(np.append(cuts, np.nan), first[row] + at - 1, mode="clip")
+    mid = lo + 0.5 * (hi - lo)
+    edges = np.where(at == 0, lo[row], np.where(
+        last, hi[row], np.where(inner[row] > 0, cut, mid[row])))
+    a = edges[~last]
+    b = edges[at > 0]
+    row = row[~last]
+    # the bisection of _layout, one level of every hugging panel per pass
+    while True:
+        hug = (a - lo[row] < b - a) & (hi[row] - b < b - a)
+        if not hug.any():
+            break
+        halves = np.flatnonzero(hug)
+        mid = 0.5 * (a[halves] + b[halves])
+        twice = np.repeat(np.arange(len(a)), hug + 1)
+        left = halves + np.arange(len(halves))
+        a = a[twice]
+        b = b[twice]
+        row = row[twice]
+        b[left] = mid
+        a[left + 1] = mid
+    if skip is not None:
+        keep = np.logical_not(skip(a, b))
+        a = a[keep]
+        b = b[keep]
+        row = row[keep]
+    lo = lo[row]
+    hi = hi[row]
+    near = a - lo <= hi - b
+    width = hi - lo
+    panels = np.empty((len(a), 7))
+    panels[:, 0] = np.where(near, np.sqrt(a - lo), np.sqrt(hi - b))
+    panels[:, 1] = np.where(near, np.sqrt(b - lo), np.sqrt(hi - a))
+    panels[:, 2] = np.where(near, lo, hi)
+    panels[:, 3] = np.where(near, 1.0, -1.0)
+    panels[:, 4] = np.where(near, 0.0, width)
+    panels[:, 5] = np.where(near, width, 0.0)
+    panels[:, 6] = rows[row] + start
+    return panels
+
+
+def _pairs(f, panels) -> tuple[np.ndarray, np.ndarray]:
     """Low/high order Gauss estimates on many panels in one integrand call;
-    returns lists (value, error). np.vecdot takes each panel's sums with
+    returns arrays (value, error). np.vecdot takes each panel's sums with
     the dot that np.dot takes on a lone panel, so no value depends on the
     other panels."""
-    p = np.array(panels)
+    p = np.asarray(panels)
     a = p[:, 0:1]
     b = p[:, 1:2]
     half = 0.5 * (b - a)
@@ -134,7 +206,7 @@ def _pairs(f, panels: list) -> tuple[list, list]:
     half = half[:, 0]
     low = half * np.vecdot(vals[:, :_N_LOW], _WEIGHTS_LOW)
     high = half * np.vecdot(vals[:, _N_LOW:], _WEIGHTS_HIGH)
-    return high.tolist(), np.abs(high - low).tolist()
+    return high, np.abs(high - low)
 
 
 class _Row:
@@ -156,14 +228,14 @@ class _Row:
         self.ties += 1
 
 
-def _refine_chunk(f, panels: list, quad: QuadratureSpec, out) -> dict:
-    """Evaluate the initial panels of a chunk of rows, then split the panel
-    with the worst error estimate of every unconverged row until its summed
-    error meets the requested tolerance (or falls below double-precision
-    noise). Converged rows are written to out. Returns the rows that
-    stalled, mapped to (error, enforced budget, estimate); once one has
-    stalled, rows after it are abandoned."""
+def _first_round(f, panels: list, quad: QuadratureSpec, out) -> list:
+    """Evaluate the initial panels of a chunk of rows, as _layout lays
+    them out, and sum each row's values and errors left to right from 0.0.
+    Rows whose error meets their budget are written to out; the others are
+    returned in order as _Rows holding their panels."""
     value, err = _pairs(f, panels)
+    value = value.tolist()
+    err = err.tolist()
     total = {}
     live = {}
     for pn, v, e in zip(panels, value, err):
@@ -180,9 +252,49 @@ def _refine_chunk(f, panels: list, quad: QuadratureSpec, out) -> dict:
         for pn, v, e in zip(panels, value, err):
             if pn[6] in states:
                 states[pn[6]].push(e, v, pn, quad.max_refinement)
+    return list(states.values())
 
+
+def _first_round_array(f, panels: np.ndarray, quad: QuadratureSpec,
+                       out) -> list:
+    """_first_round on the panel array of _layout_array: the same sums,
+    taken with one add per panel position across all rows, and the budget
+    test over the whole chunk."""
+    value, err = _pairs(f, panels)
+    rows = panels[:, 6].astype(np.intp)
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    count = np.diff(first, append=len(rows))
+    total = np.zeros(len(first))
+    live = np.zeros(len(first))
+    for k in range(count.max()):
+        has = count > k
+        at = first[has] + k
+        total[has] += value[at]
+        live[has] += err[at]
+    size = np.abs(total)
+    budget = np.fmax(np.fmax(quad.abs_tol, quad.rel_tol * size),
+                     _NOISE * (size + quad.abs_tol))
+    done = live <= budget
+    out[rows[first[done]]] = total[done]
+    states = []
+    for j in np.flatnonzero(~done).tolist():
+        begin = first[j]
+        end = begin + count[j]
+        st = _Row(int(rows[begin]), float(total[j]), float(live[j]))
+        for e, v, pn in zip(err[begin:end].tolist(), value[begin:end].tolist(),
+                            panels[begin:end].tolist()):
+            st.push(e, v, pn, quad.max_refinement)
+        states.append(st)
+    return states
+
+
+def _refine(f, active: list, quad: QuadratureSpec, out) -> dict:
+    """Split the panel with the worst error estimate of every unconverged
+    row until its summed error meets the requested tolerance (or falls
+    below double-precision noise). Converged rows are written to out.
+    Returns the rows that stalled, mapped to (error, enforced budget,
+    estimate); once one has stalled, rows after it are abandoned."""
     stalled = {}
-    active = list(states.values())
     while active:
         keep = []
         splits = []
@@ -214,6 +326,8 @@ def _refine_chunk(f, panels: list, quad: QuadratureSpec, out) -> dict:
                 mid = 0.5 * (a + b)
                 halves += [(a, mid, *rest), (mid, b, *rest)]
             v, e = _pairs(f, halves)
+            v = v.tolist()
+            e = e.tolist()
             for j, (st, (neg_err, _, old, _, depth)) in enumerate(splits):
                 v1, v2 = v[2 * j], v[2 * j + 1]
                 e1, e2 = e[2 * j], e[2 * j + 1]
@@ -230,20 +344,29 @@ def _integrate_rows(f, los, his, quad: QuadratureSpec = DEFAULT_QUAD,
     """Integrate f over [los[i], his[i]] for every row i, as integrate does
     for one. The integrand is f(s, dlo, dhi, rows): the arrays have one row
     per panel, and rows is the column of the row indices i they belong to.
-    skip(a, b), when given, takes sequences of panel edges and returns, for
+    skip(a, b), when given, takes arrays of panel edges and returns, for
     each panel, whether f vanishes on it. Rows are refined in chunks of at
-    most _CHUNK_ROWS. Raises PrecisionError for the first row, in order,
-    that cannot reach its error budget."""
+    most _CHUNK_ROWS; a chunk of at least _ARRAY_ROWS is laid out as
+    arrays. Raises PrecisionError for the first row, in order, that cannot
+    reach its error budget."""
     los = [float(x) for x in los]
     his = [float(x) for x in his]
     cuts = sorted({float(c) for c in breakpoints})
     out = np.zeros(len(los))
     for start in range(0, len(los), _CHUNK_ROWS):
-        chunk = range(start, min(start + _CHUNK_ROWS, len(los)))
-        panels = _layout(los, his, chunk, cuts, skip)
-        if not panels:
+        stop = min(start + _CHUNK_ROWS, len(los))
+        if stop - start < _ARRAY_ROWS:
+            panels = _layout(los[start:stop], his[start:stop], start, cuts,
+                             skip)
+            first_round = _first_round
+        else:
+            panels = _layout_array(np.array(los[start:stop]),
+                                   np.array(his[start:stop]), start,
+                                   np.array(cuts), skip)
+            first_round = _first_round_array
+        if not len(panels):
             continue
-        stalled = _refine_chunk(f, panels, quad, out)
+        stalled = _refine(f, first_round(f, panels, quad, out), quad, out)
         if stalled:
             i = min(stalled)
             error, budget, estimate = stalled[i]
@@ -260,8 +383,9 @@ def integrate(f, lo, hi, quad: QuadratureSpec = DEFAULT_QUAD,
 
     breakpoints lists interior abscissae where f is allowed to be merely
     continuous (piece boundaries); panels never straddle them. skip, when
-    given, is a predicate skip(a, b) marking panels on which f vanishes
-    identically, so they are dropped without evaluation.
+    given, takes the arrays a, b of the initial panels' edges and returns a
+    boolean array marking the panels on which f vanishes identically, so
+    they are dropped without evaluation.
 
     Raises PrecisionError when a panel cannot reach its error budget
     within quad.max_refinement bisections.
@@ -269,8 +393,5 @@ def integrate(f, lo, hi, quad: QuadratureSpec = DEFAULT_QUAD,
     def g(s, dlo, dhi, rows):
         return f(s, dlo, dhi)
 
-    def skip_all(a, b):
-        return [skip(x, y) for x, y in zip(a, b)]
-
     return float(_integrate_rows(g, (lo,), (hi,), quad, breakpoints,
-                                 None if skip is None else skip_all)[0])
+                                 skip)[0])

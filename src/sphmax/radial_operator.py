@@ -273,32 +273,23 @@ def _profile_integrals(f: RadialProfile, los, his, weight, quad,
     absolute, over [los[i], his[i]] for every row i; rows indexes los.
     Panels off the support of f are skipped, so a row whose window misses
     the support is exactly 0.0. A lone row goes to integrate, the batch of
-    one, and is not integrated at all when its window misses the support."""
+    one."""
     supp = f._bounds
 
     def g(s, dlo, dhi, rows):
         v = f.values(s)
         return weight(s, dlo, dhi, rows) * (np.abs(v) if absolute else v)
 
-    def off_support(a, b):
-        return not any(pl < b and ph > a for pl, ph in supp)
-
-    if len(los) == 1:
-        lo = float(los[0])
-        hi = float(his[0])
-        if off_support(lo, hi):
-            return np.zeros(1)
-        return np.array([integrate(
-            lambda s, dlo, dhi: g(s, dlo, dhi, _LONE_ROW), lo, hi, quad,
-            f._breaks, off_support)])
-
     def skip(a, b):
-        a = np.asarray(a)
-        b = np.asarray(b)
         hit = np.zeros(len(a), dtype=bool)
         for pl, ph in supp:
             hit |= (pl < b) & (ph > a)
         return ~hit
+
+    if len(los) == 1:
+        return np.array([integrate(
+            lambda s, dlo, dhi: g(s, dlo, dhi, _LONE_ROW), los[0], his[0],
+            quad, f._breaks, skip)])
 
     return _integrate_rows(g, los, his, quad, f._breaks, skip)
 

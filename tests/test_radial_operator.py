@@ -365,7 +365,9 @@ def test_spherical_means_match_spherical_mean_bitwise(d, kind, monkeypatch):
         rounds.append(len(args[1]))
         return pairs(*args)
 
-    for n in (1, 255, 256, 257, 4097):
+    # both sides of the switch from the per-panel to the array layout
+    k = quadrature._ARRAY_ROWS
+    for n in (1, k - 1, k, k + 1, 255, 256, 257, 4097):
         ts = np.linspace(1.0, 2.0, n)
         monkeypatch.setattr(quadrature, "_pairs", counted)
         rounds.clear()
