@@ -22,12 +22,14 @@ Rows go through in chunks of at most _CHUNK_ROWS. A chunk of at least
 _ARRAY_ROWS rows, such as a dilation sweep, is laid out and summed over
 its first round as numpy columns, with no Python per panel; only the rows
 that miss their budget get a heap of panels for the lockstep refinement.
-Smaller batches and lone
-rows, such as the golden polish, keep the per-panel Python layout: below
-about 32 rows the fixed cost of the array steps is larger than what they
-save. Both layouts produce the same panels in the same order and sum
-them in the same order, so every value is bitwise that of the point by
-point computation.
+Smaller batches and lone rows, such as the golden polish, keep the
+per-panel Python layout: below about 32 rows the fixed cost of the array
+steps is larger than what they save. A lone spherical mean costs about
+40 to 55 us on a 2-CPU host, mostly the fixed cost of some twenty numpy
+calls rather than arithmetic, so panels carry the center and half width
+their nodes are computed from. Both layouts produce the same panels in
+the same order and sum them in the same order, so every value is bitwise
+that of the point by point computation.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import repeat
 
 import numpy as np
 
@@ -72,8 +74,9 @@ _MAX_SPLITS = 40_000
 _CHUNK_ROWS = 256
 # the fewest rows of a chunk laid out and first summed as arrays; below it
 # the fixed cost of the array steps outweighs the per-panel Python they
-# save (measured on a 2-CPU host: per row the arrays cost more at 24 rows,
-# about the same at 32, less at 48, and three times as much for one row)
+# save (measured on a 2-CPU host: per row the arrays cost more at 16 rows,
+# about the same at 24, the same or less at 32, less at 48, and three to
+# four times as much for one row)
 _ARRAY_ROWS = 32
 
 
@@ -86,8 +89,9 @@ def _layout(los: list, his: list, start: int, cuts: list, skip) -> list:
     """Initial panels of the rows of a chunk that have hi > lo, grouped by
     row and left to right within it; los and his hold the chunk's ends, and
     its first row is row start of the batch. A panel is a tuple
-    (a, b, base, sign, dlo0, dhi0, row): on u in [a, b] it samples
-    s = base + sign * u**2, at distances dlo0 + sign * u**2 and
+    (a, b, center, half, base, sign, dlo0, dhi0, row): on u in [a, b],
+    whose center and half width are 0.5 * (a + b) and 0.5 * (b - a), it
+    samples s = base + sign * u**2, at distances dlo0 + sign * u**2 and
     dhi0 - sign * u**2 from the ends of its row, so u = 0 sits on the
     nearer end. cuts is the sorted list of breakpoints; skip(a, b) maps the
     arrays of panel edges in s to the panels to drop, as booleans."""
@@ -115,28 +119,32 @@ def _layout(los: list, his: list, start: int, cuts: list, skip) -> list:
             rows.append(i)
             sa.append(a)
             sb.append(b)
+    drop = repeat(False)
     if skip is not None and rows:
-        keep = np.logical_not(skip(np.array(sa), np.array(sb))).tolist()
-        rows = list(compress(rows, keep))
-        sa = list(compress(sa, keep))
-        sb = list(compress(sb, keep))
+        drop = skip(np.array(sa), np.array(sb)).tolist()
     panels = []
-    for i, a, b in zip(rows, sa, sb):
+    for i, a, b, dead in zip(rows, sa, sb, drop):
+        if dead:
+            continue
         lo = los[i]
         hi = his[i]
         if a - lo <= hi - b:
-            panels.append((math.sqrt(a - lo), math.sqrt(b - lo), lo, 1.0,
-                           0.0, hi - lo, start + i))
+            ua = math.sqrt(a - lo)
+            ub = math.sqrt(b - lo)
+            panels.append((ua, ub, 0.5 * (ua + ub), 0.5 * (ub - ua),
+                           lo, 1.0, 0.0, hi - lo, start + i))
         else:
-            panels.append((math.sqrt(hi - b), math.sqrt(hi - a), hi, -1.0,
-                           hi - lo, 0.0, start + i))
+            ua = math.sqrt(hi - b)
+            ub = math.sqrt(hi - a)
+            panels.append((ua, ub, 0.5 * (ua + ub), 0.5 * (ub - ua),
+                           hi, -1.0, hi - lo, 0.0, start + i))
     return panels
 
 
 def _layout_array(lo: np.ndarray, hi: np.ndarray, start: int,
                   cuts: np.ndarray, skip) -> np.ndarray:
     """_layout with one numpy operation per step instead of per panel: the
-    same panels, bitwise and in the same order, as an (n, 7) array whose
+    same panels, bitwise and in the same order, as an (n, 9) array whose
     columns are the fields of _layout's tuples."""
     rows = np.flatnonzero(hi > lo)
     lo = lo[rows]
@@ -179,14 +187,16 @@ def _layout_array(lo: np.ndarray, hi: np.ndarray, start: int,
     hi = hi[row]
     near = a - lo <= hi - b
     width = hi - lo
-    panels = np.empty((len(a), 7))
-    panels[:, 0] = np.where(near, np.sqrt(a - lo), np.sqrt(hi - b))
-    panels[:, 1] = np.where(near, np.sqrt(b - lo), np.sqrt(hi - a))
-    panels[:, 2] = np.where(near, lo, hi)
-    panels[:, 3] = np.where(near, 1.0, -1.0)
-    panels[:, 4] = np.where(near, 0.0, width)
-    panels[:, 5] = np.where(near, width, 0.0)
-    panels[:, 6] = rows[row] + start
+    panels = np.empty((len(a), 9))
+    ua = panels[:, 0] = np.where(near, np.sqrt(a - lo), np.sqrt(hi - b))
+    ub = panels[:, 1] = np.where(near, np.sqrt(b - lo), np.sqrt(hi - a))
+    panels[:, 2] = 0.5 * (ua + ub)
+    panels[:, 3] = 0.5 * (ub - ua)
+    panels[:, 4] = np.where(near, lo, hi)
+    panels[:, 5] = np.where(near, 1.0, -1.0)
+    panels[:, 6] = np.where(near, 0.0, width)
+    panels[:, 7] = np.where(near, width, 0.0)
+    panels[:, 8] = rows[row] + start
     return panels
 
 
@@ -195,14 +205,12 @@ def _pairs(f, panels) -> tuple[np.ndarray, np.ndarray]:
     returns arrays (value, error). np.vecdot takes each panel's sums with
     the dot that np.dot takes on a lone panel, so no value depends on the
     other panels."""
-    p = np.asarray(panels)
-    a = p[:, 0:1]
-    b = p[:, 1:2]
-    half = 0.5 * (b - a)
-    u = 0.5 * (a + b) + half * _NODES
-    w = p[:, 3:4] * (u * u)     # exact: the sign is +-1
-    vals = f(p[:, 2:3] + w, p[:, 4:5] + w, p[:, 5:6] - w,
-             p[:, 6:7].astype(np.intp)) * (2.0 * u)
+    # the fields after the edges, each as a column
+    center, half, base, sign, dlo0, dhi0, rows = \
+        np.asarray(panels).T[2:, :, None]
+    u = center + half * _NODES
+    w = sign * (u * u)     # exact: the sign is +-1
+    vals = f(base + w, dlo0 + w, dhi0 - w, rows.astype(np.intp)) * (2.0 * u)
     half = half[:, 0]
     low = half * np.vecdot(vals[:, :_N_LOW], _WEIGHTS_LOW)
     high = half * np.vecdot(vals[:, _N_LOW:], _WEIGHTS_HIGH)
@@ -236,23 +244,27 @@ def _first_round(f, panels: list, quad: QuadratureSpec, out) -> list:
     value, err = _pairs(f, panels)
     value = value.tolist()
     err = err.tolist()
-    total = {}
-    live = {}
-    for pn, v, e in zip(panels, value, err):
-        i = pn[6]
-        total[i] = total.get(i, 0.0) + v
-        live[i] = live.get(i, 0.0) + e
-    states = {}
-    for i, tot in total.items():
-        if live[i] <= _budget(tot, quad):
-            out[i] = tot
+    states = []
+    n = len(panels)
+    j = 0
+    while j < n:
+        # the panels of one row are adjacent, from j up to k
+        i = panels[j][-1]
+        total = live = 0.0
+        k = j
+        while k < n and panels[k][-1] == i:
+            total += value[k]
+            live += err[k]
+            k += 1
+        if live <= _budget(total, quad):
+            out[i] = total
         else:
-            states[i] = _Row(i, tot, live[i])
-    if states:
-        for pn, v, e in zip(panels, value, err):
-            if pn[6] in states:
-                states[pn[6]].push(e, v, pn, quad.max_refinement)
-    return list(states.values())
+            st = _Row(i, total, live)
+            for m in range(j, k):
+                st.push(err[m], value[m], panels[m], quad.max_refinement)
+            states.append(st)
+        j = k
+    return states
 
 
 def _first_round_array(f, panels: np.ndarray, quad: QuadratureSpec,
@@ -261,7 +273,7 @@ def _first_round_array(f, panels: np.ndarray, quad: QuadratureSpec,
     taken with one add per panel position across all rows, and the budget
     test over the whole chunk."""
     value, err = _pairs(f, panels)
-    rows = panels[:, 6].astype(np.intp)
+    rows = panels[:, -1].astype(np.intp)
     first = np.flatnonzero(np.diff(rows, prepend=-1))
     count = np.diff(first, append=len(rows))
     total = np.zeros(len(first))
@@ -322,9 +334,9 @@ def _refine(f, active: list, quad: QuadratureSpec, out) -> dict:
             splits = [sp for sp in splits if sp[0].index < cut]
         if splits:
             halves = []
-            for _, (_, _, _, (a, b, *rest), _) in splits:
-                mid = 0.5 * (a + b)
-                halves += [(a, mid, *rest), (mid, b, *rest)]
+            for _, (_, _, _, (a, b, mid, _, *rest), _) in splits:
+                halves += [(a, mid, 0.5 * (a + mid), 0.5 * (mid - a), *rest),
+                           (mid, b, 0.5 * (mid + b), 0.5 * (b - mid), *rest)]
             v, e = _pairs(f, halves)
             v = v.tolist()
             e = e.tolist()

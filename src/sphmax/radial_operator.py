@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -43,7 +43,8 @@ class ProfilePiece:
 
 
 def _piece_values(pc: ProfilePiece, s):
-    v = np.full_like(s, pc.coeff)
+    # the coefficient stays a scalar: c * y has the bits of full(c) * y
+    v = pc.coeff
     if pc.a_pow != 0.0:
         v = v * s ** pc.a_pow
     if pc.b_pow != 0.0:
@@ -63,10 +64,13 @@ class RadialProfile:
 
     pieces: tuple[ProfilePiece, ...]
     dim: int | None = None
-    # float piece endpoints, and every breakpoint of the profile as a sorted
-    # tuple (1.0 included: log pieces kink there); derived once, so neither
-    # takes part in equality or repr
-    _bounds: tuple[tuple[float, float], ...] = field(
+    # derived once, so none takes part in equality or repr: per piece its
+    # float ends and whether an earlier piece reaches its left end, the
+    # float ends again as two ascending arrays, and every breakpoint of the
+    # profile as a sorted tuple (1.0 included: log pieces kink there)
+    _table: tuple[tuple[float, float, bool, ProfilePiece], ...] = field(
+        init=False, repr=False, compare=False)
+    _ends: tuple[np.ndarray, np.ndarray] = field(
         init=False, repr=False, compare=False)
     _breaks: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
@@ -94,18 +98,29 @@ class RadialProfile:
             raise ParameterError("dim must be an integer >= 2 when given")
         object.__setattr__(self, "pieces", tuple(pcs))
         bounds = tuple((float(pc.lo), float(pc.hi)) for pc in pcs)
-        object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "_table", tuple(
+            (lo, hi, k > 0 and bounds[k - 1][1] >= lo, pc)
+            for k, ((lo, hi), pc) in enumerate(zip(bounds, pcs))))
+        object.__setattr__(self, "_ends", tuple(
+            np.array([b[k] for b in bounds], dtype=float) for k in (0, 1)))
         object.__setattr__(self, "_breaks",
                            tuple(sorted({1.0, *(e for b in bounds for e in b)})))
 
     def values(self, s):
         """Vectorized evaluation; zero outside every piece."""
         s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        for (lo, hi), pc in zip(self._bounds, self.pieces):
+        out = np.zeros(s.shape)
+        for lo, hi, shared, pc in self._table:
             m = (s >= lo) & (s <= hi)
-            if m.any():
-                out[m] += _piece_values(pc, s[m])
+            x = s[m]
+            if x.size:
+                v = _piece_values(pc, x)
+                if shared:
+                    out[m] += v
+                else:
+                    # no earlier piece reached m, so out is 0.0 there,
+                    # and 0.0 + v is v + 0.0
+                    out[m] = v + 0.0
         return out
 
     def __call__(self, s) -> float:
@@ -252,16 +267,22 @@ def calibrate_normalization(d: int, r, t, quad: QuadratureSpec = DEFAULT_QUAD) -
     t = float(t)
     if r <= 0.0 or t <= 0.0:
         raise DomainError("calibration radii must be positive")
+    return 1.0 / _kernel_mass(d, r, t, quad)
 
-    def g(s, dlo, dhi):
+
+def _kernel_mass(d: int, r: float, t: float, quad: QuadratureSpec) -> float:
+    # the batch of one that integrate runs, called directly: filling
+    # _norm_const's cache inside the first spherical mean of a process must
+    # add no call of the public integrate, which a traced run records
+    def g(s, dlo, dhi, rows):
         return _kernel_factor(d, r, t, s, dlo, dhi)
 
-    return 1.0 / integrate(g, abs(r - t), r + t, quad)
+    return float(_integrate_rows(g, (abs(r - t),), (r + t,), quad)[0])
 
 
 @lru_cache(maxsize=64)
 def _norm_const(d: int, quad: QuadratureSpec) -> float:
-    return calibrate_normalization(d, 1.0, 1.0, quad)
+    return 1.0 / _kernel_mass(d, 1.0, 1.0, quad)
 
 
 _LONE_ROW = np.zeros((1, 1), dtype=np.intp)
@@ -274,22 +295,20 @@ def _profile_integrals(f: RadialProfile, los, his, weight, quad,
     Panels off the support of f are skipped, so a row whose window misses
     the support is exactly 0.0. A lone row goes to integrate, the batch of
     one."""
-    supp = f._bounds
+    lows, highs = f._ends
 
-    def g(s, dlo, dhi, rows):
+    def g(s, dlo, dhi, rows=_LONE_ROW):
         v = f.values(s)
         return weight(s, dlo, dhi, rows) * (np.abs(v) if absolute else v)
 
     def skip(a, b):
-        hit = np.zeros(len(a), dtype=bool)
-        for pl, ph in supp:
-            hit |= (pl < b) & (ph > a)
-        return ~hit
+        # a panel meets piece j when lows[j] < b and highs[j] > a; the
+        # pieces are sorted and disjoint, so those j run from the count of
+        # highs <= a up to the count of lows < b
+        return lows.searchsorted(b) <= highs.searchsorted(a, "right")
 
     if len(los) == 1:
-        return np.array([integrate(
-            lambda s, dlo, dhi: g(s, dlo, dhi, _LONE_ROW), los[0], his[0],
-            quad, f._breaks, skip)])
+        return np.array([integrate(g, los[0], his[0], quad, f._breaks, skip)])
 
     return _integrate_rows(g, los, his, quad, f._breaks, skip)
 
@@ -370,6 +389,12 @@ class DilationGrid:
 
     points: tuple[Fraction, ...]
     refinement: Fraction
+    # derived once, so neither takes part in equality or repr: the floats of
+    # the points, read-only, and the set from_set drew the points from,
+    # which holds them all
+    _floats: np.ndarray = field(init=False, repr=False, compare=False)
+    _source: FractalSet | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.points:
@@ -383,6 +408,9 @@ class DilationGrid:
             raise ParameterError("refinement radius must be nonnegative")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "refinement", ref)
+        floats = np.array([float(p) for p in pts])
+        floats.flags.writeable = False
+        object.__setattr__(self, "_floats", floats)
 
     @classmethod
     def from_set(cls, E: FractalSet, spacing=None) -> "DilationGrid":
@@ -396,7 +424,9 @@ class DilationGrid:
             spacing = as_rational(spacing, what="grid spacing")
             if spacing <= 0:
                 raise ParameterError("grid spacing must be positive")
-        return cls(tuple(separated_points(E, spacing)), spacing)
+        grid = cls(tuple(separated_points(E, spacing)), spacing)
+        object.__setattr__(grid, "_source", E)
+        return grid
 
 
 def _require_inside(E: FractalSet, points) -> None:
@@ -430,19 +460,19 @@ def _golden_max(fn, a: float, b: float, iters: int = 36) -> tuple[float, float]:
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _sup_over_dilations(eval_many, points, E: FractalSet | None,
+def _sup_over_dilations(eval_many, ts, points, E: FractalSet | None,
                         bounds: tuple[float, float], h: float, start: float = 0.0,
                         iters: int = 30, eval_at=None) -> tuple[float, float | None]:
-    """Discretized sup of eval_many over the candidate dilations points,
-    swept in one batch at their floats: the first strict maximum above
-    start, as a sweep keeping v > best finds it, then a golden polish of
-    eval_at (by default eval_many on a batch of one) within h of that
-    dilation, inside the component of E holding the exact point, cut to
-    bounds, or inside bounds when E is None. Returns the value and the
-    dilation, which is None when nothing beats start."""
-    if not len(points):
+    """Discretized sup of eval_many over the candidate dilations ts, the
+    floats of the exact points, swept in one batch: the first strict
+    maximum above start, as a sweep keeping v > best finds it, then a
+    golden polish of eval_at (by default eval_many on a batch of one)
+    within h of that dilation, inside the component of E holding the exact
+    point, cut to bounds, or inside bounds when E is None (points is then
+    not read). Returns the value and the dilation, which is None when
+    nothing beats start."""
+    if not len(ts):
         return start, None
-    ts = np.array([float(p) for p in points])
     values = eval_many(ts)
     i = int(np.argmax(values))
     if not values[i] > start:
@@ -488,10 +518,11 @@ def maximal_value(d: int, f: RadialProfile, r, E: FractalSet,
         raise DomainError("radius must be positive")
     if grid is None:
         grid = DilationGrid.from_set(E)
-    _require_inside(E, grid.points)
+    if grid._source is not E:
+        _require_inside(E, grid.points)
     best_v, t_star = _sup_over_dilations(
-        lambda ts: np.abs(_spherical_means(d, f, r, ts, quad)), grid.points,
-        E, (-math.inf, math.inf), float(grid.refinement), -1.0, 36,
+        lambda ts: np.abs(_spherical_means(d, f, r, ts, quad)), grid._floats,
+        grid.points, E, (-math.inf, math.inf), float(grid.refinement), -1.0, 36,
         lambda x: abs(spherical_mean(d, f, r, x, quad)))
     return MaximalValue(best_v, t_star)
 
@@ -622,11 +653,13 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
         grid = DilationGrid.from_set(E)
     h = float(grid.refinement)
     # candidates are split on their floats, which keep the order of the
-    # exact grid points
-    pts = grid.points
-    i_lo = bisect_right(pts, r / 2.0, key=float)
-    i_hi = bisect_left(pts, 1.5 * r, key=float)
-    near, far_lo, far_hi = pts[i_lo:i_hi], pts[:i_lo], pts[i_hi:]
+    # exact grid points; each part is a pair (floats, exact points)
+    floats, pts = grid._floats, grid.points
+    i_lo = int(floats.searchsorted(r / 2.0, "right"))
+    i_hi = int(floats.searchsorted(1.5 * r))
+    near = floats[i_lo:i_hi], pts[i_lo:i_hi]
+    far_lo = floats[:i_lo], pts[:i_lo]
+    far_hi = floats[i_hi:], pts[i_hi:]
     out: dict[str, float] = {}
 
     def integrals(los, his, weight):
@@ -646,7 +679,7 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
                              lambda s, dlo, dhi: s ** w_pow)
 
         out["mainpart"] = 0.0 if not (2.0 / 3.0 < r < 4.0) else \
-            _sup_over_dilations(main_at, near, E, (r / 2.0, 1.5 * r), h)[0]
+            _sup_over_dilations(main_at, *near, E, (r / 2.0, 1.5 * r), h)[0]
 
         def rem1_at(ts):
             return integrals(r - ts, r + ts, one)
@@ -659,12 +692,14 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
         if r >= 2.0:
             hi_t = min(2.0, r / 2.0)
             out["remainder1"] = _sup_over_dilations(
-                rem1_at, np.linspace(1.0, hi_t, 33), None, (1.0, hi_t), h)[0]
+                rem1_at, np.linspace(1.0, hi_t, 33), None, None, (1.0, hi_t),
+                h)[0]
         out["remainder2"] = 0.0
         lo_t = max(1.0, 1.5 * r)
         if r < 4.0 / 3.0 and lo_t <= 2.0:
             out["remainder2"] = _sup_over_dilations(
-                rem2_at, np.linspace(lo_t, 2.0, 33), None, (lo_t, 2.0), h)[0]
+                rem2_at, np.linspace(lo_t, 2.0, 33), None, None, (lo_t, 2.0),
+                h)[0]
         return out
 
     sqrt_r = math.sqrt(r)
@@ -680,9 +715,9 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
 
     in_main = 2.0 / 3.0 < r < 4.0
     out["mainpart"] = 0.0 if not in_main else \
-        _sup_over_dilations(main_at, near, E, (r / 2.0, 1.5 * r), h)[0]
+        _sup_over_dilations(main_at, *near, E, (r / 2.0, 1.5 * r), h)[0]
     out["mainpart_tilde"] = 0.0 if not in_main else \
-        _sup_over_dilations(main_tilde_at, near, E, (r / 2.0, 1.5 * r), h)[0]
+        _sup_over_dilations(main_tilde_at, *near, E, (r / 2.0, 1.5 * r), h)[0]
 
     def rem1_at(ts):
         return integrals(r - ts, np.full_like(ts, r),
@@ -703,13 +738,13 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
     outer = r >= 2.0
     inner = r < 4.0 / 3.0
     out["remainder1"] = 0.0 if not outer else \
-        _sup_over_dilations(rem1_at, far_lo, E, (0.0, r / 2.0), h)[0]
+        _sup_over_dilations(rem1_at, *far_lo, E, (0.0, r / 2.0), h)[0]
     out["remainder2"] = 0.0 if not outer else \
-        _sup_over_dilations(rem2_at, far_lo, E, (0.0, r / 2.0), h)[0]
+        _sup_over_dilations(rem2_at, *far_lo, E, (0.0, r / 2.0), h)[0]
     out["remainder3"] = 0.0 if not inner else \
-        _sup_over_dilations(rem3_at, far_hi, E, (1.5 * r, math.inf), h)[0]
+        _sup_over_dilations(rem3_at, *far_hi, E, (1.5 * r, math.inf), h)[0]
     out["remainder4"] = 0.0 if not inner else \
-        _sup_over_dilations(rem4_at, far_hi, E, (1.5 * r, math.inf), h)[0]
+        _sup_over_dilations(rem4_at, *far_hi, E, (1.5 * r, math.inf), h)[0]
     return out
 
 

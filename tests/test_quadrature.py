@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from sphmax import quadrature
 from sphmax.errors import PrecisionError
 from sphmax.quadrature import (_CHUNK_ROWS, _NOISE, DEFAULT_QUAD,
                                QuadratureSpec, _integrate_rows, integrate)
@@ -113,12 +114,23 @@ def _bumpy(s, dlo, dhi, rows):
     return np.where(rows % 2 == 0, np.cos(3.0 * s), dlo ** -0.5 + 1.0)
 
 
-def test_rows_match_lone_integrals_bitwise():
+def test_rows_match_lone_integrals_bitwise(monkeypatch):
     calls = []
 
     def f(s, dlo, dhi, rows):
         calls.append(s.shape[0])
         return _bumpy(s, dlo, dhi, rows)
+
+    pairs = quadrature._pairs
+
+    def checked(f, panels):
+        # every layout and every split stores the center and half width
+        # of the panel's u interval as _pairs once computed them
+        for a, b, center, half, *_ in np.asarray(panels).tolist():
+            assert (center, half) == (0.5 * (a + b), 0.5 * (b - a))
+        return pairs(f, panels)
+
+    monkeypatch.setattr(quadrature, "_pairs", checked)
 
     n = 2 * _CHUNK_ROWS + 3
     los = np.linspace(0.0, 0.9, n)

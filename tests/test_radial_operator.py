@@ -66,6 +66,68 @@ def test_touching_pieces_allowed():
     assert f.support == (F(0), F(2))
 
 
+def _values_per_piece(f, s):
+    # the per-piece loop RadialProfile.values replaced, kept as reference
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    for pc in f.pieces:
+        m = (s >= float(pc.lo)) & (s <= float(pc.hi))
+        if m.any():
+            v = np.full_like(s[m], pc.coeff)
+            if pc.a_pow != 0.0:
+                v = v * s[m] ** pc.a_pow
+            if pc.b_pow != 0.0:
+                v = v * np.log(1.0 / s[m]) ** pc.b_pow
+            out[m] += v
+    return out
+
+
+def test_values_match_per_piece_loop_bitwise(monkeypatch):
+    # touching pieces (both add on the shared end), a piece whose float ends
+    # coincide with its neighbour's, negative coefficients, log pieces of
+    # both signs, and points outside every piece; -0.0 lies in [0, 1/8]
+    tiny = F(1, 3) + F(1, 10 ** 30)
+    profiles = [
+        indicator(0, 1) + power_profile(2.0, -0.5, 0.0, 1, 2)
+        + power_profile(-1.5, 1.0, 0.0, 2, F(5, 2)),
+        power_profile(0.8, -0.5, 1.0, F(1, 64), F(1, 2))
+        + power_profile(-0.3, 0.5, -1.0, F(1, 2), F(7, 8)) + indicator(1, 3),
+        indicator(F(1, 4), F(1, 3)) + indicator(F(1, 3), tiny)
+        + indicator(tiny, F(1, 2)),
+        power_profile(2.0, 1.0, 0.0, 0, F(1, 8)) + indicator(F(1, 2), 4),
+    ]
+    s = np.array([[-0.0, 0.0, 0.1, 0.125, 0.25, 1 / 3, 0.4, 0.5, 0.75],
+                  [0.875, 1.0, 1.5, 2.0, 2.25, 2.5, 3.0, 4.0, 7.0]])
+    for f in profiles:
+        for x in (s, s[1], s[0, 5], 2.0):
+            got = f.values(x)
+            want = _values_per_piece(f, x)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (f, x)
+
+    # the samples of spherical means whose window ends 1e-15 outside a
+    # breakpoint c, so panels crowd against it
+    seen = []
+    values = RadialProfile.values
+
+    def recording(self, x):
+        seen.append(x)
+        return values(self, x)
+
+    monkeypatch.setattr(RadialProfile, "values", recording)
+    r = 1.5
+    for f in profiles:
+        for c in (0.5, 1.0, 2.0, 2.5, 3.0):
+            for t in (r - c + 1e-15, r + c - 1e-15, c + 1e-15 - r):
+                if t > 0.0:
+                    spherical_mean(3, f, r, t)
+    monkeypatch.undo()
+    assert len(seen) > 20
+    for x in seen:
+        for f in profiles:
+            assert f.values(x).tobytes() == _values_per_piece(f, x).tobytes()
+
+
 def test_log_piece_must_stay_below_one():
     with pytest.raises(ParameterError):
         power_profile(1.0, 0.0, -1.0, F(1, 2), 2)
@@ -318,6 +380,10 @@ def test_maximal_value_rejects_points_outside_set():
         maximal_value(3, indicator(0, 4), 1.0,
                       from_intervals([(1, F(3, 2))]),
                       DilationGrid((F(1), F(3, 2), F(2)), F(1, 32)))
+    # a grid that from_set drew from another set is checked as well
+    g = DilationGrid.from_set(full_interval(), F(1, 8))
+    with pytest.raises(ParameterError, match="grid point 11/8 "):
+        maximal_value(3, indicator(0, 4), 1.0, E, g)
 
 
 def test_maximal_value_on_singleton_matches_mean():
@@ -365,16 +431,17 @@ def test_spherical_means_match_spherical_mean_bitwise(d, kind, monkeypatch):
         rounds.append(len(args[1]))
         return pairs(*args)
 
-    # both sides of the switch from the per-panel to the array layout
+    # small batches, and both sides of the switch from the per-panel to the
+    # array layout
     k = quadrature._ARRAY_ROWS
-    for n in (1, k - 1, k, k + 1, 255, 256, 257, 4097):
+    lone_rounds = []
+    for n in (1, 2, 3, k - 1, k, k + 1, 255, 256, 257, 4097):
         ts = np.linspace(1.0, 2.0, n)
         monkeypatch.setattr(quadrature, "_pairs", counted)
         rounds.clear()
         batch = _spherical_means(d, f, r, ts)
-        monkeypatch.undo()
         chunks = -(-n // quadrature._CHUNK_ROWS)
-        if kind in ("power", "log") and d < 5 and n > 1:
+        if kind in ("power", "log") and d < 5 and n > 3:
             assert len(rounds) > chunks      # some rows refined
         if n == 4097:
             # every boundary of the 256-row chunks, and a stride through
@@ -384,7 +451,14 @@ def test_spherical_means_match_spherical_mean_bitwise(d, kind, monkeypatch):
         else:
             check = range(n)
         for i in check:
+            rounds.clear()
             assert batch[i] == spherical_mean(d, f, r, ts[i]), (n, i)
+            lone_rounds.append(len(rounds))
+        monkeypatch.undo()
+    if kind == "log" and d < 5:
+        # the lone row at t = r, where the window reaches the log
+        # singularity at s = 0, refines in at least two rounds
+        assert max(lone_rounds) >= 3
         if kind == "indicator":
             miss = np.abs(r - ts) >= 0.3
             assert n == 1 or miss.any()
