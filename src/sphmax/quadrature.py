@@ -25,9 +25,9 @@ that miss their budget get a heap of panels for the lockstep refinement.
 Smaller batches and lone rows, such as the golden polish, keep the
 per-panel Python layout: below about 32 rows the fixed cost of the array
 steps is larger than what they save. A lone spherical mean costs about
-40 to 55 us on a 2-CPU host, mostly the fixed cost of some twenty numpy
-calls rather than arithmetic, so panels carry the center and half width
-their nodes are computed from. Both layouts produce the same panels in
+30 to 55 us on a shared 2-CPU host, mostly the fixed cost of some twenty
+numpy calls rather than arithmetic, so panels carry the center and half
+width their nodes are computed from. Both layouts produce the same panels in
 the same order and sum them in the same order, so every value is bitwise
 that of the point by point computation.
 """

@@ -8,6 +8,7 @@ never sampled except by the Monte Carlo cross-check.
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from bisect import bisect_right
@@ -65,10 +66,10 @@ class RadialProfile:
     pieces: tuple[ProfilePiece, ...]
     dim: int | None = None
     # derived once, so none takes part in equality or repr: per piece its
-    # float ends and whether an earlier piece reaches its left end, the
-    # float ends again as two ascending arrays, and every breakpoint of the
-    # profile as a sorted tuple (1.0 included: log pieces kink there)
-    _table: tuple[tuple[float, float, bool, ProfilePiece], ...] = field(
+    # float ends, the float ends again as two ascending arrays, and every
+    # breakpoint of the profile as a sorted tuple (1.0 included: log pieces
+    # kink there)
+    _table: tuple[tuple[float, float, ProfilePiece], ...] = field(
         init=False, repr=False, compare=False)
     _ends: tuple[np.ndarray, np.ndarray] = field(
         init=False, repr=False, compare=False)
@@ -99,8 +100,7 @@ class RadialProfile:
         object.__setattr__(self, "pieces", tuple(pcs))
         bounds = tuple((float(pc.lo), float(pc.hi)) for pc in pcs)
         object.__setattr__(self, "_table", tuple(
-            (lo, hi, k > 0 and bounds[k - 1][1] >= lo, pc)
-            for k, ((lo, hi), pc) in enumerate(zip(bounds, pcs))))
+            (lo, hi, pc) for (lo, hi), pc in zip(bounds, pcs)))
         object.__setattr__(self, "_ends", tuple(
             np.array([b[k] for b in bounds], dtype=float) for k in (0, 1)))
         object.__setattr__(self, "_breaks",
@@ -110,17 +110,11 @@ class RadialProfile:
         """Vectorized evaluation; zero outside every piece."""
         s = np.asarray(s, dtype=float)
         out = np.zeros(s.shape)
-        for lo, hi, shared, pc in self._table:
+        for lo, hi, pc in self._table:
             m = (s >= lo) & (s <= hi)
             x = s[m]
             if x.size:
-                v = _piece_values(pc, x)
-                if shared:
-                    out[m] += v
-                else:
-                    # no earlier piece reached m, so out is 0.0 there,
-                    # and 0.0 + v is v + 0.0
-                    out[m] = v + 0.0
+                out[m] += _piece_values(pc, x)
         return out
 
     def __call__(self, s) -> float:
@@ -428,6 +422,20 @@ class DilationGrid:
         object.__setattr__(grid, "_source", E)
         return grid
 
+    def _split(self, a: float, b: float) -> tuple["DilationGrid", ...]:
+        """The points with floats at most a, strictly between a and b, and
+        at least b, as three grids that may be empty. The floats keep the
+        order of the exact points, so each part is a run of the grid."""
+        i = int(self._floats.searchsorted(a, "right"))
+        j = int(self._floats.searchsorted(b))
+        parts = []
+        for run in (slice(0, i), slice(i, j), slice(j, None)):
+            part = copy.copy(self)
+            object.__setattr__(part, "points", self.points[run])
+            object.__setattr__(part, "_floats", self._floats[run])
+            parts.append(part)
+        return tuple(parts)
+
 
 def _require_inside(E: FractalSet, points) -> None:
     """One merge walk of the sorted components of E against the increasing
@@ -460,17 +468,18 @@ def _golden_max(fn, a: float, b: float, iters: int = 36) -> tuple[float, float]:
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _sup_over_dilations(eval_many, ts, points, E: FractalSet | None,
+def _sup_over_dilations(eval_many, cands, E: FractalSet | None,
                         bounds: tuple[float, float], h: float, start: float = 0.0,
                         iters: int = 30, eval_at=None) -> tuple[float, float | None]:
-    """Discretized sup of eval_many over the candidate dilations ts, the
-    floats of the exact points, swept in one batch: the first strict
+    """Discretized sup of eval_many over the candidate dilations cands, a
+    DilationGrid (or a part of one) when E is given and an array of floats
+    when E is None, swept in one batch at their floats: the first strict
     maximum above start, as a sweep keeping v > best finds it, then a
     golden polish of eval_at (by default eval_many on a batch of one)
     within h of that dilation, inside the component of E holding the exact
-    point, cut to bounds, or inside bounds when E is None (points is then
-    not read). Returns the value and the dilation, which is None when
-    nothing beats start."""
+    grid point, cut to bounds, or inside bounds when E is None. Returns the
+    value and the dilation, which is None when nothing beats start."""
+    ts = cands if E is None else cands._floats
     if not len(ts):
         return start, None
     values = eval_many(ts)
@@ -481,7 +490,7 @@ def _sup_over_dilations(eval_many, ts, points, E: FractalSet | None,
     best_t = float(ts[i])
     lo, hi = bounds
     if E is not None:
-        comp = E.component(points[i])
+        comp = E.component(cands.points[i])
         if comp is None or comp[1] <= comp[0]:
             return best_v, best_t
         lo, hi = max(float(comp[0]), lo), min(float(comp[1]), hi)
@@ -521,8 +530,8 @@ def maximal_value(d: int, f: RadialProfile, r, E: FractalSet,
     if grid._source is not E:
         _require_inside(E, grid.points)
     best_v, t_star = _sup_over_dilations(
-        lambda ts: np.abs(_spherical_means(d, f, r, ts, quad)), grid._floats,
-        grid.points, E, (-math.inf, math.inf), float(grid.refinement), -1.0, 36,
+        lambda ts: np.abs(_spherical_means(d, f, r, ts, quad)), grid, E,
+        (-math.inf, math.inf), float(grid.refinement), -1.0, 36,
         lambda x: abs(spherical_mean(d, f, r, x, quad)))
     return MaximalValue(best_v, t_star)
 
@@ -652,14 +661,7 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
     if grid is None:
         grid = DilationGrid.from_set(E)
     h = float(grid.refinement)
-    # candidates are split on their floats, which keep the order of the
-    # exact grid points; each part is a pair (floats, exact points)
-    floats, pts = grid._floats, grid.points
-    i_lo = int(floats.searchsorted(r / 2.0, "right"))
-    i_hi = int(floats.searchsorted(1.5 * r))
-    near = floats[i_lo:i_hi], pts[i_lo:i_hi]
-    far_lo = floats[:i_lo], pts[:i_lo]
-    far_hi = floats[i_hi:], pts[i_hi:]
+    far_lo, near, far_hi = grid._split(r / 2.0, 1.5 * r)
     out: dict[str, float] = {}
 
     def integrals(los, his, weight):
@@ -679,7 +681,7 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
                              lambda s, dlo, dhi: s ** w_pow)
 
         out["mainpart"] = 0.0 if not (2.0 / 3.0 < r < 4.0) else \
-            _sup_over_dilations(main_at, *near, E, (r / 2.0, 1.5 * r), h)[0]
+            _sup_over_dilations(main_at, near, E, (r / 2.0, 1.5 * r), h)[0]
 
         def rem1_at(ts):
             return integrals(r - ts, r + ts, one)
@@ -692,13 +694,13 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
         if r >= 2.0:
             hi_t = min(2.0, r / 2.0)
             out["remainder1"] = _sup_over_dilations(
-                rem1_at, np.linspace(1.0, hi_t, 33), None, None, (1.0, hi_t),
+                rem1_at, np.linspace(1.0, hi_t, 33), None, (1.0, hi_t),
                 h)[0]
         out["remainder2"] = 0.0
         lo_t = max(1.0, 1.5 * r)
         if r < 4.0 / 3.0 and lo_t <= 2.0:
             out["remainder2"] = _sup_over_dilations(
-                rem2_at, np.linspace(lo_t, 2.0, 33), None, None, (lo_t, 2.0),
+                rem2_at, np.linspace(lo_t, 2.0, 33), None, (lo_t, 2.0),
                 h)[0]
         return out
 
@@ -715,9 +717,9 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
 
     in_main = 2.0 / 3.0 < r < 4.0
     out["mainpart"] = 0.0 if not in_main else \
-        _sup_over_dilations(main_at, *near, E, (r / 2.0, 1.5 * r), h)[0]
+        _sup_over_dilations(main_at, near, E, (r / 2.0, 1.5 * r), h)[0]
     out["mainpart_tilde"] = 0.0 if not in_main else \
-        _sup_over_dilations(main_tilde_at, *near, E, (r / 2.0, 1.5 * r), h)[0]
+        _sup_over_dilations(main_tilde_at, near, E, (r / 2.0, 1.5 * r), h)[0]
 
     def rem1_at(ts):
         return integrals(r - ts, np.full_like(ts, r),
@@ -738,13 +740,13 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
     outer = r >= 2.0
     inner = r < 4.0 / 3.0
     out["remainder1"] = 0.0 if not outer else \
-        _sup_over_dilations(rem1_at, *far_lo, E, (0.0, r / 2.0), h)[0]
+        _sup_over_dilations(rem1_at, far_lo, E, (0.0, r / 2.0), h)[0]
     out["remainder2"] = 0.0 if not outer else \
-        _sup_over_dilations(rem2_at, *far_lo, E, (0.0, r / 2.0), h)[0]
+        _sup_over_dilations(rem2_at, far_lo, E, (0.0, r / 2.0), h)[0]
     out["remainder3"] = 0.0 if not inner else \
-        _sup_over_dilations(rem3_at, *far_hi, E, (1.5 * r, math.inf), h)[0]
+        _sup_over_dilations(rem3_at, far_hi, E, (1.5 * r, math.inf), h)[0]
     out["remainder4"] = 0.0 if not inner else \
-        _sup_over_dilations(rem4_at, *far_hi, E, (1.5 * r, math.inf), h)[0]
+        _sup_over_dilations(rem4_at, far_hi, E, (1.5 * r, math.inf), h)[0]
     return out
 
 
