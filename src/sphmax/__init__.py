@@ -56,7 +56,6 @@ from .radial_operator import (
     DilationGrid,
     MaximalValue,
     RadialProfile,
-    calibrate_normalization,
     circular_components,
     decomposition_components,
     indicator,

@@ -43,6 +43,8 @@ _TWO = Fraction(2)
 
 def as_rational(value, error=ParameterError, what: str = "value") -> Fraction:
     """Coerce to Fraction, refusing floats (inexact) outright."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise error(f"{what} must be rational, got {value!r}")
     if isinstance(value, (int, Fraction)):

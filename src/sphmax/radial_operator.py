@@ -232,16 +232,21 @@ def _kernel_factor(d: int, r: float, t: float, s, dlo, dhi):
     return (root / four) ** (d - 3) * (s / four)
 
 
+def _radius(x) -> float:
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"radius must be positive and finite, got {x!r}")
+    return x
+
+
 def kernel(d: int, t, r, s) -> float:
     """Distance-distribution kernel K_t(r, s) of the sphere of radius t seen
     from distance r, before normalization. Defined for |r - t| <= s <= r + t;
     when d = 2 the endpoints are genuine singularities and are refused."""
     _check_dim(d)
-    t = float(t)
-    r = float(r)
+    t = _radius(t)
+    r = _radius(r)
     s = float(s)
-    if r <= 0.0 or t <= 0.0:
-        raise DomainError("kernel radii must be positive")
     a = abs(r - t)
     b = r + t
     if s < a or s > b:
@@ -252,31 +257,15 @@ def kernel(d: int, t, r, s) -> float:
     return float(_kernel_factor(d, r, t, s, s - a, b - s))
 
 
-def calibrate_normalization(d: int, r, t, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Reciprocal kernel mass over [|r - t|, r + t]; multiplying the raw
-    kernel integral by this makes the mean of the constant 1 equal 1. The
-    mass is scale invariant, so any (r, t) gives the same constant."""
-    _check_dim(d)
-    r = float(r)
-    t = float(t)
-    if r <= 0.0 or t <= 0.0:
-        raise DomainError("calibration radii must be positive")
-    return 1.0 / _kernel_mass(d, r, t, quad)
-
-
-def _kernel_mass(d: int, r: float, t: float, quad: QuadratureSpec) -> float:
-    # the batch of one that integrate runs, called directly: filling
-    # _norm_const's cache inside the first spherical mean of a process must
-    # add no call of the public integrate, which a traced run records
-    def g(s, dlo, dhi, rows):
-        return _kernel_factor(d, r, t, s, dlo, dhi)
-
-    return float(_integrate_rows(g, (abs(r - t),), (r + t,), quad)[0])
-
-
 @lru_cache(maxsize=64)
-def _norm_const(d: int, quad: QuadratureSpec) -> float:
-    return 1.0 / _kernel_mass(d, 1.0, 1.0, quad)
+def _norm_const(d: int) -> float:
+    # 1 / m_d for the kernel mass m_d = B((d-1)/2, (d-1)/2) / 2, found
+    # exactly from m_2 = pi/2, m_3 = 1/2 and m_{k+2} = m_k (k-1)/(4k), with
+    # pi entering once as its nearest double
+    m = Fraction(math.pi) / 2 if d % 2 == 0 else Fraction(1, 2)
+    for k in range(2 + d % 2, d, 2):
+        m *= Fraction(k - 1, 4 * k)
+    return float(1 / m)
 
 
 _LONE_ROW = np.zeros((1, 1), dtype=np.intp)
@@ -313,16 +302,16 @@ def _spherical_means(d: int, f: RadialProfile, r, ts,
     centers lie at distance r from the origin, integrated together; each
     entry is bitwise the spherical_mean of its radius."""
     _check_dim(d)
-    r = float(r)
+    r = _radius(r)
     ts = np.array(ts, dtype=float).ravel()
-    if r <= 0.0 or (ts <= 0.0).any():
-        raise DomainError("spherical mean radii must be positive")
+    if not ((ts > 0.0) & (ts < math.inf)).all():
+        raise DomainError("spherical mean radii must be positive and finite")
 
     def kern(s, dlo, dhi, rows):
         return _kernel_factor(d, r, ts[rows], s, dlo, dhi)
 
     raw = _profile_integrals(f, np.abs(r - ts), r + ts, kern, quad)
-    return _norm_const(d, quad) * raw
+    return _norm_const(d) * raw
 
 
 def spherical_mean(d: int, f: RadialProfile, r, t,
@@ -331,16 +320,14 @@ def spherical_mean(d: int, f: RadialProfile, r, t,
     center lies at distance r from the origin: a batch of one, with the
     kernel of the batch taken at the scalar t."""
     _check_dim(d)
-    r = float(r)
-    t = float(t)
-    if r <= 0.0 or t <= 0.0:
-        raise DomainError("spherical mean radii must be positive")
+    r = _radius(r)
+    t = _radius(t)
 
     def kern(s, dlo, dhi, rows):
         return _kernel_factor(d, r, t, s, dlo, dhi)
 
     raw = _profile_integrals(f, (abs(r - t),), (r + t,), kern, quad)
-    return _norm_const(d, quad) * float(raw[0])
+    return _norm_const(d) * float(raw[0])
 
 
 class MCEstimate(NamedTuple):
@@ -355,10 +342,8 @@ def sphere_average_mc(d: int, f: RadialProfile, r, t, samples: int = 100_000,
     the profile at their distances from the origin."""
     if d not in (2, 3):
         raise ParameterError("the Monte Carlo cross-check supports d = 2 and 3")
-    r = float(r)
-    t = float(t)
-    if r <= 0.0 or t <= 0.0:
-        raise DomainError("radii must be positive")
+    r = _radius(r)
+    t = _radius(t)
     if samples < 2:
         raise InsufficientDataError("need at least two Monte Carlo samples")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
@@ -522,9 +507,7 @@ def maximal_value(d: int, f: RadialProfile, r, E: FractalSet,
     error, which is the |G15 - G7| estimate and not a bound. The grid is
     swept in one batch of spherical means; the polish is sequential."""
     _check_dim(d)
-    r = float(r)
-    if r <= 0.0:
-        raise DomainError("radius must be positive")
+    r = _radius(r)
     if grid is None:
         grid = DilationGrid.from_set(E)
     if grid._source is not E:
@@ -652,9 +635,7 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
     twin and one-sided remainders when d = 2) and the off-diagonal
     remainders. Suprema in t are discretized exactly as in maximal_value."""
     _check_dim(d)
-    r = float(r)
-    if r <= 0.0:
-        raise DomainError("radius must be positive")
+    r = _radius(r)
     p = float(p)
     if not p >= 1.0:
         raise ParameterError(f"p must lie in [1, inf), got {p!r}")
@@ -662,101 +643,74 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
         grid = DilationGrid.from_set(E)
     h = float(grid.refinement)
     far_lo, near, far_hi = grid._split(r / 2.0, 1.5 * r)
-    out: dict[str, float] = {}
+    main = 2.0 / 3.0 < r < 4.0
+    mid = (r / 2.0, 1.5 * r)
 
-    def integrals(los, his, weight):
-        # weight(s, dlo, dhi) against |f| over each window [los[i], his[i]]
-        return _profile_integrals(
-            f, los, his, lambda s, dlo, dhi, rows: weight(s, dlo, dhi), quad,
-            absolute=True)
+    def sup(on, window, weight, cands, bounds, E=E, scale=1.0):
+        # 0.0 when the regime is off, else the sup over cands of the
+        # integral of weight(s, dlo, dhi) against |f| over the windows
+        # window(ts), divided by scale
+        if not on:
+            return 0.0
 
-    def one(s, dlo, dhi):
-        return 1.0
+        def at(ts):
+            return _profile_integrals(
+                f, *window(ts), lambda s, dlo, dhi, rows: weight(s, dlo, dhi),
+                quad, absolute=True) / scale
+
+        return _sup_over_dilations(at, cands, E, bounds, h)[0]
+
+    def centred(ts):
+        return np.abs(r - ts), r + ts
 
     if d >= 3:
         w_pow = (d - 1.0) * (1.0 - 1.0 / p) - 1.0 + (d - 1.0) / p
-
-        def main_at(ts):
-            return integrals(np.abs(r - ts), r + ts,
-                             lambda s, dlo, dhi: s ** w_pow)
-
-        out["mainpart"] = 0.0 if not (2.0 / 3.0 < r < 4.0) else \
-            _sup_over_dilations(main_at, near, E, (r / 2.0, 1.5 * r), h)[0]
-
-        def rem1_at(ts):
-            return integrals(r - ts, r + ts, one)
-
-        def rem2_at(ts):
-            return integrals(ts - r, ts + r, one) / r
-
         # the remainders run over the whole dilation interval [1, 2]
-        out["remainder1"] = 0.0
-        if r >= 2.0:
-            hi_t = min(2.0, r / 2.0)
-            out["remainder1"] = _sup_over_dilations(
-                rem1_at, np.linspace(1.0, hi_t, 33), None, (1.0, hi_t),
-                h)[0]
-        out["remainder2"] = 0.0
+        hi_t = min(2.0, r / 2.0)
         lo_t = max(1.0, 1.5 * r)
-        if r < 4.0 / 3.0 and lo_t <= 2.0:
-            out["remainder2"] = _sup_over_dilations(
-                rem2_at, np.linspace(lo_t, 2.0, 33), None, (lo_t, 2.0),
-                h)[0]
-        return out
-
-    sqrt_r = math.sqrt(r)
-
-    def main_at(ts):
-        # the g-weight s**(1/p) cancels against the s**(1/2 - 1/p) in front
-        return integrals(np.abs(r - ts), r + ts,
-                         lambda s, dlo, dhi: np.sqrt(s) / np.sqrt(dlo))
-
-    def main_tilde_at(ts):
-        return integrals(np.abs(r - ts), r + ts,
-                         lambda s, dlo, dhi: np.sqrt(s) / np.sqrt(dhi))
-
-    in_main = 2.0 / 3.0 < r < 4.0
-    out["mainpart"] = 0.0 if not in_main else \
-        _sup_over_dilations(main_at, near, E, (r / 2.0, 1.5 * r), h)[0]
-    out["mainpart_tilde"] = 0.0 if not in_main else \
-        _sup_over_dilations(main_tilde_at, near, E, (r / 2.0, 1.5 * r), h)[0]
-
-    def rem1_at(ts):
-        return integrals(r - ts, np.full_like(ts, r),
-                         lambda s, dlo, dhi: 1.0 / np.sqrt(dlo))
-
-    def rem2_at(ts):
-        return integrals(np.full_like(ts, r), r + ts,
-                         lambda s, dlo, dhi: 1.0 / np.sqrt(dhi))
-
-    def rem3_at(ts):
-        return integrals(ts - r, ts,
-                         lambda s, dlo, dhi: 1.0 / np.sqrt(dlo)) / sqrt_r
-
-    def rem4_at(ts):
-        return integrals(ts, ts + r,
-                         lambda s, dlo, dhi: 1.0 / np.sqrt(dhi)) / sqrt_r
+        return {
+            "mainpart": sup(main, centred, lambda s, dlo, dhi: s ** w_pow,
+                            near, mid),
+            "remainder1": sup(r >= 2.0, lambda ts: (r - ts, r + ts),
+                              lambda s, dlo, dhi: 1.0,
+                              np.linspace(1.0, hi_t, 33), (1.0, hi_t), None),
+            "remainder2": sup(r < 4.0 / 3.0 and lo_t <= 2.0,
+                              lambda ts: (ts - r, ts + r),
+                              lambda s, dlo, dhi: 1.0,
+                              np.linspace(lo_t, 2.0, 33), (lo_t, 2.0), None, r),
+        }
 
     outer = r >= 2.0
     inner = r < 4.0 / 3.0
-    out["remainder1"] = 0.0 if not outer else \
-        _sup_over_dilations(rem1_at, far_lo, E, (0.0, r / 2.0), h)[0]
-    out["remainder2"] = 0.0 if not outer else \
-        _sup_over_dilations(rem2_at, far_lo, E, (0.0, r / 2.0), h)[0]
-    out["remainder3"] = 0.0 if not inner else \
-        _sup_over_dilations(rem3_at, far_hi, E, (1.5 * r, math.inf), h)[0]
-    out["remainder4"] = 0.0 if not inner else \
-        _sup_over_dilations(rem4_at, far_hi, E, (1.5 * r, math.inf), h)[0]
-    return out
+    low = (0.0, r / 2.0)
+    high = (1.5 * r, math.inf)
+    sqrt_r = math.sqrt(r)
+    # in the main parts the g-weight s**(1/p) cancels against the
+    # s**(1/2 - 1/p) in front
+    return {
+        "mainpart": sup(main, centred,
+                        lambda s, dlo, dhi: np.sqrt(s) / np.sqrt(dlo), near, mid),
+        "mainpart_tilde": sup(main, centred,
+                              lambda s, dlo, dhi: np.sqrt(s) / np.sqrt(dhi),
+                              near, mid),
+        "remainder1": sup(outer, lambda ts: (r - ts, np.full_like(ts, r)),
+                          lambda s, dlo, dhi: 1.0 / np.sqrt(dlo), far_lo, low),
+        "remainder2": sup(outer, lambda ts: (np.full_like(ts, r), r + ts),
+                          lambda s, dlo, dhi: 1.0 / np.sqrt(dhi), far_lo, low),
+        "remainder3": sup(inner, lambda ts: (ts - r, ts),
+                          lambda s, dlo, dhi: 1.0 / np.sqrt(dlo), far_hi, high,
+                          scale=sqrt_r),
+        "remainder4": sup(inner, lambda ts: (ts, ts + r),
+                          lambda s, dlo, dhi: 1.0 / np.sqrt(dhi), far_hi, high,
+                          scale=sqrt_r),
+    }
 
 
 def circular_components(f: RadialProfile, r, steps: int = 4096) -> dict[str, float]:
     """Averaged (U) and sliding-window (R) functionals over dilations in
     [1, 2] that dominate the square of the circular maximal function of a
     piecewise constant profile; evaluated in closed form on a dense grid."""
-    r = float(r)
-    if r <= 0.0:
-        raise DomainError("radius must be positive")
+    r = _radius(r)
     for pc in f.pieces:
         if pc.a_pow != 0.0 or pc.b_pow != 0.0:
             raise ParameterError(

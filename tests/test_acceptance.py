@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_fractal_set
+from conftest import kernel_mass, random_fractal_set
 from sphmax.fractal_set import (
     arithmetic_progression,
     binary_covering_number,
@@ -23,7 +23,7 @@ from sphmax.fractal_set import (
 from sphmax.norm_probe import lorentz_log_probe, run_probe
 from sphmax.radial_operator import (
     DilationGrid,
-    calibrate_normalization,
+    _norm_const,
     circular_components,
     decomposition_components,
     indicator,
@@ -82,7 +82,8 @@ def test_criterion_02_monte_carlo_oracle():
 def test_criterion_03_closed_forms():
     val = spherical_mean(3, power_profile(1, 1, 0, 0, 8), 1, 1)
     assert abs(val - 4.0 / 3.0) <= 1e-6
-    assert abs(calibrate_normalization(3, 1, 1) - 2.0) <= 1e-6
+    assert abs(1.0 / kernel_mass(3, 1.0, 1.0) - _norm_const(3)) <= 1e-6
+    assert _norm_const(3) == 2.0
 
 
 def test_criterion_04_covering_sandwich_exact():

@@ -452,7 +452,7 @@ def test_verify_battery_golden(seed, tmp_path, capsys):
 def test_verify_fails_on_a_mutated_kernel(tmp_path, monkeypatch, capsys):
     norm_const = radial_operator._norm_const
     monkeypatch.setattr(radial_operator, "_norm_const",
-                        lambda d, quad: 1.01 * norm_const(d, quad))
+                        lambda d: 1.01 * norm_const(d))
     out = tmp_path / "ver"
     assert main(["verify", "--seed", "0", "--out", str(out)]) == 1
     failing = [name for name, _, failed in read_csv(out / "verify_report.csv")[1:]

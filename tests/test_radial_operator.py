@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from conftest import kernel_mass
 from sphmax.errors import (ConfigError, DivergentNormError, DomainError,
                            InsufficientDataError, ParameterError,
                            SingularityError)
@@ -14,8 +15,8 @@ from sphmax.fractal_set import (finite_points, from_intervals, full_interval,
 from sphmax import quadrature
 from sphmax.quadrature import DEFAULT_QUAD, QuadratureSpec
 from sphmax.radial_operator import (DilationGrid, MaximalValue, RadialProfile,
-                                    ProfilePiece, _spherical_means,
-                                    calibrate_normalization,
+                                    ProfilePiece, _norm_const,
+                                    _spherical_means,
                                     circular_components,
                                     decomposition_components, indicator,
                                     kernel, lp_norm, maximal_value,
@@ -196,6 +197,28 @@ def test_kernel_domain_errors():
         kernel(1, 1, 1, 1)
 
 
+_ONE = parse_profile("one")
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda x: kernel(3, x, 1.0, 1.0),
+    lambda x: kernel(3, 1.0, x, 1.0),
+    lambda x: spherical_mean(3, _ONE, x, 1.5),
+    lambda x: spherical_mean(3, _ONE, 1.25, x),
+    lambda x: _spherical_means(3, _ONE, 1.25, [1.5, x]),
+    lambda x: maximal_value(3, _ONE, x, full_interval()),
+    lambda x: decomposition_components(3, full_interval(), _ONE, 2, x),
+    lambda x: circular_components(indicator(0, 1), x),
+    lambda x: sphere_average_mc(3, _ONE, x, 1.5, samples=10),
+    lambda x: sphere_average_mc(3, _ONE, 1.25, x, samples=10),
+], ids=["kernel-t", "kernel-r", "mean-r", "mean-t", "means-ts", "maximal-r",
+        "components-r", "circular-r", "mc-r", "mc-t"])
+def test_radii_must_be_positive_and_finite(call, x):
+    with pytest.raises(DomainError):
+        call(x)
+
+
 def test_kernel_singularity_refused_in_dimension_two():
     with pytest.raises(SingularityError):
         kernel(2, 1.0, 0.5, 0.5)
@@ -215,21 +238,24 @@ def test_kernel_vanishes_at_endpoints_above_three():
 
 
 def test_normalization_d3_is_two():
-    assert calibrate_normalization(3, 1, 1) == pytest.approx(2.0, abs=1e-6)
+    assert 1.0 / kernel_mass(3, 1.0, 1.0) == pytest.approx(
+        _norm_const(3), abs=1e-6)
 
 
 def test_normalization_d2_reference_quadrature():
     # 1 / int_0^2 s / sqrt((4 - s^2) s^2) ds, computed at 10x tighter
     # tolerance; the closed form is 2/pi
-    val = calibrate_normalization(2, 1, 1, TIGHT)
-    assert val == pytest.approx(2.0 / math.pi, rel=1e-10)
-    assert calibrate_normalization(2, 1, 1) == pytest.approx(val, rel=1e-8)
+    val = 1.0 / kernel_mass(2, 1.0, 1.0, TIGHT)
+    assert val == pytest.approx(_norm_const(2), rel=1e-10)
+    assert 1.0 / kernel_mass(2, 1.0, 1.0) == pytest.approx(val, rel=1e-8)
 
 
 def test_normalization_matches_beta_function():
     for d in range(2, 8):
         c_d = 2.0 * math.gamma(d - 1) / math.gamma((d - 1) / 2.0) ** 2
-        assert calibrate_normalization(d, 1, 1) == pytest.approx(c_d, rel=1e-9)
+        assert _norm_const(d) == pytest.approx(c_d, rel=1e-9)
+        assert 1.0 / kernel_mass(d, 1.0, 1.0) == pytest.approx(
+            _norm_const(d), rel=1e-9)
 
 
 def test_normalization_scale_invariant():
@@ -238,8 +264,15 @@ def test_normalization_scale_invariant():
         d = rng.choice([2, 3, 5])
         r = rng.uniform(0.1, 6.0)
         t = rng.uniform(0.1, 6.0)
-        assert calibrate_normalization(d, r, t) == pytest.approx(
-            calibrate_normalization(d, 1, 1), rel=1e-8)
+        assert 1.0 / kernel_mass(d, r, t) == pytest.approx(
+            _norm_const(d), rel=1e-8)
+
+
+def test_normalization_constants_pinned():
+    # 2/pi, 2, 16/pi and 12, as the quadrature-calibrated constants were
+    assert [_norm_const(d).hex() for d in (2, 3, 4, 5)] == [
+        "0x1.45f306dc9c883p-1", "0x1.0000000000000p+1",
+        "0x1.45f306dc9c883p+2", "0x1.8000000000000p+3"]
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +643,33 @@ def test_lp_norm_rejects_bad_p():
 
 # ---------------------------------------------------------------------------
 # decomposition components
+
+
+def test_components_pinned_bits():
+    # every component nonzero somewhere, on the default grid of [1, 2]
+    f = parse_profile("chi(1/2,3/2) + pow(2,-1/2,0,2,3)")
+    got = {(d, r): {k: v.hex() for k, v in decomposition_components(
+               d, full_interval(), f, 1.5, r).items()}
+           for d, r in [(2, 0.9), (2, 2.5), (3, 1.0), (3, 1.2), (3, 2.5)]}
+    zero = "0x0.0p+0"
+    assert got == {
+        (2, 0.9): {"mainpart": "0x1.e16ed9d36fd0ep+0",
+                   "mainpart_tilde": "0x1.75b9baf59dfd1p+1",
+                   "remainder1": zero, "remainder2": zero,
+                   "remainder3": "0x1.0000000000001p+1",
+                   "remainder4": "0x1.3ee42c16f7967p+1"},
+        (2, 2.5): {"mainpart": "0x1.a03498ad61b2bp+1",
+                   "mainpart_tilde": "0x1.0243f3ee647fcp+1",
+                   "remainder1": "0x1.acb68c4bec669p+0",
+                   "remainder2": "0x1.69281161ef337p-1",
+                   "remainder3": zero, "remainder4": zero},
+        (3, 1.0): {"mainpart": "0x1.3fe6a840cb966p+1", "remainder1": zero,
+                   "remainder2": "0x1.c577207644377p+0"},
+        (3, 1.2): {"mainpart": "0x1.0686a0dcf4048p+2", "remainder1": zero,
+                   "remainder2": "0x1.cf389b0d38d8fp+0"},
+        (3, 2.5): {"mainpart": "0x1.0a0bbf958cf78p+2",
+                   "remainder1": "0x1.857720764437ap+0", "remainder2": zero},
+    }
 
 
 def test_components_indicator_zones():
