@@ -20,9 +20,10 @@ Conventions pinned for determinism:
 
 from __future__ import annotations
 
+import ast
 import bisect
+import inspect
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -230,131 +231,78 @@ def arithmetic_progression(u, delta, m: int) -> FractalSet:
 
 
 def union_of(*sets: FractalSet) -> FractalSet:
-    if not sets:
-        raise ParameterError("union of nothing")
+    if not sets or not all(isinstance(s, FractalSet) for s in sets):
+        raise ParameterError("union takes one or more sets")
     raw = [iv for s in sets for iv in s.intervals]
     expr = "union(" + ", ".join(s.generator or "?" for s in sets) + ")"
     return _normalize(raw, max(s.depth for s in sets), expr)
 
 
-_TOKEN = re.compile(r"\s*([A-Za-z_]+|\(|\)|,|=|-?\d+(?:/\d+|\.\d+)?)")
+def _read_expression(expr: str, table: dict, what: str) -> list:
+    """The built terms of expr, joined by '+', each a name in table, bare
+    or called; an argument is a term or a number, whatever Fraction reads
+    from its text (an int when integral). Python's parser reads expr,
+    evaluating nothing; every flaw in it is a ConfigError."""
+    if not isinstance(expr, str):
+        raise ConfigError(f"{what} expression must be a string, got {expr!r}")
+    text = expr.strip()
+    try:
+        root = ast.parse(text, mode="eval").body
+    # a nesting too deep for the parser is a RecursionError or a MemoryError
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        raise ConfigError(f"bad {what} expression: {exc}") from exc
+
+    def number(node):
+        src = ast.get_source_segment(text, node)
+        try:
+            # no float reaches 1e400; Fraction would build 10**exponent first
+            if abs(int(src.lower().partition("e")[2] or 0)) > 400:
+                raise ValueError(src)
+            value = Fraction(src)
+            float(value)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ConfigError(f"cannot read number {src!r} in {what} expression") from exc
+        return value.numerator if value.denominator == 1 else value
+
+    def term(node):
+        call = node if isinstance(node, ast.Call) else ast.Call(node, [], [])
+        name = getattr(call.func, "id", None)
+        if name not in table:
+            raise ConfigError(
+                f"unknown {what} term {ast.get_source_segment(text, call.func)!r}")
+        args = [argument(a) for a in call.args]
+        kwargs = {k.arg: argument(k.value) for k in call.keywords}
+        try:
+            inspect.signature(table[name]).bind(*args, **kwargs)
+            return table[name](*args, **kwargs)
+        except (TypeError, ParameterError) as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+
+    def argument(node):
+        nested = isinstance(node, ast.Call) or getattr(node, "id", None) in table
+        return term(node) if nested else number(node)
+
+    terms = [root]
+    while isinstance(terms[0], ast.BinOp) and isinstance(terms[0].op, ast.Add):
+        terms[:1] = [terms[0].left, terms[0].right]
+    return [term(node) for node in terms]
+
+
+_SET_TERMS = {"interval": full_interval, "cantor": middle_cantor,
+              "points": lambda *points: finite_points(points),
+              "geometric": geometric_sequence, "powerseq": power_sequence,
+              "progression": arithmetic_progression, "union": union_of}
 
 
 def parse_set(expr: str) -> FractalSet:
-    """Build a set from a generator expression.
-
-    Grammar: interval | points(r, ...) | cantor(alpha=, depth=)
-           | geometric(base=, count=) | powerseq(exponent=, count=)
-           | progression(u=, delta=, m=) | union(expr, ...).
-    Arguments may be positional in the order shown. Rational literals only.
-    """
-    tokens = []
-    pos = 0
-    while pos < len(expr):
-        m = _TOKEN.match(expr, pos)
-        if not m:
-            raise ConfigError(f"bad set expression near {expr[pos:pos + 12]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    tokens.append(None)
-
-    def parse_node(i):
-        name = tokens[i]
-        if not isinstance(name, str) or not name[0].isalpha():
-            raise ConfigError(f"expected a generator name, got {name!r}")
-        i += 1
-        if tokens[i] != "(":
-            if name == "interval":
-                return full_interval(), i
-            raise ConfigError(f"generator {name!r} needs an argument list")
-        i += 1
-        args, kwargs = [], {}
-        if tokens[i] != ")":
-            while True:
-                tok, nxt = tokens[i], tokens[i + 1]
-                named = isinstance(tok, str) and tok[0].isalpha()
-                if named and nxt == "=":
-                    val, i = parse_value(i + 2)
-                    kwargs[tok] = val
-                elif named and nxt == "(":
-                    sub, i = parse_node(i)
-                    args.append(sub)
-                elif tok == "interval":
-                    args.append(full_interval())
-                    i += 1
-                else:
-                    val, i = parse_value(i)
-                    args.append(val)
-                if tokens[i] == ",":
-                    i += 1
-                    continue
-                break
-        if tokens[i] != ")":
-            raise ConfigError(f"unbalanced parentheses in set expression {expr!r}")
-        return build(name, args, kwargs), i + 1
-
-    def parse_value(i):
-        tok = tokens[i]
-        if not isinstance(tok, str) or tok[0].isalpha():
-            raise ConfigError(f"expected a number, got {tok!r}")
-        return Fraction(tok), i + 1
-
-    def take(kwargs, args, names):
-        got = list(args)
-        out = []
-        for n in names:
-            if n in kwargs:
-                out.append(kwargs.pop(n))
-            elif got:
-                out.append(got.pop(0))
-            else:
-                raise ConfigError(f"missing argument {n!r} in set expression")
-        if kwargs or got:
-            extra = list(kwargs) + got
-            raise ConfigError(f"unexpected arguments {extra} in set expression")
-        return out
-
-    def as_count(v, what):
-        f = v if isinstance(v, Fraction) else Fraction(v)
-        if f.denominator != 1 or f <= 0:
-            raise ConfigError(f"{what} must be a positive integer, got {v}")
-        return int(f)
-
-    def build(name, args, kwargs):
-        try:
-            if name == "interval":
-                take(kwargs, args, [])
-                return full_interval()
-            if name == "points":
-                if kwargs or not args:
-                    raise ConfigError("points(...) takes positional rationals")
-                return finite_points(args)
-            if name == "cantor":
-                alpha, depth = take(kwargs, args, ["alpha", "depth"])
-                return middle_cantor(alpha, as_count(depth, "depth"))
-            if name == "geometric":
-                base, count = take(kwargs, args, ["base", "count"])
-                return geometric_sequence(base, as_count(count, "count"))
-            if name == "powerseq":
-                exponent, count = take(kwargs, args, ["exponent", "count"])
-                return power_sequence(exponent, as_count(count, "count"))
-            if name == "progression":
-                u, delta, m = take(kwargs, args, ["u", "delta", "m"])
-                return arithmetic_progression(u, delta, as_count(m, "m"))
-            if name == "union":
-                if kwargs or not args:
-                    raise ConfigError("union(...) takes generator expressions")
-                if not all(isinstance(a, FractalSet) for a in args):
-                    raise ConfigError("union arguments must be generator expressions")
-                return union_of(*args)
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
-        raise ConfigError(f"unknown generator {name!r}")
-
-    node, end = parse_node(0)
-    if tokens[end] is not None:
-        raise ConfigError(f"trailing input in set expression {expr!r}")
-    return node
+    """Build a set from a generator expression: interval | points(r, ...)
+    | cantor(alpha, depth) | geometric(base, count) | powerseq(exponent,
+    count) | progression(u, delta, m) | union(expr, ...), each argument by
+    position or by keyword."""
+    terms = _read_expression(expr, _SET_TERMS, "set")
+    if len(terms) > 1:
+        raise ConfigError(f"a set expression is one generator, got {expr!r}")
+    return terms[0]
 
 
 # ------------------------------------------------------------------ coverings
@@ -477,7 +425,7 @@ def _unit_exponent(value, what: str) -> float:
 
 
 def _anchors(E: FractalSet) -> list[Fraction]:
-    pts = sorted(set(E.endpoints))
+    pts = list(E.endpoints)
     if len(pts) <= _DIMENSION_ANCHORS:
         return pts
     stride = -(-len(pts) // _DIMENSION_ANCHORS)

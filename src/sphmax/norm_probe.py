@@ -50,10 +50,6 @@ from .radial_operator import (
 )
 from .type_set_geometry import PROBE_FAMILIES, predicted_probe_exponents
 
-# families whose input norm is an indicator measure, read off exactly
-_INDICATOR_KINDS = frozenset(
-    {"BallR", "AnnulusDelta", "SmallBallDelta", "Lorentz2D", "LocalAnnulus"})
-
 _MAX_WITNESS = 6
 _MIN_SCALE = Fraction(1, 2 ** 40)
 
@@ -325,7 +321,8 @@ def run_probe(kind: str, E: FractalSet, d: int, p, q, scales,
     for s in svals:
         try:
             inst = build_probe(family, s, E)
-            if kind in _INDICATOR_KINDS:
+            # an indicator's input norm is its shell measure, read off exactly
+            if all(pc.indicator for pc in inst.profile.pieces):
                 inp = float(_indicator_measure(inst.profile, d)) ** (1.0 / pf)
             else:
                 inp = lp_norm(inst.profile, pf, d, quad)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import copy
 import math
-import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,7 +20,8 @@ import numpy as np
 
 from .errors import (ConfigError, DivergentNormError, DomainError,
                      InsufficientDataError, ParameterError, SingularityError)
-from .fractal_set import FractalSet, as_rational, resolution, separated_points
+from .fractal_set import (FractalSet, _read_expression, as_rational, resolution,
+                          separated_points)
 from .quadrature import (DEFAULT_QUAD, QuadratureSpec, _integrate_rows,
                          integrate)
 
@@ -41,6 +41,11 @@ class ProfilePiece:
     coeff: float
     a_pow: float = 0.0
     b_pow: float = 0.0
+
+    @property
+    def indicator(self) -> bool:
+        """Whether the piece is 1 on its interval."""
+        return self.coeff == 1.0 and self.a_pow == 0.0 and self.b_pow == 0.0
 
 
 def _piece_values(pc: ProfilePiece, s):
@@ -148,46 +153,21 @@ def power_profile(coeff, a_pow, b_pow, lo, hi) -> RadialProfile:
         float(coeff), float(a_pow), float(b_pow)),))
 
 
-_TERM_RE = re.compile(r"\s*(chi|pow)\s*\(([^()]*)\)\s*$")
 _WIDE_SUPPORT = Fraction(2) ** 40
-
-
-def _real_arg(tok: str) -> float:
-    try:
-        return float(Fraction(tok))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"cannot read number {tok!r}") from exc
+_PROFILE_TERMS = {
+    "one": lambda: RadialProfile((ProfilePiece(Fraction(0), _WIDE_SUPPORT, 1.0),)),
+    "chi": indicator, "pow": power_profile}
 
 
 def parse_profile(expr: str) -> RadialProfile:
-    """Build a profile from terms chi(a,b) and pow(c,a_pow,b_pow,a,b)
-    joined by '+'; the bare term 'one' is the constant 1 on a support wide
+    """Build a profile from terms chi(lo, hi), pow(coeff, a_pow, b_pow, lo,
+    hi) and one joined by '+'; one is the constant 1 on a support wide
     enough for any integral this package performs."""
-    if not isinstance(expr, str) or not expr.strip():
-        raise ConfigError("empty profile expression")
-    pieces = []
-    for term in expr.split("+"):
-        if term.strip() == "one":
-            pieces.append(ProfilePiece(Fraction(0), _WIDE_SUPPORT, 1.0))
-            continue
-        m = _TERM_RE.match(term)
-        if m is None:
-            raise ConfigError(f"unrecognized profile term {term.strip()!r}")
-        args = [a.strip() for a in m.group(2).split(",")]
-        if m.group(1) == "chi":
-            if len(args) != 2:
-                raise ConfigError("chi takes two arguments (a, b)")
-            pieces.append(ProfilePiece(
-                as_rational(args[0], ConfigError, "interval endpoint"),
-                as_rational(args[1], ConfigError, "interval endpoint"), 1.0))
-        else:
-            if len(args) != 5:
-                raise ConfigError("pow takes five arguments (c, a_pow, b_pow, a, b)")
-            pieces.append(ProfilePiece(
-                as_rational(args[3], ConfigError, "interval endpoint"),
-                as_rational(args[4], ConfigError, "interval endpoint"),
-                _real_arg(args[0]), _real_arg(args[1]), _real_arg(args[2])))
-    return RadialProfile(tuple(pieces))
+    terms = _read_expression(expr, _PROFILE_TERMS, "profile")
+    try:
+        return RadialProfile(tuple(pc for f in terms for pc in f.pieces))
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _fmt_real(x: float) -> str:
@@ -200,7 +180,7 @@ def profile_expression(f: RadialProfile) -> str:
     """Expression that parse_profile maps back to an equal profile."""
     terms = []
     for pc in f.pieces:
-        if pc.coeff == 1.0 and pc.a_pow == 0.0 and pc.b_pow == 0.0:
+        if pc.indicator:
             terms.append(f"chi({pc.lo},{pc.hi})")
         else:
             terms.append("pow({},{},{},{},{})".format(
@@ -423,17 +403,18 @@ class DilationGrid:
 
 
 def _require_inside(E: FractalSet, points) -> None:
-    """One merge walk of the sorted components of E against the increasing
-    points, each component taking the points up to its right end by
-    bisection; raises at the first point outside E."""
+    """One merge walk of the components of E from the one at the first
+    point, each taking the increasing points up to its right end by
+    bisection until none is left; raises at the first point outside E."""
     j = 0
-    for lo, hi in E.intervals:
-        if j < len(points) and points[j] < lo:
+    for lo, hi in E.intervals[max(E._last_start(points[0]), 0):]:
+        if points[j] < lo:
             break
         j = bisect_right(points, hi, j)
-    if j < len(points):
-        raise ParameterError(
-            f"grid point {points[j]} lies outside the dilation set")
+        if j == len(points):
+            return
+    raise ParameterError(
+        f"grid point {points[j]} lies outside the dilation set")
 
 
 def _golden_max(fn, a: float, b: float, iters: int = 36) -> tuple[float, float]:

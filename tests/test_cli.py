@@ -130,6 +130,20 @@ def test_mean_domain_exit(capsys):
     assert "domain error" in capsys.readouterr().err
 
 
+def test_malformed_expressions_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, """
+[set]
+expression = cantor(alpha=1/0, depth=3)
+
+[dims]
+scales = 2^-2..2^-5
+""")
+    assert main(["dims", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert main(["mean", "3", "chi(2,1)", "1", "1"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # dims
 

@@ -486,6 +486,7 @@ def test_cantor_generation_counts():
         keep = (1 - alpha) / 2
         assert len(E.intervals) == 2 ** k
         assert all(b - a == keep ** k for a, b in E.intervals)
+        assert all(a < b for a, b in zip(E.endpoints, E.endpoints[1:]))
 
 
 def test_cantor_resolution():
@@ -568,6 +569,10 @@ def test_parse_round_trip():
         ("points(3/2)", finite_points([F(3, 2)])),
         ("cantor(alpha=1/3, depth=4)", middle_cantor(F(1, 3), 4)),
         ("cantor(1/3, 4)", middle_cantor(F(1, 3), 4)),
+        ("cantor(alpha=1/3, depth=4,)", middle_cantor(F(1, 3), 4)),
+        ("cantor((1/3), 4)", middle_cantor(F(1, 3), 4)),
+        ("(cantor(alpha=1/3, depth=4))", middle_cantor(F(1, 3), 4)),
+        ("points(1e0)", finite_points([1])),
         ("geometric(base=2, count=5)", geometric_sequence(2, 5)),
         ("powerseq(exponent=2, count=6)", power_sequence(2, 6)),
         ("progression(u=5/4, delta=1/64, m=16)",
@@ -585,13 +590,16 @@ def test_parse_union_nested():
 
 def test_parse_rejects_garbage():
     for expr in ("swirl(1/2)", "cantor(alpha=1/3)", "cantor(alpha=1/3, depth=4) trailing",
-                 "union()", "cantor(alpha=2, depth=1)"):
+                 "union()", "cantor(alpha=2, depth=1)", "cantor(alpha=1/0, depth=3)",
+                 "union(" * 2000 + "interval" + ")" * 2000, "union(interval, 3/2)",
+                 "points(" + "-" * 10000 + "1)", "points(1e3000000)"):
         with pytest.raises(ConfigError):
             parse_set(expr)
 
 
 def test_generator_string_reparses_to_same_set():
-    sets = [middle_cantor(F(1, 3), 3), geometric_sequence(F(3, 2), 4),
+    sets = [middle_cantor(F(1, 3), 3), middle_cantor(F(1, 3), 0),
+            geometric_sequence(F(3, 2), 4),
             arithmetic_progression(F(4, 3), F(1, 32), 5),
             union_of(finite_points([F(3, 2)]), middle_cantor(F(1, 2), 2))]
     for E in sets:

@@ -161,7 +161,9 @@ def test_parse_profile_one_token_is_constant_one():
 
 
 def test_parse_profile_rejects_junk():
-    for bad in ["", "tri(1,2)", "chi(1)", "pow(1,2,3)", "chi(a,b)"]:
+    for bad in ["", "tri(1,2)", "chi(1)", "pow(1,2,3)", "chi(a,b)", "chi(2,1)",
+                "chi(0,2) + chi(1,3)", "pow(one,0,0,1,2)", "chi(0,1e3000000)",
+                "chi(1e-3000000,1)"]:
         with pytest.raises(ConfigError):
             parse_profile(bad)
 
