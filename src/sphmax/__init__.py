@@ -65,7 +65,6 @@ from .radial_operator import (
     parse_profile,
     power_profile,
     profile_expression,
-    sphere_average_mc,
     spherical_mean,
 )
 from .type_set_geometry import (

@@ -30,6 +30,7 @@ from . import __version__
 from .errors import ConfigError, DomainError, PrecisionError
 from .fractal_set import (
     FractalSet,
+    _read_number,
     binary_covering_number,
     covering_number,
     estimate_dimensions,
@@ -62,10 +63,7 @@ def _text(text: str, field: str) -> str:
 
 
 def _rational(text: str, field: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"field {field!r}: not a rational: {text!r}") from exc
+    return _read_number(text.strip(), f"field {field!r}")
 
 
 def _rational_list(text: str, field: str) -> list[Fraction]:
@@ -73,10 +71,6 @@ def _rational_list(text: str, field: str) -> list[Fraction]:
     if not parts:
         raise ConfigError(f"field {field!r}: empty list")
     return [_rational(p, field) for p in parts]
-
-
-def _rational_tuple(text: str, field: str) -> tuple[Fraction, ...]:
-    return tuple(_rational_list(text, field))
 
 
 def _window(text: str, field: str) -> tuple[Fraction, Fraction]:
@@ -143,8 +137,8 @@ def _positive_float(text: str, field: str) -> float:
         v = float(text)
     except ValueError as exc:
         raise ConfigError(f"field {field!r}: not a number: {text!r}") from exc
-    if not v > 0:
-        raise ConfigError(f"field {field!r}: must be positive, got {v}")
+    if not 0 < v < math.inf:
+        raise ConfigError(f"field {field!r}: must be positive and finite, got {v}")
     return v
 
 
@@ -160,7 +154,7 @@ def _tristate(text: str, field: str) -> bool | None:
 # fields.
 _FIELDS = {
     "set": {"expression": _text},
-    "dims": {"scales": _scale_list, "thetas": _rational_tuple},
+    "dims": {"scales": _scale_list, "thetas": _rational_list},
     "region": {"d": _positive_int, "beta": _rational, "gamma": _rational,
                "gamma_star": _rational, "minkowski_bounded": _tristate,
                "assouad_bounded": _tristate, "regular": _tristate},
@@ -181,7 +175,6 @@ class ExperimentConfig:
     """Fully parsed configuration; construction validates every field.
     sections maps each section present in the file to its parsed fields."""
 
-    path: Path | None
     sha256: str
     sections: dict[str, dict]
     quad: QuadratureSpec
@@ -203,11 +196,9 @@ def load_config(path: str | None, out_flag: str | None,
                 tol_flag: float | None) -> ExperimentConfig:
     raw = b""
     parser = configparser.ConfigParser(interpolation=None)
-    cfg_path = None
     if path is not None:
-        cfg_path = Path(path)
         try:
-            raw = cfg_path.read_bytes()
+            raw = Path(path).read_bytes()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
@@ -235,14 +226,14 @@ def load_config(path: str | None, out_flag: str | None,
 
     quad = replace(DEFAULT_QUAD, **sections.get("quadrature", {}))
     if tol_flag is not None:
-        if not tol_flag > 0:
-            raise ConfigError(f"--tol must be positive, got {tol_flag}")
+        if not 0 < tol_flag < math.inf:
+            raise ConfigError(f"--tol must be positive and finite, got {tol_flag}")
         quad = replace(quad, rel_tol=tol_flag)
 
     out_txt = (out_flag or sections.get("output", {}).get("dir")
                or "sphmax-out")
     digest = hashlib.sha256(raw).hexdigest() if raw else "-"
-    return ExperimentConfig(cfg_path, digest, sections, quad, Path(out_txt))
+    return ExperimentConfig(digest, sections, quad, Path(out_txt))
 
 
 # ---------------------------------------------------------------------------

@@ -67,14 +67,10 @@ def _scale(delta, upper=_ONE) -> Fraction:
 
 @dataclass(frozen=True)
 class FractalSet:
-    """Immutable union of disjoint closed rational intervals in [1, 2].
-
-    depth records the generator truncation level (0 for primitive sets);
-    generator is the canonical expression that rebuilds the set.
-    """
+    """Immutable union of disjoint closed rational intervals in [1, 2];
+    generator is the canonical expression that rebuilds the set."""
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
-    depth: int = 0
     generator: str = ""
 
     @property
@@ -121,7 +117,7 @@ def _merged(pairs) -> list:
     return out
 
 
-def _normalize(raw, depth: int, generator: str) -> FractalSet:
+def _normalize(raw, generator: str) -> FractalSet:
     pairs = []
     for lo, hi in raw:
         a = as_rational(lo, ParameterError, "interval endpoint")
@@ -135,24 +131,24 @@ def _normalize(raw, depth: int, generator: str) -> FractalSet:
     lo, hi = merged[0][0], merged[-1][1]
     if lo < 1 or hi > 2:
         raise ParameterError(f"dilation sets must stay inside [1, 2], got hull [{lo}, {hi}]")
-    return FractalSet(tuple(merged), depth, generator)
+    return FractalSet(tuple(merged), generator)
 
 
 # ---------------------------------------------------------------- generators
 
-def from_intervals(intervals, depth: int = 0, generator: str = "") -> FractalSet:
+def from_intervals(intervals) -> FractalSet:
     """Validate, sort and merge raw rational (lo, hi) pairs into a set."""
-    return _normalize(intervals, depth, generator)
+    return _normalize(intervals, "")
 
 
 def full_interval() -> FractalSet:
-    return _normalize([(1, 2)], 0, "interval")
+    return _normalize([(1, 2)], "interval")
 
 
 def finite_points(points) -> FractalSet:
     pts = [as_rational(p, ParameterError, "point") for p in points]
     expr = "points(" + ", ".join(str(p) for p in sorted(set(pts))) + ")"
-    return _normalize([(p, p) for p in pts], 0, expr)
+    return _normalize([(p, p) for p in pts], expr)
 
 
 def middle_cantor(alpha, depth: int) -> FractalSet:
@@ -171,7 +167,7 @@ def middle_cantor(alpha, depth: int) -> FractalSet:
             nxt.append((lo, lo + w))
             nxt.append((hi - w, hi))
         cells = nxt
-    return _normalize(cells, depth, f"cantor(alpha={a}, depth={depth})")
+    return _normalize(cells, f"cantor(alpha={a}, depth={depth})")
 
 
 def _check_count(count) -> None:
@@ -187,8 +183,7 @@ def geometric_sequence(base, count: int) -> FractalSet:
     _check_count(count)
     pts = [(2 - b ** -n) for n in range(1, count + 1)]
     pts.append(_TWO)
-    return _normalize([(p, p) for p in pts], count,
-                      f"geometric(base={b}, count={count})")
+    return _normalize([(p, p) for p in pts], f"geometric(base={b}, count={count})")
 
 
 def power_sequence(exponent, count: int) -> FractalSet:
@@ -199,23 +194,20 @@ def power_sequence(exponent, count: int) -> FractalSet:
     less than any scale the estimators may legally probe.
     """
     _check_count(count)
-    rat = None if isinstance(exponent, float) else as_rational(
-        exponent, ParameterError, "exponent")
-    a = float(exponent) if rat is None else float(rat)
+    a = as_rational(exponent, ParameterError, "exponent")
     if a <= 0:
-        raise ParameterError(f"exponent must be positive, got {exponent!r}")
+        raise ParameterError(f"exponent must be positive, got {a}")
     pts = [_ONE]
     for n in range(1, count + 1):
-        if rat is not None and rat.denominator == 1:
-            pts.append(1 + Fraction(1, n ** rat.numerator))
+        if a.denominator == 1:
+            pts.append(1 + Fraction(1, n ** a.numerator))
         else:
-            val = float(n) ** -a
+            val = float(n) ** -float(a)
             if val == 0.0:
-                raise ParameterError(f"exponent {exponent!r} underflows at n={n}")
+                raise ParameterError(f"exponent {a} underflows at n={n}")
             pts.append(1 + Fraction(val).limit_denominator(2 ** 48))
-    label = str(rat) if rat is not None else repr(exponent)
-    return _normalize([(p, p) for p in pts], count,
-                      f"powerseq(exponent={label}, count={count})")
+    return _normalize([(p, p) for p in pts],
+                      f"powerseq(exponent={a}, count={count})")
 
 
 def arithmetic_progression(u, delta, m: int) -> FractalSet:
@@ -226,7 +218,7 @@ def arithmetic_progression(u, delta, m: int) -> FractalSet:
         raise ParameterError(f"spacing must be positive, got {step}")
     _check_count(m)
     pts = [start + k * step for k in range(m)]
-    return _normalize([(p, p) for p in pts], m,
+    return _normalize([(p, p) for p in pts],
                       f"progression(u={start}, delta={step}, m={m})")
 
 
@@ -235,7 +227,21 @@ def union_of(*sets: FractalSet) -> FractalSet:
         raise ParameterError("union takes one or more sets")
     raw = [iv for s in sets for iv in s.intervals]
     expr = "union(" + ", ".join(s.generator or "?" for s in sets) + ")"
-    return _normalize(raw, max(s.depth for s in sets), expr)
+    return _normalize(raw, expr)
+
+
+def _read_number(text: str, where: str) -> Fraction:
+    """The rational that text spells, for a config value or an expression
+    argument; a ConfigError naming where unless it fits a finite float."""
+    try:
+        # no float reaches 1e400; Fraction would build 10**exponent first
+        if abs(int(text.lower().partition("e")[2] or 0)) > 400:
+            raise ValueError(text)
+        value = Fraction(text)
+        float(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"cannot read number {text!r} in {where}") from exc
+    return value
 
 
 def _read_expression(expr: str, table: dict, what: str) -> list:
@@ -253,15 +259,8 @@ def _read_expression(expr: str, table: dict, what: str) -> list:
         raise ConfigError(f"bad {what} expression: {exc}") from exc
 
     def number(node):
-        src = ast.get_source_segment(text, node)
-        try:
-            # no float reaches 1e400; Fraction would build 10**exponent first
-            if abs(int(src.lower().partition("e")[2] or 0)) > 400:
-                raise ValueError(src)
-            value = Fraction(src)
-            float(value)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ConfigError(f"cannot read number {src!r} in {what} expression") from exc
+        value = _read_number(ast.get_source_segment(text, node),
+                             f"{what} expression")
         return value.numerator if value.denominator == 1 else value
 
     def term(node):

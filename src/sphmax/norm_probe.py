@@ -307,9 +307,10 @@ def run_probe(kind: str, E: FractalSet, d: int, p, q, scales,
     the smallest anchored maximal value over the witness radii. A quadrature
     failure stops the sweep and yields a partial, inconclusive result."""
     family = ProbeFamily(kind, d, t0=t0, u=u, window=window)
+    # validates p, q, beta, gamma and gamma_star before any sweep
+    predicted = float(predicted_probe_exponents(
+        d, beta, gamma, gamma_star, p, q, kind)["gap"])
     pf, qf = float(p), float(q)
-    if pf < 1 or qf < 1:
-        raise ParameterError(f"exponents must be >= 1, got p={p}, q={q}")
     svals = [as_rational(s, InvalidScaleError, "probe scale") for s in scales]
     if len(svals) < 3:
         raise InsufficientDataError("need at least three scales to fit a slope")
@@ -338,9 +339,6 @@ def run_probe(kind: str, E: FractalSet, d: int, p, q, scales,
         slope, resid = _fit_rows(rows)
     else:
         slope, resid = math.nan, math.inf
-    predicted = float(predicted_probe_exponents(
-        d, beta, gamma, gamma_star, _exact(p), _exact(q), kind)["gap"])
-
     if partial or len(rows) < 3 or resid >= RESIDUAL_LIMIT:
         verdict = "inconclusive"
     elif slope < -INCONCLUSIVE_BAND:
@@ -353,18 +351,12 @@ def run_probe(kind: str, E: FractalSet, d: int, p, q, scales,
                        verdict, partial)
 
 
-def _exact(value):
-    if value == math.inf:
-        return math.inf
-    return as_rational(value, what="exponent")
-
-
 # ---------------------------------------------------------------------------
 # log-refinement probes
 
 
 def lorentz_log_probe(scales, s=4, quad: QuadratureSpec = DEFAULT_QUAD,
-                      d: int = 2, E: FractalSet | None = None) -> list[dict]:
+                      E: FractalSet | None = None) -> list[dict]:
     """Lower bound for the Lorentz L^{4,s} quasinorm of the shell family on
     the full interval, sampled over the level range [c sqrt(delta), c].
 
@@ -372,8 +364,6 @@ def lorentz_log_probe(scales, s=4, quad: QuadratureSpec = DEFAULT_QUAD,
     delta^(s/2), and that ratio divided by log2(1/delta), which should sit in
     a constant band; s = inf reports the weak functional over sqrt(delta),
     which stays bounded. Stops early on quadrature failure."""
-    if d != 2:
-        raise ParameterError("the Lorentz shell probe is two-dimensional")
     if s != math.inf:
         sf = float(s)
         if not sf >= 1:

@@ -3,12 +3,11 @@
 For radial data the spherical mean in R^d collapses to a one-dimensional
 integral of the profile against a distance-distribution kernel supported on
 [|r - t|, r + t]. Everything here is built on that reduction; spheres are
-never sampled except by the Monte Carlo cross-check.
+never sampled.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConfigError, DivergentNormError, DomainError,
-                     InsufficientDataError, ParameterError, SingularityError)
+                     ParameterError, SingularityError)
 from .fractal_set import (FractalSet, _read_expression, as_rational, resolution,
                           separated_points)
 from .quadrature import (DEFAULT_QUAD, QuadratureSpec, _integrate_rows,
@@ -64,12 +63,10 @@ class RadialProfile:
 
     Piece interiors must be pairwise disjoint. Pieces carrying a logarithm
     must stay inside [0, 1] so log(1/s) keeps a sign, strictly below 1 when
-    the log power is negative. dim is informational only; norms take the
-    dimension explicitly.
+    the log power is negative.
     """
 
     pieces: tuple[ProfilePiece, ...]
-    dim: int | None = None
     # derived once, so none takes part in equality or repr: per piece its
     # float ends, the float ends again as two ascending arrays, and every
     # breakpoint of the profile as a sorted tuple (1.0 included: log pieces
@@ -100,8 +97,6 @@ class RadialProfile:
             if nxt.lo < prev.hi:
                 raise ParameterError(
                     f"pieces [{prev.lo}, {prev.hi}] and [{nxt.lo}, {nxt.hi}] overlap")
-        if self.dim is not None and (not isinstance(self.dim, int) or self.dim < 2):
-            raise ParameterError("dim must be an integer >= 2 when given")
         object.__setattr__(self, "pieces", tuple(pcs))
         bounds = tuple((float(pc.lo), float(pc.hi)) for pc in pcs)
         object.__setattr__(self, "_table", tuple(
@@ -128,8 +123,7 @@ class RadialProfile:
     def __add__(self, other: "RadialProfile") -> "RadialProfile":
         if not isinstance(other, RadialProfile):
             return NotImplemented
-        dim = self.dim if self.dim == other.dim else None
-        return RadialProfile(self.pieces + other.pieces, dim)
+        return RadialProfile(self.pieces + other.pieces)
 
     @property
     def support(self) -> tuple[Fraction, Fraction] | None:
@@ -245,7 +239,11 @@ def _norm_const(d: int) -> float:
     m = Fraction(math.pi) / 2 if d % 2 == 0 else Fraction(1, 2)
     for k in range(2 + d % 2, d, 2):
         m *= Fraction(k - 1, 4 * k)
-    return float(1 / m)
+    try:
+        return float(1 / m)
+    except OverflowError:
+        raise DomainError(
+            f"the normalization constant overflows a float at d = {d}") from None
 
 
 _LONE_ROW = np.zeros((1, 1), dtype=np.intp)
@@ -310,33 +308,6 @@ def spherical_mean(d: int, f: RadialProfile, r, t,
     return _norm_const(d) * float(raw[0])
 
 
-class MCEstimate(NamedTuple):
-    value: float
-    stderr: float
-
-
-def sphere_average_mc(d: int, f: RadialProfile, r, t, samples: int = 100_000,
-                      rng=None) -> MCEstimate:
-    """Monte Carlo spherical average for d = 2, 3, bypassing the kernel
-    reduction entirely: draws points uniformly on the sphere and averages
-    the profile at their distances from the origin."""
-    if d not in (2, 3):
-        raise ParameterError("the Monte Carlo cross-check supports d = 2 and 3")
-    r = _radius(r)
-    t = _radius(t)
-    if samples < 2:
-        raise InsufficientDataError("need at least two Monte Carlo samples")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    if d == 2:
-        u = np.cos(gen.uniform(0.0, 2.0 * math.pi, samples))
-    else:
-        u = gen.uniform(-1.0, 1.0, samples)
-    s = np.sqrt(r * r + t * t - 2.0 * r * t * u)
-    vals = f.values(s)
-    return MCEstimate(float(vals.mean()),
-                      float(vals.std(ddof=1) / math.sqrt(samples)))
-
-
 # ---------------------------------------------------------------------------
 # maximal operator over a dilation set
 
@@ -387,32 +358,24 @@ class DilationGrid:
         object.__setattr__(grid, "_source", E)
         return grid
 
-    def _split(self, a: float, b: float) -> tuple["DilationGrid", ...]:
-        """The points with floats at most a, strictly between a and b, and
-        at least b, as three grids that may be empty. The floats keep the
-        order of the exact points, so each part is a run of the grid."""
-        i = int(self._floats.searchsorted(a, "right"))
-        j = int(self._floats.searchsorted(b))
-        parts = []
-        for run in (slice(0, i), slice(i, j), slice(j, None)):
-            part = copy.copy(self)
-            object.__setattr__(part, "points", self.points[run])
-            object.__setattr__(part, "_floats", self._floats[run])
-            parts.append(part)
-        return tuple(parts)
 
-
-def _require_inside(E: FractalSet, points) -> None:
-    """One merge walk of the components of E from the one at the first
-    point, each taking the increasing points up to its right end by
-    bisection until none is left; raises at the first point outside E."""
+def _grid_in(E: FractalSet, grid: DilationGrid | None) -> DilationGrid:
+    """The grid, or from_set(E) when None, once one merge walk of the
+    components of E, each taking the points up to its right end by
+    bisection, finds every point inside E; a grid from_set drew from E
+    skips the walk. Raises at the first point outside E."""
+    if grid is None:
+        return DilationGrid.from_set(E)
+    if grid._source is E:
+        return grid
+    points = grid.points
     j = 0
     for lo, hi in E.intervals[max(E._last_start(points[0]), 0):]:
         if points[j] < lo:
             break
         j = bisect_right(points, hi, j)
         if j == len(points):
-            return
+            return grid
     raise ParameterError(
         f"grid point {points[j]} lies outside the dilation set")
 
@@ -434,18 +397,16 @@ def _golden_max(fn, a: float, b: float, iters: int = 36) -> tuple[float, float]:
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _sup_over_dilations(eval_many, cands, E: FractalSet | None,
+def _sup_over_dilations(eval_many, ts, points, E: FractalSet,
                         bounds: tuple[float, float], h: float, start: float = 0.0,
                         iters: int = 30, eval_at=None) -> tuple[float, float | None]:
-    """Discretized sup of eval_many over the candidate dilations cands, a
-    DilationGrid (or a part of one) when E is given and an array of floats
-    when E is None, swept in one batch at their floats: the first strict
-    maximum above start, as a sweep keeping v > best finds it, then a
-    golden polish of eval_at (by default eval_many on a batch of one)
-    within h of that dilation, inside the component of E holding the exact
-    grid point, cut to bounds, or inside bounds when E is None. Returns the
-    value and the dilation, which is None when nothing beats start."""
-    ts = cands if E is None else cands._floats
+    """Discretized sup of eval_many over the candidate dilations ts, floats
+    swept in one batch: the first strict maximum above start, as a sweep
+    keeping v > best finds it, then a golden polish of eval_at (by default
+    eval_many on a batch of one) within h of that dilation, cut to bounds
+    and, unless points is None, to the component of E holding the exact
+    point points[i] behind ts[i]. Returns the value and the dilation, which
+    is None when nothing beats start."""
     if not len(ts):
         return start, None
     values = eval_many(ts)
@@ -455,11 +416,11 @@ def _sup_over_dilations(eval_many, cands, E: FractalSet | None,
     best_v = float(values[i])
     best_t = float(ts[i])
     lo, hi = bounds
-    if E is not None:
-        comp = E.component(cands.points[i])
-        if comp is None or comp[1] <= comp[0]:
+    if points is not None:
+        c_lo, c_hi = E.component(points[i])
+        if c_hi <= c_lo:
             return best_v, best_t
-        lo, hi = max(float(comp[0]), lo), min(float(comp[1]), hi)
+        lo, hi = max(float(c_lo), lo), min(float(c_hi), hi)
     a = max(lo, best_t - h)
     b = min(hi, best_t + h)
     if b > a:
@@ -489,13 +450,11 @@ def maximal_value(d: int, f: RadialProfile, r, E: FractalSet,
     swept in one batch of spherical means; the polish is sequential."""
     _check_dim(d)
     r = _radius(r)
-    if grid is None:
-        grid = DilationGrid.from_set(E)
-    if grid._source is not E:
-        _require_inside(E, grid.points)
+    grid = _grid_in(E, grid)
     best_v, t_star = _sup_over_dilations(
-        lambda ts: np.abs(_spherical_means(d, f, r, ts, quad)), grid, E,
-        (-math.inf, math.inf), float(grid.refinement), -1.0, 36,
+        lambda ts: np.abs(_spherical_means(d, f, r, ts, quad)),
+        grid._floats, grid.points, E, (-math.inf, math.inf),
+        float(grid.refinement), -1.0, 36,
         lambda x: abs(spherical_mean(d, f, r, x, quad)))
     return MaximalValue(best_v, t_star)
 
@@ -614,23 +573,34 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
     """Evaluate each piece of the pointwise decomposition of the maximal
     operator at radius r: the near-diagonal main part (with its reflected
     twin and one-sided remainders when d = 2) and the off-diagonal
-    remainders. Suprema in t are discretized exactly as in maximal_value."""
+    remainders. Suprema in t are discretized exactly as in maximal_value,
+    and every grid point must lie in E.
+
+    p must be at least 1 but changes no sup: for d >= 3 the main part's
+    power of s is (d-1)(1-1/p) - 1 + (d-1)/p = d - 2, and for d = 2 the
+    g-weight s**(1/p) cancels against the s**(1/2 - 1/p) in front."""
     _check_dim(d)
     r = _radius(r)
     p = float(p)
     if not p >= 1.0:
         raise ParameterError(f"p must lie in [1, inf), got {p!r}")
-    if grid is None:
-        grid = DilationGrid.from_set(E)
+    grid = _grid_in(E, grid)
     h = float(grid.refinement)
-    far_lo, near, far_hi = grid._split(r / 2.0, 1.5 * r)
+    # the runs of grid points at most r/2, strictly between, and at least
+    # 3r/2, cut where the floats, which keep the order of the points, do
+    ts, pts = grid._floats, grid.points
+    i = int(ts.searchsorted(r / 2.0, "right"))
+    j = int(ts.searchsorted(1.5 * r))
+    far_lo, near, far_hi = ((ts[:i], pts[:i]), (ts[i:j], pts[i:j]),
+                            (ts[j:], pts[j:]))
     main = 2.0 / 3.0 < r < 4.0
     mid = (r / 2.0, 1.5 * r)
 
-    def sup(on, window, weight, cands, bounds, E=E, scale=1.0):
-        # 0.0 when the regime is off, else the sup over cands of the
-        # integral of weight(s, dlo, dhi) against |f| over the windows
-        # window(ts), divided by scale
+    def sup(on, window, weight, cands, bounds, scale=1.0):
+        # 0.0 when the regime is off, else the sup over the dilations cands,
+        # a pair (floats, exact points or None), of the integral of
+        # weight(s, dlo, dhi) against |f| over the windows window(ts),
+        # divided by scale
         if not on:
             return 0.0
 
@@ -639,13 +609,13 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
                 f, *window(ts), lambda s, dlo, dhi, rows: weight(s, dlo, dhi),
                 quad, absolute=True) / scale
 
-        return _sup_over_dilations(at, cands, E, bounds, h)[0]
+        return _sup_over_dilations(at, *cands, E, bounds, h)[0]
 
     def centred(ts):
         return np.abs(r - ts), r + ts
 
     if d >= 3:
-        w_pow = (d - 1.0) * (1.0 - 1.0 / p) - 1.0 + (d - 1.0) / p
+        w_pow = d - 2.0
         # the remainders run over the whole dilation interval [1, 2]
         hi_t = min(2.0, r / 2.0)
         lo_t = max(1.0, 1.5 * r)
@@ -654,11 +624,11 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
                             near, mid),
             "remainder1": sup(r >= 2.0, lambda ts: (r - ts, r + ts),
                               lambda s, dlo, dhi: 1.0,
-                              np.linspace(1.0, hi_t, 33), (1.0, hi_t), None),
+                              (np.linspace(1.0, hi_t, 33), None), (1.0, hi_t)),
             "remainder2": sup(r < 4.0 / 3.0 and lo_t <= 2.0,
                               lambda ts: (ts - r, ts + r),
                               lambda s, dlo, dhi: 1.0,
-                              np.linspace(lo_t, 2.0, 33), (lo_t, 2.0), None, r),
+                              (np.linspace(lo_t, 2.0, 33), None), (lo_t, 2.0), r),
         }
 
     outer = r >= 2.0
@@ -666,8 +636,6 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
     low = (0.0, r / 2.0)
     high = (1.5 * r, math.inf)
     sqrt_r = math.sqrt(r)
-    # in the main parts the g-weight s**(1/p) cancels against the
-    # s**(1/2 - 1/p) in front
     return {
         "mainpart": sup(main, centred,
                         lambda s, dlo, dhi: np.sqrt(s) / np.sqrt(dlo), near, mid),
@@ -687,7 +655,10 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
     }
 
 
-def circular_components(f: RadialProfile, r, steps: int = 4096) -> dict[str, float]:
+_CIRCULAR_STEPS = 4096
+
+
+def circular_components(f: RadialProfile, r) -> dict[str, float]:
     """Averaged (U) and sliding-window (R) functionals over dilations in
     [1, 2] that dominate the square of the circular maximal function of a
     piecewise constant profile; evaluated in closed form on a dense grid."""
@@ -698,7 +669,7 @@ def circular_components(f: RadialProfile, r, steps: int = 4096) -> dict[str, flo
                 "closed-form window functionals need a piecewise constant profile")
     out = {"U": 0.0, "R": 0.0}
     if r > 0.5 and 2.0 * r > 1.0:
-        t = np.linspace(1.0, min(2.0, 2.0 * r), steps)
+        t = np.linspace(1.0, min(2.0, 2.0 * r), _CIRCULAR_STEPS)
         lo_w = np.abs(r - t)
         hi_w = r + t
         acc = np.zeros_like(t)
@@ -709,7 +680,7 @@ def circular_components(f: RadialProfile, r, steps: int = 4096) -> dict[str, flo
             acc[m] += abs(pc.coeff) * 0.5 * (b[m] ** 2 - a[m] ** 2)
         out["U"] = float(acc.max() / r)
     if r <= 1.0 and 2.0 * r <= 2.0:
-        t = np.linspace(max(1.0, 2.0 * r), 2.0, steps)
+        t = np.linspace(max(1.0, 2.0 * r), 2.0, _CIRCULAR_STEPS)
         acc = np.zeros_like(t)
         for pc in f.pieces:
             ov = (np.minimum(t + r, float(pc.hi))

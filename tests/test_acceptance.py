@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import kernel_mass, random_fractal_set
+from conftest import kernel_mass, random_fractal_set, sphere_average_mc
 from sphmax.fractal_set import (
     arithmetic_progression,
     binary_covering_number,
@@ -30,7 +30,6 @@ from sphmax.radial_operator import (
     maximal_value,
     parse_profile,
     power_profile,
-    sphere_average_mc,
     spherical_mean,
 )
 from sphmax.type_set_geometry import region

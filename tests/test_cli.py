@@ -128,6 +128,23 @@ def test_mean_precision_exit(tmp_path, capsys):
 def test_mean_domain_exit(capsys):
     assert main(["mean", "1", "one", "1", "1"]) == 3
     assert "domain error" in capsys.readouterr().err
+    # from d = 1022 on, the normalization constant exceeds every float
+    for d in ("1022", "2000"):
+        assert main(["mean", d, "one", "1", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "domain error" in err and f"d = {d}" in err
+
+
+@pytest.mark.parametrize("value", ["1e500", "inf"])
+def test_config_numbers_must_be_finite_floats(tmp_path, capsys, value):
+    cfg = write_cfg(tmp_path, f"[region]\nd = 3\nbeta = {value}\n")
+    assert main(["region", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    cfg = write_cfg(tmp_path, f"[quadrature]\nrel_tol = {value}\n")
+    assert main(["mean", "3", "one", "1", "1", "--config", cfg]) == 2
+    assert main(["mean", "3", "one", value, "1"]) == 2
+    assert main(["mean", "3", "one", "1", "1", "--tol", value]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error") == 4
 
 
 def test_malformed_expressions_exit_2(tmp_path, capsys):

@@ -610,7 +610,7 @@ def test_fractalset_is_hashable_and_frozen():
     E = middle_cantor(F(1, 3), 2)
     assert hash(E) == hash(middle_cantor(F(1, 3), 2))
     with pytest.raises(AttributeError):
-        E.depth = 3
+        E.generator = "interval"
 
 
 def test_component_and_nearest_match_linear_scans():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sphmax import norm_probe
 from sphmax.errors import (
     DegenerateProbeError,
     InsufficientDataError,
@@ -238,6 +239,22 @@ def test_run_probe_validation():
         run_probe("AnnulusDelta", POINT, 2, F(1, 2), 4, DYADIC, t0=F(3, 2))
 
 
+def test_run_probe_checks_exponents_before_sweeping(monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the exponents were checked")
+
+    monkeypatch.setattr(norm_probe, "maximal_value", sweep)
+    E = arithmetic_progression(F(5, 4), F(1, 128), 16)
+    setup = dict(u=F(9, 8), window=(F(5, 4), F(11, 8)), beta=0,
+                 gamma=F(1, 2), gamma_star=F(1, 2))
+    scales = [F(1, 2 ** k) for k in range(7, 13)]
+    for p, q, extra in [(2.0, 4, {}), (2, 4.0, {}), (F(1, 2), 4, {}),
+                        (2, 4, {"gamma": F(3, 4)})]:
+        with pytest.raises(ParameterError):
+            run_probe("LocalAnnulus", E, 2, p, q, scales,
+                      **{**setup, **extra})
+
+
 def test_run_probe_smallball_power_law_on_cantor():
     E = middle_cantor(F(1, 3), 8)
     beta = F(6309, 10000)
@@ -304,8 +321,6 @@ def test_lorentz_stable_under_quadrature_refinement():
 
 
 def test_lorentz_validation():
-    with pytest.raises(ParameterError):
-        lorentz_log_probe([F(1, 64)], d=3)
     with pytest.raises(ParameterError):
         lorentz_log_probe([F(1, 64)], s=F(1, 2))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import kernel_mass
+from conftest import kernel_mass, sphere_average_mc
 from sphmax.errors import (ConfigError, DivergentNormError, DomainError,
                            InsufficientDataError, ParameterError,
                            SingularityError)
@@ -21,8 +21,7 @@ from sphmax.radial_operator import (DilationGrid, MaximalValue, RadialProfile,
                                     decomposition_components, indicator,
                                     kernel, lp_norm, maximal_value,
                                     parse_profile, power_profile,
-                                    profile_expression, sphere_average_mc,
-                                    spherical_mean)
+                                    profile_expression, spherical_mean)
 
 TIGHT = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13, max_refinement=30)
 
@@ -672,6 +671,27 @@ def test_components_pinned_bits():
         (3, 2.5): {"mainpart": "0x1.0a0bbf958cf78p+2",
                    "remainder1": "0x1.857720764437ap+0", "remainder2": zero},
     }
+
+
+def test_components_do_not_depend_on_p():
+    # for d >= 3 the main part's power of s is d - 2 at every p, and for
+    # d = 2 the g-weight cancels, so every p gives the bits of p = 2
+    E = middle_cantor(F(1, 3), 2)
+    g = DilationGrid.from_set(E, F(1, 32))
+    f = parse_profile("chi(1/2,3/2) + pow(2,-1/2,0,2,3)")
+    for d in range(2, 8):
+        for r in (0.6, 0.9, 1.2, 1.7, 2.5, 3.5):
+            want = decomposition_components(d, E, f, 2, r, grid=g)
+            for p in (1, F(3, 2), 3, 100):
+                assert decomposition_components(d, E, f, p, r, grid=g) == want
+
+
+def test_components_reject_points_outside_set():
+    # a sup over E must not be taken at t = 1 or 2 when E = {3/2}
+    E = finite_points([F(3, 2)])
+    g = DilationGrid((F(1), F(2)), F(1, 64))
+    with pytest.raises(ParameterError, match="grid point 1 "):
+        decomposition_components(3, E, indicator(F(1, 2), 3), 2, 1.2, grid=g)
 
 
 def test_components_indicator_zones():
