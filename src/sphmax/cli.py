@@ -17,6 +17,7 @@ import argparse
 import configparser
 import csv
 import datetime
+import functools
 import hashlib
 import math
 import random
@@ -389,9 +390,8 @@ def cmd_probe(args) -> int:
     E = config.dilation_set()
     extra = {k: pp[k] for k in ("t0", "u", "window", "beta", "gamma",
                                 "gamma_star") if k in pp}
-    results = [run_probe(pp["family"], E, pp["d"], p, q, pp["scales"],
-                         config.quad, **extra)
-               for p, q in pp["pq"]]
+    results = run_probe(pp["family"], E, pp["d"], pp["pq"], pp["scales"],
+                        config.quad, **extra)
 
     out = _out_dir(config)
     rows_path = out / "probe_rows.csv"
@@ -600,7 +600,9 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: building costs as much as a short subcommand
     parser = argparse.ArgumentParser(
         prog="sphmax",
         description="Spherical maximal means over fractal dilation sets")

@@ -43,9 +43,10 @@ from .radial_operator import (
     DilationGrid,
     RadialProfile,
     _check_dim,
+    _maximal_values,
     indicator,
     lp_norm,
-    maximal_value,
+    maximal_value,  # noqa: F401  (callers patch and trace it here)
     power_profile,
 )
 from .type_set_geometry import PROBE_FAMILIES, predicted_probe_exponents
@@ -222,6 +223,10 @@ def build_probe(family: ProbeFamily, scale,
             raise InvalidScaleError(
                 "the Lorentz shell needs scale <= 1/16 for a nonempty witness")
         radii, anchors = _lorentz_ladder(s, Fraction(1, 4))
+        for t in anchors if E is not None else ():
+            if E.component(t) is None:
+                raise DegenerateProbeError(f"witness dilation {t} at scale {s} "
+                                           "lies outside the dilation set")
         return ProbeInstance(family, s, indicator(1 - s, 1), tuple(radii),
                              tuple(anchors), ((s, Fraction(1, 4)),), s / 4)
 
@@ -272,19 +277,12 @@ class ProbeResult:
     partial: bool = False
 
 
-def _indicator_measure(profile: RadialProfile, d: int) -> Fraction:
-    return _shell_measure(((pc.lo, pc.hi) for pc in profile.pieces), d)
-
-
 def _witness_bound(inst: ProbeInstance, E: FractalSet,
                    quad: QuadratureSpec) -> float:
-    lam = math.inf
-    for r, anchor in zip(inst.witness_radii, inst.witness_anchors):
-        grid = DilationGrid((anchor,), inst.anchor_refinement)
-        v = maximal_value(inst.family.d, inst.profile, float(r), E, grid,
-                          quad).value
-        lam = min(lam, v)
-    return lam
+    grids = [DilationGrid((anchor,), inst.anchor_refinement)
+             for anchor in inst.witness_anchors]
+    return min(m.value for m in _maximal_values(
+        inst.family.d, inst.profile, inst.witness_radii, E, grids, quad))
 
 
 def _fit_rows(rows) -> tuple[float, float]:
@@ -295,60 +293,71 @@ def _fit_rows(rows) -> tuple[float, float]:
     return float(slope), resid
 
 
-def run_probe(kind: str, E: FractalSet, d: int, p, q, scales,
+def run_probe(kind: str, E: FractalSet, d: int, pq, scales,
               quad: QuadratureSpec = DEFAULT_QUAD, *,
               t0=None, u=None, window=None,
-              beta=1, gamma=1, gamma_star=1) -> ProbeResult:
-    """Sweep the probe over the scales and compare against the prediction.
+              beta=1, gamma=1, gamma_star=1) -> list[ProbeResult]:
+    """Sweep the probe over the scales for the list pq of exponent pairs
+    (p, q) and compare against the predictions; one result per pair.
 
-    Per scale: input_norm is the exact indicator measure to the 1/p (a
-    Lorentz L^{p,1} surrogate) or the quadrature L^p norm for the log
-    families; output_functional is lambda * mu_d(witness)^(1/q) with lambda
-    the smallest anchored maximal value over the witness radii. A quadrature
-    failure stops the sweep and yields a partial, inconclusive result."""
+    Per scale the instance and lambda, the smallest anchored maximal value
+    over the witness radii, serve every pair. A pair's input_norm is the
+    exact indicator measure to the 1/p (a Lorentz L^{p,1} surrogate) or the
+    quadrature L^p norm for the log families; its output_functional is
+    lambda * mu_d(witness)^(1/q). A quadrature failure stops every pair if
+    in lambda, else its own, with a partial, inconclusive result."""
     family = ProbeFamily(kind, d, t0=t0, u=u, window=window)
-    # validates p, q, beta, gamma and gamma_star before any sweep
-    predicted = float(predicted_probe_exponents(
-        d, beta, gamma, gamma_star, p, q, kind)["gap"])
-    pf, qf = float(p), float(q)
+    pq = list(pq)
+    # validates every p, q, beta, gamma and gamma_star before any sweep
+    predicted = [float(predicted_probe_exponents(
+        d, beta, gamma, gamma_star, p, q, kind)["gap"]) for p, q in pq]
+    exps = [(float(p), float(q)) for p, q in pq]
     svals = [as_rational(s, InvalidScaleError, "probe scale") for s in scales]
     if len(svals) < 3:
         raise InsufficientDataError("need at least three scales to fit a slope")
     if any(b >= a for a, b in zip(svals, svals[1:])):
         raise ParameterError("scales must be strictly decreasing")
 
-    rows = []
-    partial = False
+    rows = [[] for _ in exps]
+    partial = [False] * len(exps)
     for s in svals:
-        try:
-            inst = build_probe(family, s, E)
-            # an indicator's input norm is its shell measure, read off exactly
-            if all(pc.indicator for pc in inst.profile.pieces):
-                inp = float(_indicator_measure(inst.profile, d)) ** (1.0 / pf)
-            else:
-                inp = lp_norm(inst.profile, pf, d, quad)
-            lam = _witness_bound(inst, E, quad)
-            out = lam * float(inst.witness_measure) ** (1.0 / qf)
-            rows.append(ProbeRow(float(s), inp, out, out / inp))
-        except PrecisionError:
-            partial = True
+        if all(partial):
             break
-    rows.sort(key=lambda row: row.scale)
-
-    if len(rows) >= 3:
-        slope, resid = _fit_rows(rows)
-    else:
-        slope, resid = math.nan, math.inf
-    if partial or len(rows) < 3 or resid >= RESIDUAL_LIMIT:
+        inst = build_probe(family, s, E)
+        try:
+            lam = _witness_bound(inst, E, quad)
+        except PrecisionError:
+            partial = [True] * len(exps)
+            break
+        # an indicator's input norm is its shell measure, read off exactly
+        pcs = inst.profile.pieces
+        exact = (float(_shell_measure(((pc.lo, pc.hi) for pc in pcs), d))
+                 if all(pc.indicator for pc in pcs) else None)
+        for k, (pf, qf) in enumerate(exps):
+            if partial[k]:
+                continue
+            try:
+                inp = (exact ** (1.0 / pf) if exact is not None
+                       else lp_norm(inst.profile, pf, d, quad))
+            except PrecisionError:
+                partial[k] = True
+                continue
+            out = lam * float(inst.witness_measure) ** (1.0 / qf)
+            rows[k].append(ProbeRow(float(s), inp, out, out / inp))
+    results = []
+    for (pf, qf), pair_rows, gap, stop in zip(exps, rows, predicted, partial):
+        pair_rows.sort(key=lambda row: row.scale)
+        slope, resid = (_fit_rows(pair_rows) if len(pair_rows) >= 3
+                        else (math.nan, math.inf))
         verdict = "inconclusive"
-    elif slope < -INCONCLUSIVE_BAND:
-        verdict = "violation-detected"
-    elif slope > INCONCLUSIVE_BAND:
-        verdict = "consistent"
-    else:
-        verdict = "inconclusive"
-    return ProbeResult(family, pf, qf, tuple(rows), slope, resid, predicted,
-                       verdict, partial)
+        if not (stop or len(pair_rows) < 3 or resid >= RESIDUAL_LIMIT):
+            if slope < -INCONCLUSIVE_BAND:
+                verdict = "violation-detected"
+            elif slope > INCONCLUSIVE_BAND:
+                verdict = "consistent"
+        results.append(ProbeResult(family, pf, qf, tuple(pair_rows), slope,
+                                   resid, gap, verdict, stop))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +382,20 @@ def lorentz_log_probe(scales, s=4, quad: QuadratureSpec = DEFAULT_QUAD,
     rows: list[dict] = []
     for raw in scales:
         delta = as_rational(raw, InvalidScaleError, "probe scale")
-        inst = build_probe(family, delta, E)
+        inst = build_probe(family, delta)
         # ladder past the conservative 1/4 witness cap: the edge-tangent
         # dilation 1 - delta + r stays admissible for radii up to 1, and each
         # sampled value is a grid-and-polish lower bound on the maximal
         # value, up to the quadrature's |G15 - G7| error estimate
-        lams = []
-        mus = []
+        radii, anchors = _lorentz_ladder(delta, Fraction(1))
+        grids = [DilationGrid((E.nearest(anchor),), inst.anchor_refinement)
+                 for anchor in anchors]
         try:
-            for r, anchor in zip(*_lorentz_ladder(delta, Fraction(1))):
-                grid = DilationGrid((E.nearest(anchor),),
-                                    inst.anchor_refinement)
-                lams.append(maximal_value(2, inst.profile, float(r), E, grid,
-                                          quad).value)
-                mus.append(float(_shell_measure(((delta, r),), 2)))
+            lams = [m.value for m in _maximal_values(2, inst.profile, radii, E,
+                                                     grids, quad)]
         except PrecisionError:
             break
+        mus = [float(_shell_measure(((delta, r),), 2)) for r in radii]
         k = math.log2(1.0 / float(delta))
         if s == math.inf:
             value = max(l * m ** 0.25 for l, m in zip(lams, mus))

@@ -22,12 +22,12 @@ Rows go through in chunks of at most _CHUNK_ROWS. A chunk of at least
 _ARRAY_ROWS rows, such as a dilation sweep, is laid out and summed over
 its first round as numpy columns, with no Python per panel; only the rows
 that miss their budget get a heap of panels for the lockstep refinement.
-Smaller batches and lone rows, such as the golden polish, keep the
-per-panel Python layout: below about 32 rows the fixed cost of the array
-steps is larger than what they save. A lone spherical mean costs about
-30 to 55 us on a shared 2-CPU host, mostly the fixed cost of some twenty
-numpy calls rather than arithmetic, so panels carry the center and half
-width their nodes are computed from. Both layouts produce the same panels in
+Smaller batches and lone rows, such as the steps of a golden polish (a
+lone row, or one row per witness radius polished in lockstep), keep the
+per-panel layout: below about 32 rows the array steps cost more than they
+save. A lone spherical mean costs about 30 to 55 us on a shared 2-CPU
+host, mostly the fixed cost of some twenty numpy calls, so panels carry
+the center and half width their nodes are computed from. Both layouts produce the same panels in
 the same order and sum them in the same order, so every value is bitwise
 that of the point by point computation.
 """

@@ -277,18 +277,18 @@ def _profile_integrals(f: RadialProfile, los, his, weight, quad,
 def _spherical_means(d: int, f: RadialProfile, r, ts,
                      quad: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
     """Averages of the radial profile f over the spheres of radii ts whose
-    centers lie at distance r from the origin, integrated together; each
-    entry is bitwise the spherical_mean of its radius."""
+    centers lie at distance r (one for all, or one per radius) from the
+    origin, integrated together; each is bitwise its spherical_mean."""
     _check_dim(d)
-    r = _radius(r)
     ts = np.array(ts, dtype=float).ravel()
-    if not ((ts > 0.0) & (ts < math.inf)).all():
+    rs = np.full(ts.shape, r, dtype=float)
+    if not ((ts > 0.0) & (ts < math.inf) & (rs > 0.0) & (rs < math.inf)).all():
         raise DomainError("spherical mean radii must be positive and finite")
 
     def kern(s, dlo, dhi, rows):
-        return _kernel_factor(d, r, ts[rows], s, dlo, dhi)
+        return _kernel_factor(d, rs[rows], ts[rows], s, dlo, dhi)
 
-    raw = _profile_integrals(f, np.abs(r - ts), r + ts, kern, quad)
+    raw = _profile_integrals(f, np.abs(rs - ts), rs + ts, kern, quad)
     return _norm_const(d) * raw
 
 
@@ -380,61 +380,99 @@ def _grid_in(E: FractalSet, grid: DilationGrid | None) -> DilationGrid:
         f"grid point {points[j]} lies outside the dilation set")
 
 
-def _golden_max(fn, a: float, b: float, iters: int = 36) -> tuple[float, float]:
+def _golden_search(a: float, b: float, iters: int):
+    """Golden-section search for a maximum on [a, b], as a generator that
+    is sent the value of each abscissa it yields; it yields the best last."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = fn(c)
-    fd = fn(d)
+    fc = yield c
+    fd = yield d
     for _ in range(iters):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = fn(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc >= fd else (d, fd)
+            fd = yield d
+    yield (c, fc) if fc >= fd else (d, fd)
 
 
-def _sup_over_dilations(eval_many, ts, points, E: FractalSet,
-                        bounds: tuple[float, float], h: float, start: float = 0.0,
-                        iters: int = 30, eval_at=None) -> tuple[float, float | None]:
-    """Discretized sup of eval_many over the candidate dilations ts, floats
-    swept in one batch: the first strict maximum above start, as a sweep
-    keeping v > best finds it, then a golden polish of eval_at (by default
-    eval_many on a batch of one) within h of that dilation, cut to bounds
-    and, unless points is None, to the component of E holding the exact
-    point points[i] behind ts[i]. Returns the value and the dilation, which
-    is None when nothing beats start."""
-    if not len(ts):
-        return start, None
-    values = eval_many(ts)
-    i = int(np.argmax(values))
-    if not values[i] > start:
-        return start, None
-    best_v = float(values[i])
-    best_t = float(ts[i])
-    lo, hi = bounds
-    if points is not None:
-        c_lo, c_hi = E.component(points[i])
-        if c_hi <= c_lo:
-            return best_v, best_t
-        lo, hi = max(float(c_lo), lo), min(float(c_hi), hi)
-    a = max(lo, best_t - h)
-    b = min(hi, best_t + h)
-    if b > a:
-        if eval_at is None:
-            eval_at = lambda x: float(eval_many(np.array([x]))[0])
-        tt, vv = _golden_max(eval_at, a, b, iters)
-        if vv > best_v:
-            best_v, best_t = vv, tt
-    return best_v, best_t
+def _golden_max(fn, brackets, iters: int) -> list[tuple[float, float]]:
+    """Per bracket (a, b), the best pair its golden-section search finds, the
+    searches in lockstep: fn maps their abscissae to values once per step."""
+    searches = [_golden_search(a, b, iters) for a, b in brackets]
+    xs = [next(search) for search in searches]
+    for _ in range(iters + 2):
+        xs = [search.send(v) for search, v in zip(searches, fn(xs))]
+    return xs
+
+
+def _sup_over_dilations(eval_many, sweeps, E: FractalSet, start: float = 0.0,
+                        iters: int = 30) -> list[tuple[float, float | None]]:
+    """Discretized sups of eval_many(ts, k), ts[i] a dilation of sweep k[i],
+    one per sweep (ts, points, bounds, h), all swept in one batch: the first
+    strict maximum above start, as a sweep keeping v > best finds it, then
+    a golden polish, in lockstep, within h of it, cut to bounds and, unless
+    points is None, to the component of E holding the point points[i]
+    behind ts[i]. Per sweep the value and the dilation, None if nothing
+    beats start."""
+    owner = np.repeat(np.arange(len(sweeps)), [len(sw[0]) for sw in sweeps])
+    values = (eval_many(np.concatenate([sw[0] for sw in sweeps]), owner)
+              if len(owner) else ())
+    best, brackets, polished = [], [], []
+    end = 0
+    for k, (ts, points, (lo, hi), h) in enumerate(sweeps):
+        v = values[end:end + len(ts)]
+        end += len(ts)
+        i = int(np.argmax(v)) if len(ts) else 0
+        if not len(ts) or not v[i] > start:
+            best.append((start, None))
+            continue
+        t = float(ts[i])
+        best.append((float(v[i]), t))
+        if points is not None:
+            c_lo, c_hi = E.component(points[i])
+            if c_hi <= c_lo:
+                continue
+            lo, hi = max(float(c_lo), lo), min(float(c_hi), hi)
+        a, b = max(lo, t - h), min(hi, t + h)
+        if b > a:
+            brackets.append((a, b))
+            polished.append(k)
+    if brackets:
+        found = _golden_max(lambda xs: eval_many(xs, polished), brackets,
+                            iters)
+        for k, (tt, vv) in zip(polished, found):
+            if vv > best[k][0]:
+                best[k] = (float(vv), tt)
+    return best
 
 
 class MaximalValue(NamedTuple):
     value: float
     t: float
+
+
+def _maximal_values(d: int, f: RadialProfile, rs, E: FractalSet, grids,
+                    quad: QuadratureSpec = DEFAULT_QUAD) -> list[MaximalValue]:
+    """maximal_value at every radius rs[k] over grids[k], all grids checked
+    against E first, swept in one batch and polished in lockstep; each
+    entry is bitwise the maximal_value of its pair alone."""
+    _check_dim(d)
+    rs = [_radius(r) for r in rs]
+    grids = [_grid_in(E, grid) for grid in grids]
+
+    def absmeans(ts, k):
+        if len(ts) == 1:
+            # a lone row, as in a polish step: the scalar kernel is cheaper
+            return [abs(spherical_mean(d, f, rs[k[0]], ts[0], quad))]
+        return np.abs(_spherical_means(d, f, np.take(rs, k), ts, quad))
+
+    return [MaximalValue(*found) for found in _sup_over_dilations(
+        absmeans, [(g._floats, g.points, (-math.inf, math.inf),
+                    float(g.refinement)) for g in grids], E, -1.0, 36)]
 
 
 def maximal_value(d: int, f: RadialProfile, r, E: FractalSet,
@@ -446,17 +484,9 @@ def maximal_value(d: int, f: RadialProfile, r, E: FractalSet,
 
     Every grid point must lie in E; the polish step then cannot leave E, so
     the result is a lower bound for the supremum, up to the quadrature
-    error, which is the |G15 - G7| estimate and not a bound. The grid is
-    swept in one batch of spherical means; the polish is sequential."""
-    _check_dim(d)
-    r = _radius(r)
-    grid = _grid_in(E, grid)
-    best_v, t_star = _sup_over_dilations(
-        lambda ts: np.abs(_spherical_means(d, f, r, ts, quad)),
-        grid._floats, grid.points, E, (-math.inf, math.inf),
-        float(grid.refinement), -1.0, 36,
-        lambda x: abs(spherical_mean(d, f, r, x, quad)))
-    return MaximalValue(best_v, t_star)
+    error, which is the |G15 - G7| estimate and not a bound. It is the
+    batch of one of _maximal_values."""
+    return _maximal_values(d, f, (r,), E, (grid,), quad)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -604,12 +634,13 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
         if not on:
             return 0.0
 
-        def at(ts):
+        def at(ts, _):
             return _profile_integrals(
-                f, *window(ts), lambda s, dlo, dhi, rows: weight(s, dlo, dhi),
+                f, *window(np.asarray(ts)),
+                lambda s, dlo, dhi, rows: weight(s, dlo, dhi),
                 quad, absolute=True) / scale
 
-        return _sup_over_dilations(at, *cands, E, bounds, h)[0]
+        return _sup_over_dilations(at, [(*cands, bounds, h)], E)[0][0]
 
     def centred(ts):
         return np.abs(r - ts), r + ts

@@ -126,9 +126,9 @@ def test_criterion_07_necessary_condition_probes():
     start = time.monotonic()
     E = full_interval()
     scales = [F(1, 2 ** k) for k in range(4, 11)]
-    res = run_probe("AnnulusDelta", E, 2, 2, 4, scales, t0=F(3, 2))
+    res = run_probe("AnnulusDelta", E, 2, [(2, 4)], scales, t0=F(3, 2))[0]
     assert -0.05 <= res.fitted_exponent <= 0.05
-    res = run_probe("AnnulusDelta", E, 2, 2, 5, scales, t0=F(3, 2))
+    res = run_probe("AnnulusDelta", E, 2, [(2, 5)], scales, t0=F(3, 2))[0]
     assert res.verdict == "violation-detected"
     assert time.monotonic() - start < 60.0
 
@@ -143,8 +143,8 @@ def test_criterion_07_necessary_condition_probes():
     xs = [x_star + (k - 3) * step for k in range(7)]
     verdicts = []
     for x in xs:
-        res = run_probe("SmallBallDelta", E, 3, 1 / x, 3, cantor_scales,
-                        beta=beta)
+        res = run_probe("SmallBallDelta", E, 3, [(1 / x, 3)], cantor_scales,
+                        beta=beta)[0]
         verdicts.append(res.verdict)
     assert verdicts[0] == "consistent"
     assert verdicts[-1] == "violation-detected"
@@ -196,10 +196,10 @@ def test_criterion_10_local_annulus_scaling():
     E = arithmetic_progression(F(5, 4), F(1, 128), 16)
     window = (F(5, 4), F(5, 4) + F(1, 8))
     q = 4
-    res = run_probe("LocalAnnulus", E, 2, 2, q,
+    res = run_probe("LocalAnnulus", E, 2, [(2, q)],
                     [F(1, 2 ** k) for k in range(7, 13)],
                     u=F(9, 8), window=window,
-                    beta=0, gamma=F(1, 2), gamma_star=F(1, 2))
+                    beta=0, gamma=F(1, 2), gamma_star=F(1, 2))[0]
     x = np.log([row.scale for row in res.rows])
     y = np.log([row.output_functional for row in res.rows])
     slope = np.polyfit(x, y, 1)[0]

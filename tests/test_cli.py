@@ -327,6 +327,18 @@ def test_probe_domain_error_exit(tmp_path, capsys):
     assert "domain error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expression, missed", [
+    ("cantor(alpha=1/3, depth=3)", "39/32"), ("points(1, 3/2, 2)", "33/32")])
+def test_probe_lorentz_witness_outside_set_exit(tmp_path, capsys, expression,
+                                                missed):
+    cfg = write_cfg(tmp_path, f"[set]\nexpression = {expression}\n\n[probe]\n"
+                    "family = Lorentz2D\nd = 2\npq = 2:4, 3:4\n"
+                    "scales = 2^-5..2^-7\n")
+    assert main(["probe", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert f"witness dilation {missed} at scale 1/32 lies outside" in err
+
+
 # ---------------------------------------------------------------------------
 # verify and report
 

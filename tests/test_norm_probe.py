@@ -12,6 +12,7 @@ from sphmax.errors import (
     InsufficientDataError,
     InvalidScaleError,
     ParameterError,
+    PrecisionError,
 )
 from sphmax.fractal_set import (
     arithmetic_progression,
@@ -21,6 +22,7 @@ from sphmax.fractal_set import (
     local_covering_number,
     middle_cantor,
     separated_points,
+    union_of,
 )
 from sphmax.norm_probe import (
     ProbeFamily,
@@ -29,7 +31,7 @@ from sphmax.norm_probe import (
     lorentz_log_probe,
     run_probe,
 )
-from sphmax.quadrature import QuadratureSpec
+from sphmax.quadrature import DEFAULT_QUAD, QuadratureSpec
 from sphmax.radial_operator import DilationGrid, maximal_value
 
 F = Fraction
@@ -158,7 +160,7 @@ def test_build_scale_guards():
 
 
 def test_run_probe_annulus_critical_line():
-    res = run_probe("AnnulusDelta", POINT, 2, 2, 4, DYADIC, t0=F(3, 2))
+    res = run_probe("AnnulusDelta", POINT, 2, [(2, 4)], DYADIC, t0=F(3, 2))[0]
     assert abs(res.fitted_exponent) <= 0.05
     assert res.residual < 1e-9
     assert res.predicted_gap == 0.0
@@ -167,18 +169,18 @@ def test_run_probe_annulus_critical_line():
 
 
 def test_run_probe_annulus_verdicts():
-    res = run_probe("AnnulusDelta", POINT, 2, 2, 5, DYADIC, t0=F(3, 2))
+    res = run_probe("AnnulusDelta", POINT, 2, [(2, 5)], DYADIC, t0=F(3, 2))[0]
     assert res.verdict == "violation-detected"
     assert abs(res.fitted_exponent - (2 / 5 - 1 / 2)) < 0.02
     assert abs(res.predicted_gap - (2 / 5 - 1 / 2)) < 1e-12
 
-    res = run_probe("AnnulusDelta", POINT, 2, 2, 3, DYADIC, t0=F(3, 2))
+    res = run_probe("AnnulusDelta", POINT, 2, [(2, 3)], DYADIC, t0=F(3, 2))[0]
     assert res.verdict == "consistent"
     assert abs(res.fitted_exponent - (2 / 3 - 1 / 2)) < 0.02
 
 
 def test_run_probe_rows_sorted_and_consistent():
-    res = run_probe("AnnulusDelta", POINT, 2, 2, 4, DYADIC, t0=F(3, 2))
+    res = run_probe("AnnulusDelta", POINT, 2, [(2, 4)], DYADIC, t0=F(3, 2))[0]
     scales = [row.scale for row in res.rows]
     assert scales == sorted(scales)
     assert len(res.rows) == len(DYADIC)
@@ -190,8 +192,8 @@ def test_input_norm_scaling_exponents():
     # the L^{p,1} surrogate follows the claimed input exponent within 2%
     for kind, p, want in (("AnnulusDelta", 2, 1 / 2), ("BallR", 3, -3 / 3)):
         extra = {"t0": F(3, 2)} if kind == "AnnulusDelta" else {}
-        res = run_probe(kind, POINT, 3 if kind == "BallR" else 2, p, 4,
-                        DYADIC, **extra)
+        res = run_probe(kind, POINT, 3 if kind == "BallR" else 2, [(p, 4)],
+                        DYADIC, **extra)[0]
         x = np.log([row.scale for row in res.rows])
         y = np.log([row.input_norm for row in res.rows])
         slope = np.polyfit(x, y, 1)[0]
@@ -201,8 +203,8 @@ def test_input_norm_scaling_exponents():
 def test_output_never_exceeds_full_grid_bound():
     E = middle_cantor(F(1, 3), 4)
     delta = F(1, 32)
-    res = run_probe("SmallBallDelta", E, 3, 2, 4,
-                    [F(1, 8), F(1, 16), delta], beta=F(63, 100))
+    res = run_probe("SmallBallDelta", E, 3, [(2, 4)],
+                    [F(1, 8), F(1, 16), delta], beta=F(63, 100))[0]
     row = res.rows[0]  # scale 1/32 after ascending sort
     inst = build_probe(ProbeFamily("SmallBallDelta", 3), delta, E)
     full = max(maximal_value(3, inst.profile, float(r), E).value
@@ -214,7 +216,8 @@ def test_verdict_flips_once_along_ray():
     rank = {"consistent": 0, "inconclusive": 1, "violation-detected": 2}
     seen = []
     for q in (2, 3, 4, 6, 8):
-        res = run_probe("AnnulusDelta", POINT, 2, 2, q, DYADIC, t0=F(3, 2))
+        res = run_probe("AnnulusDelta", POINT, 2, [(2, q)], DYADIC,
+                        t0=F(3, 2))[0]
         seen.append(rank[res.verdict])
     assert seen == sorted(seen)
     assert seen[0] == 0 and seen[-1] == 2
@@ -222,8 +225,8 @@ def test_verdict_flips_once_along_ray():
 
 def test_run_probe_partial_on_quadrature_failure():
     starved = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-16, max_refinement=1)
-    res = run_probe("SteinLog", full_interval(), 2, 2, 2, DYADIC[:3],
-                    quad=starved)
+    res = run_probe("SteinLog", full_interval(), 2, [(2, 2)], DYADIC[:3],
+                    quad=starved)[0]
     assert res.partial
     assert res.verdict == "inconclusive"
     assert len(res.rows) < 3
@@ -231,35 +234,38 @@ def test_run_probe_partial_on_quadrature_failure():
 
 def test_run_probe_validation():
     with pytest.raises(InsufficientDataError):
-        run_probe("AnnulusDelta", POINT, 2, 2, 4, DYADIC[:2], t0=F(3, 2))
+        run_probe("AnnulusDelta", POINT, 2, [(2, 4)], DYADIC[:2], t0=F(3, 2))
     with pytest.raises(ParameterError):
-        run_probe("AnnulusDelta", POINT, 2, 2, 4, list(reversed(DYADIC)),
+        run_probe("AnnulusDelta", POINT, 2, [(2, 4)], list(reversed(DYADIC)),
                   t0=F(3, 2))
     with pytest.raises(ParameterError):
-        run_probe("AnnulusDelta", POINT, 2, F(1, 2), 4, DYADIC, t0=F(3, 2))
+        run_probe("AnnulusDelta", POINT, 2, [(F(1, 2), 4)], DYADIC,
+                  t0=F(3, 2))
 
 
 def test_run_probe_checks_exponents_before_sweeping(monkeypatch):
     def sweep(*args, **kwargs):
         raise AssertionError("the sweep ran before the exponents were checked")
 
-    monkeypatch.setattr(norm_probe, "maximal_value", sweep)
+    monkeypatch.setattr(norm_probe, "_maximal_values", sweep)
     E = arithmetic_progression(F(5, 4), F(1, 128), 16)
     setup = dict(u=F(9, 8), window=(F(5, 4), F(11, 8)), beta=0,
                  gamma=F(1, 2), gamma_star=F(1, 2))
     scales = [F(1, 2 ** k) for k in range(7, 13)]
-    for p, q, extra in [(2.0, 4, {}), (2, 4.0, {}), (F(1, 2), 4, {}),
-                        (2, 4, {"gamma": F(3, 4)})]:
+    # every pair is checked, a valid one ahead of the bad one included
+    for pq, extra in [([(2.0, 4)], {}), ([(2, 4.0)], {}),
+                      ([(F(1, 2), 4)], {}), ([(2, 4)], {"gamma": F(3, 4)}),
+                      ([(2, 4), (2.0, 4)], {})]:
         with pytest.raises(ParameterError):
-            run_probe("LocalAnnulus", E, 2, p, q, scales,
-                      **{**setup, **extra})
+            run_probe("LocalAnnulus", E, 2, pq, scales, **{**setup, **extra})
 
 
 def test_run_probe_smallball_power_law_on_cantor():
     E = middle_cantor(F(1, 3), 8)
     beta = F(6309, 10000)
     scales = [F(1, 3 ** k) for k in range(2, 8)]
-    res = run_probe("SmallBallDelta", E, 3, F(3, 2), 3, scales, beta=beta)
+    res = run_probe("SmallBallDelta", E, 3, [(F(3, 2), 3)], scales,
+                    beta=beta)[0]
     assert res.residual < 0.05
     assert abs(res.fitted_exponent - res.predicted_gap) < 0.05
     assert res.verdict == "consistent"
@@ -269,8 +275,9 @@ def test_run_probe_localannulus_power_law():
     E = arithmetic_progression(F(5, 4), F(1, 128), 16)
     window = (F(5, 4), F(5, 4) + F(1, 8))
     scales = [F(1, 2 ** k) for k in range(7, 13)]
-    res = run_probe("LocalAnnulus", E, 2, 2, 4, scales, u=F(9, 8),
-                    window=window, beta=0, gamma=F(1, 2), gamma_star=F(1, 2))
+    res = run_probe("LocalAnnulus", E, 2, [(2, 4)], scales, u=F(9, 8),
+                    window=window, beta=0, gamma=F(1, 2),
+                    gamma_star=F(1, 2))[0]
     assert res.residual < 0.05
     # the functional itself scales like delta^(1/2 + 1/q) once N saturates
     x = np.log([row.scale for row in res.rows])
@@ -281,7 +288,7 @@ def test_run_probe_localannulus_power_law():
 
 def test_run_probe_stein_growth_signature():
     scales = [F(1, 2 ** k) for k in (4, 6, 8, 10, 12)]
-    res = run_probe("SteinLog", full_interval(), 2, 2, 2, scales)
+    res = run_probe("SteinLog", full_interval(), 2, [(2, 2)], scales)[0]
     outs = [row.output_functional for row in res.rows]
     # rows are scale-ascending, so the finest truncation comes first
     assert all(a > b for a, b in zip(outs, outs[1:]))
@@ -290,6 +297,139 @@ def test_run_probe_stein_growth_signature():
     assert res.predicted_gap == 0.0
     assert -0.15 < res.fitted_exponent < 0.0
     assert res.verdict == "violation-detected"
+
+
+def test_run_probe_pairs_match_one_pair_runs(monkeypatch):
+    pq = [(2, 4), (3, 4), (2, 6)]
+    for kind, E, scales in [
+            ("Lorentz2D", full_interval(), [F(1, 32), F(1, 64), F(1, 128)]),
+            ("EndpointLog", middle_cantor(F(1, 2), 3), DYADIC[:4])]:
+        built = []
+        real = norm_probe.build_probe
+
+        def counted(family, scale, E=None):
+            built.append(scale)
+            return real(family, scale, E)
+
+        monkeypatch.setattr(norm_probe, "build_probe", counted)
+        together = run_probe(kind, E, 2, pq, scales)
+        monkeypatch.undo()
+        assert built == scales          # one instance per scale for all pairs
+        assert len(together) == len(pq)
+        for (p, q), res in zip(pq, together):
+            [alone] = run_probe(kind, E, 2, [(p, q)], scales)
+            assert (res.p, res.q) == (p, q)
+            assert repr(res) == repr(alone)
+
+
+def test_run_probe_failures_end_their_pairs(monkeypatch):
+    # a stalled L^p norm ends only its own pair; a stalled witness bound
+    # ends every pair still running
+    pq = [(2, 4), (3, 4), (2, 6)]
+    kind, E = "SteinLog", full_interval()
+    lp_norm = norm_probe.lp_norm
+    witness_bound = norm_probe._witness_bound
+
+    def lp_stalls(f, p, d, quad):
+        if p == 3.0 and f.pieces[0].lo == DYADIC[1]:
+            raise PrecisionError("stalled")
+        return lp_norm(f, p, d, quad)
+
+    def witness_stalls(inst, E, quad):
+        if inst.scale == DYADIC[3]:
+            raise PrecisionError("stalled")
+        return witness_bound(inst, E, quad)
+
+    monkeypatch.setattr(norm_probe, "lp_norm", lp_stalls)
+    res = run_probe(kind, E, 2, pq, DYADIC[:4])
+    assert [r.partial for r in res] == [False, True, False]
+    assert [len(r.rows) for r in res] == [4, 1, 4]
+    assert res[1].verdict == "inconclusive"
+    monkeypatch.undo()
+    for k in (0, 2):
+        [alone] = run_probe(kind, E, 2, [pq[k]], DYADIC[:4])
+        assert repr(res[k]) == repr(alone)
+
+    monkeypatch.setattr(norm_probe, "lp_norm", lp_stalls)
+    monkeypatch.setattr(norm_probe, "_witness_bound", witness_stalls)
+    res = run_probe(kind, E, 2, pq, DYADIC[:4])
+    assert [r.partial for r in res] == [True, True, True]
+    assert [len(r.rows) for r in res] == [3, 1, 3]
+
+
+def _witness_bound_alone(inst, E, quad):
+    # one maximal_value per witness radius, over the grid of its anchor
+    lam = math.inf
+    for r, anchor in zip(inst.witness_radii, inst.witness_anchors):
+        grid = DilationGrid((anchor,), inst.anchor_refinement)
+        lam = min(lam, maximal_value(inst.family.d, inst.profile, float(r), E,
+                                     grid, quad).value)
+    return lam
+
+
+_WITNESS_CASES = {
+    "BallR": (ProbeFamily("BallR", 3), middle_cantor(F(1, 3), 3),
+              [F(1, 8), F(1, 16)]),
+    "AnnulusDelta": (ProbeFamily("AnnulusDelta", 2, t0=F(3, 2)),
+                     union_of(from_intervals([(F(5, 4), F(3, 2))]),
+                              finite_points([F(7, 4)])),
+                     [F(1, 16), F(1, 64)]),
+    "SmallBallDelta": (ProbeFamily("SmallBallDelta", 3),
+                       middle_cantor(F(1, 3), 4), [F(1, 8), F(1, 32)]),
+    "SteinLog": (ProbeFamily("SteinLog", 2), full_interval(),
+                 [F(1, 16), F(1, 256)]),
+    "EndpointLog": (ProbeFamily("EndpointLog", 3), middle_cantor(F(1, 2), 3),
+                    [F(1, 8), F(1, 32)]),
+    "Lorentz2D": (ProbeFamily("Lorentz2D", 2), full_interval(),
+                  [F(1, 16), F(1, 64)]),
+    # every witness dilation sits in the first of two components
+    "Lorentz2D-two-components": (
+        ProbeFamily("Lorentz2D", 2),
+        from_intervals([(F(1), F(5, 4)), (F(3, 2), F(2))]),
+        [F(1, 32), F(1, 128)]),
+    "LocalAnnulus": (
+        ProbeFamily("LocalAnnulus", 2, u=F(9, 8), window=(F(5, 4), F(11, 8))),
+        arithmetic_progression(F(5, 4), F(1, 128), 16),
+        [F(1, 128), F(1, 1024)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WITNESS_CASES))
+def test_witness_bound_matches_maximal_value_per_radius(case):
+    family, E, scales = _WITNESS_CASES[case]
+    for s in scales:
+        inst = build_probe(family, s, E)
+        got = norm_probe._witness_bound(inst, E, DEFAULT_QUAD)
+        assert got.hex() == _witness_bound_alone(inst, E, DEFAULT_QUAD).hex()
+
+
+@pytest.mark.parametrize("case, s", [("EndpointLog", F(1, 8)),
+                                     ("EndpointLog", F(1, 32)),
+                                     ("SteinLog", F(1, 256))])
+def test_witness_bound_stalls_like_maximal_value(case, s):
+    family, E, _ = _WITNESS_CASES[case]
+    inst = build_probe(family, s, E)
+    starved = QuadratureSpec(max_refinement=1)
+    with pytest.raises(PrecisionError):
+        _witness_bound_alone(inst, E, starved)
+    with pytest.raises(PrecisionError):
+        norm_probe._witness_bound(inst, E, starved)
+
+
+@pytest.mark.parametrize("E, missed", [
+    (middle_cantor(F(1, 3), 3), F(39, 32)),
+    (finite_points([F(1), F(3, 2), F(2)]), F(33, 32)),
+])
+def test_lorentz_witness_outside_set_is_degenerate(E, missed, monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("quadrature ran before the dilations were "
+                             "checked")
+
+    monkeypatch.setattr(norm_probe, "_maximal_values", sweep)
+    assert E.component(missed) is None
+    with pytest.raises(DegenerateProbeError,
+                       match=f"dilation {missed} at scale 1/32 "):
+        run_probe("Lorentz2D", E, 2, [(2, 4)], [F(1, 32), F(1, 64), F(1, 128)])
 
 
 # ---------------------------------------------------------------------------

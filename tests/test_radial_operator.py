@@ -14,9 +14,9 @@ from sphmax.fractal_set import (finite_points, from_intervals, full_interval,
                                 middle_cantor)
 from sphmax import quadrature
 from sphmax.quadrature import DEFAULT_QUAD, QuadratureSpec
-from sphmax.radial_operator import (DilationGrid, MaximalValue, RadialProfile,
-                                    ProfilePiece, _norm_const,
-                                    _spherical_means,
+from sphmax.radial_operator import (_INVPHI, DilationGrid, MaximalValue,
+                                    RadialProfile, ProfilePiece, _golden_max,
+                                    _norm_const, _spherical_means,
                                     circular_components,
                                     decomposition_components, indicator,
                                     kernel, lp_norm, maximal_value,
@@ -439,6 +439,53 @@ def test_maximal_value_refinement_beats_grid_sweep():
     assert 1.0 <= refined.t <= 2.0
     fine = maximal_value(3, f, 2.2, E, DilationGrid.from_set(E, F(1, 256)))
     assert refined.value == pytest.approx(fine.value, rel=1e-4)
+
+
+def _golden_alone(fn, a, b, iters):
+    # the golden-section search of one bracket, one point per step
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc = fn(c)
+    fd = fn(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = fn(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def test_golden_lockstep_matches_each_bracket_alone():
+    peaks = [
+        lambda x: -(x - 1.3) ** 2,
+        # a plateau holding both first points, so fc == fd from the start
+        lambda x: min(1.0, 4.0 - 4.0 * abs(x - 1.5)),
+        lambda x: float(x >= 1.6),
+        lambda x: x,
+    ]
+    brackets = [(1.0, 2.0), (1.0, 2.0), (1.1, 1.9), (1.2, 1.25)]
+    a, b = brackets[1]
+    assert peaks[1](b - _INVPHI * (b - a)) == peaks[1](a + _INVPHI * (b - a))
+    batches = []
+
+    def fn(xs):
+        batches.append(len(xs))
+        return [g(x) for g, x in zip(peaks, xs)]
+
+    got = _golden_max(fn, brackets, 36)
+    assert batches == [len(brackets)] * 38
+    for g, (a, b), (t, v) in zip(peaks, brackets, got):
+        want_t, want_v = _golden_alone(g, a, b, 36)
+        assert (t.hex(), v.hex()) == (want_t.hex(), want_v.hex())
+    for iters in (0, 1, 30):
+        [(t, v)] = _golden_max(lambda xs: [peaks[1](xs[0])], [(1.0, 2.0)],
+                               iters)
+        want_t, want_v = _golden_alone(peaks[1], 1.0, 2.0, iters)
+        assert (t.hex(), v.hex()) == (want_t.hex(), want_v.hex())
 
 
 _BATCH_PROFILES = {
