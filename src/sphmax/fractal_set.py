@@ -1,10 +1,12 @@
 """Exact dilation sets in [1, 2] and their covering statistics.
 
 A dilation set is a finite union of disjoint closed intervals with rational
-endpoints (degenerate intervals are points). Everything combinatorial here
-(covering numbers, cell counts, neighborhood measures) is computed in exact
-rational arithmetic; floating point enters only through logarithms and
-regression when estimating dimensions.
+endpoints (degenerate intervals are points), held once more as integers
+over one denominator per set. Everything combinatorial here (covering
+numbers, cell counts, neighborhood measures, separated points) runs on
+those integers, exactly; Fractions appear only at the API edge, as the
+intervals and the queries' results. Floating point enters only through
+logarithms and regression when estimating dimensions.
 
 Conventions pinned for determinism:
   * one greedy count, the left-to-right sweep (optimal for subsets of the
@@ -24,7 +26,7 @@ import ast
 import bisect
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 
@@ -72,15 +74,16 @@ class FractalSet:
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
     generator: str = ""
+    # derived once, outside equality and repr: (M, the left ends times M,
+    # the right ends times M), M the lcm of the endpoint denominators
+    _grid: tuple[int, tuple[int, ...], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False)
 
-    @property
-    def endpoints(self) -> tuple[Fraction, ...]:
-        seen = []
-        for a, b in self.intervals:
-            seen.append(a)
-            if b != a:
-                seen.append(b)
-        return tuple(seen)
+    def __post_init__(self):
+        M = math.lcm(*{x.denominator for iv in self.intervals for x in iv})
+        los, his = (tuple(x.numerator * (M // x.denominator) for x in ends)
+                    for ends in zip(*self.intervals))
+        object.__setattr__(self, "_grid", (M, los, his))
 
     def component(self, x) -> tuple[Fraction, Fraction] | None:
         """The component of the set that holds x, or None."""
@@ -128,10 +131,13 @@ def _normalize(raw, generator: str) -> FractalSet:
     if not pairs:
         raise ParameterError("a dilation set must be non-empty")
     merged = _merged(sorted(pairs))
-    lo, hi = merged[0][0], merged[-1][1]
+    _check_hull(merged[0][0], merged[-1][1])
+    return FractalSet(tuple(merged), generator)
+
+
+def _check_hull(lo, hi) -> None:
     if lo < 1 or hi > 2:
         raise ParameterError(f"dilation sets must stay inside [1, 2], got hull [{lo}, {hi}]")
-    return FractalSet(tuple(merged), generator)
 
 
 # ---------------------------------------------------------------- generators
@@ -158,16 +164,17 @@ def middle_cantor(alpha, depth: int) -> FractalSet:
         raise ParameterError(f"removal ratio must lie in (0, 1), got {a}")
     if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
         raise ParameterError(f"depth must be a non-negative integer, got {depth!r}")
-    keep = (1 - a) / 2
-    cells = [(_ONE, _TWO)]
+    # integer cells over D = (2q)**depth for alpha = p/q: each keeps
+    # (q - p)/(2q) of its parent, and the cells of a generation are equally long
+    den, keep = 2 * a.denominator, a.denominator - a.numerator
+    D = w = den ** depth
+    cells = [(D, 2 * D)]
     for _ in range(depth):
-        nxt = []
-        for lo, hi in cells:
-            w = (hi - lo) * keep
-            nxt.append((lo, lo + w))
-            nxt.append((hi - w, hi))
-        cells = nxt
-    return _normalize(cells, f"cantor(alpha={a}, depth={depth})")
+        w = w * keep // den
+        cells = [c for lo, hi in cells for c in ((lo, lo + w), (hi - w, hi))]
+    # the cells are sorted, disjoint and inside [1, 2]: nothing to normalize
+    return FractalSet(tuple((Fraction(lo, D), Fraction(hi, D)) for lo, hi in cells),
+                      f"cantor(alpha={a}, depth={depth})")
 
 
 def _check_count(count) -> None:
@@ -217,6 +224,7 @@ def arithmetic_progression(u, delta, m: int) -> FractalSet:
     if step <= 0:
         raise ParameterError(f"spacing must be positive, got {step}")
     _check_count(m)
+    _check_hull(start, start + (m - 1) * step)
     pts = [start + k * step for k in range(m)]
     return _normalize([(p, p) for p in pts],
                       f"progression(u={start}, delta={step}, m={m})")
@@ -306,50 +314,87 @@ def parse_set(expr: str) -> FractalSet:
 
 # ------------------------------------------------------------------ coverings
 
-def _meeting(pairs, lo, hi) -> tuple[int, int]:
-    """Index range [first, stop) of the sorted disjoint pairs meeting [lo, hi];
-    only the first can start left of lo and only the last end right of hi."""
-    first = bisect.bisect_left(pairs, lo, key=itemgetter(1))
-    return first, bisect.bisect_right(pairs, hi, first, key=itemgetter(0))
+def _on_grid(E: FractalSet, *xs: Fraction):
+    """E's left ends, right ends and the rationals xs as integers over one
+    denominator Q, the lcm of E's and theirs: (Q, los, his, xs)."""
+    M, los, his = E._grid
+    Q = math.lcm(M, *(x.denominator for x in xs))
+    if Q != M:
+        f = Q // M
+        los, his = [a * f for a in los], [b * f for b in his]
+    return Q, los, his, [x.numerator * (Q // x.denominator) for x in xs]
 
 
-def _cover_count(pairs, lo, hi, step) -> int:
+def _meeting(los, his, lo, hi) -> tuple[int, int]:
+    """Index range [first, stop) of the sorted disjoint components
+    (los[k], his[k]) meeting [lo, hi]; only the first can start left of lo
+    and only the last end right of hi."""
+    first = bisect.bisect_left(his, lo)
+    return first, bisect.bisect_right(los, hi, first)
+
+
+def _cover_count(los, his, lo, hi, step, walk=None) -> int:
     """Greedy count of closed length-step intervals covering the sorted
-    disjoint pairs clipped to [lo, hi]; 0 when nothing is left. Exact for
-    ints and Fractions alike."""
-    first, stop = _meeting(pairs, lo, hi)
+    disjoint integer components (los[k], his[k]) clipped to [lo, hi]; 0
+    when nothing is left. Each cover skips the components it holds by
+    bisection. Given the _walk of the whole set at this step, the count
+    jumps to the last component from the first one both walks lay a cover
+    from its left end: from there on the two walks agree."""
+    laid, ends = walk or ((), ())
+    k, stop = _meeting(los, his, lo, hi)
     last = stop - 1
     count = 0
-    covered = None
-    for k in range(first, stop):
-        a, b = pairs[k]
-        if k == last and b > hi:
+    covered = lo
+    while k < stop:
+        a, b = los[k], his[k]
+        if b > hi:
             b = hi
-        if covered is None:
-            start = a if a > lo else lo
-        elif b <= covered:
-            continue
+        start = a if a > covered else covered
+        if ends and start == a and k < last and ends[k] < a:
+            count += laid[last] - laid[k]
+            covered = ends[last]
+            k = last
         else:
-            start = a if covered < a else covered
-        need = -((start - b) // step) or 1
-        count += need
-        covered = start + need * step
+            need = -((start - b) // step) or 1
+            count += need
+            covered = start + need * step
+            k += 1
+        if covered >= hi:
+            break
+        if k < stop and his[k] <= covered:
+            k = bisect.bisect_right(his, covered, k, stop)
     return count
+
+
+def _walk(los, his, step) -> tuple[list[int], list[int]]:
+    """The greedy walk over all components at one step: per component, the
+    covers laid before it and where the last of them ends."""
+    laid, ends = [], []
+    count, covered = 0, los[0] - 1
+    for a, b in zip(los, his):
+        laid.append(count)
+        ends.append(covered)
+        if b > covered:
+            start = a if a > covered else covered
+            need = -((start - b) // step) or 1
+            count += need
+            covered = start + need * step
+    return laid, ends
 
 
 def covering_number(E: FractalSet, delta) -> int:
     """Minimal number of closed intervals of length delta covering E."""
-    d = _scale(delta)
-    return _cover_count(E.intervals, E.intervals[0][0], E.intervals[-1][1], d)
+    _, los, his, (step,) = _on_grid(E, _scale(delta))
+    return _cover_count(los, his, los[0], his[-1], step)
 
 
 def binary_covering_number(E: FractalSet, j: int) -> int:
     """Number of distinct cells [m 2^j, (m+1) 2^j) meeting E, j <= 0."""
     if not isinstance(j, int) or isinstance(j, bool) or j > 0:
         raise InvalidScaleError(f"cell exponent must be an integer <= 0, got {j!r}")
-    cell = _TWO ** j
+    M, los, his = E._grid
     # cells m..n as the span [m, n + 1], so adjacent runs touch and merge
-    spans = sorted((int(a // cell), int(b // cell) + 1) for a, b in E.intervals)
+    spans = (((a << -j) // M, ((b << -j) // M) + 1) for a, b in zip(los, his))
     return sum(hi - lo for lo, hi in _merged(spans))
 
 
@@ -357,14 +402,15 @@ def neighborhood_measure(E: FractalSet, n: int) -> Fraction:
     """Measure of {r >= 0 : dist(r, E) <= 2**(1-n)}, exactly."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ParameterError(f"neighborhood index must be a non-negative integer, got {n!r}")
-    rad = _TWO ** (1 - n)
-    grown = _merged((max(Fraction(0), a - rad), b + rad) for a, b in E.intervals)
-    return sum((hi - lo for lo, hi in grown), Fraction(0))
+    Q, los, his, (rad,) = _on_grid(E, _TWO ** (1 - n))
+    grown = _merged((max(0, a - rad), b + rad) for a, b in zip(los, his))
+    return Fraction(sum(hi - lo for lo, hi in grown), Q)
 
 
 def restrict(E: FractalSet, lo, hi) -> tuple[tuple[Fraction, Fraction], ...]:
     """Components of E clipped to the closed window [lo, hi]; may be empty."""
-    first, stop = _meeting(E.intervals, lo, hi)
+    M, los, his = E._grid
+    first, stop = _meeting(los, his, math.ceil(lo * M), math.floor(hi * M))
     return tuple((max(a, lo), min(b, hi)) for a, b in E.intervals[first:stop])
 
 
@@ -378,7 +424,8 @@ def local_covering_number(E: FractalSet, window, delta) -> int:
     d = _scale(delta)
     if hi - lo < d:
         raise InvalidWindowError(f"window [{lo}, {hi}] is shorter than the scale {d}")
-    return _cover_count(E.intervals, lo, hi, d)
+    _, los, his, (lo, hi, step) = _on_grid(E, lo, hi, d)
+    return _cover_count(los, his, lo, hi, step)
 
 
 def resolution(E: FractalSet) -> Fraction:
@@ -386,24 +433,21 @@ def resolution(E: FractalSet) -> Fraction:
 
     A single interval (or point) constrains nothing and reports 0.
     """
-    if len(E.intervals) == 1:
+    M, los, his = E._grid
+    if len(los) == 1:
         return Fraction(0)
-    feats = [E.intervals[i + 1][0] - E.intervals[i][1]
-             for i in range(len(E.intervals) - 1)]
-    feats += [b - a for a, b in E.intervals if b > a]
-    return min(feats)
+    feats = [a - b for a, b in zip(los[1:], his)]
+    feats += [b - a for a, b in zip(los, his) if b > a]
+    return Fraction(min(feats), M)
 
 
 def separated_points(E: FractalSet, delta) -> list[Fraction]:
     """Greedy maximal subset of E with consecutive gaps >= delta."""
-    d = _scale(delta, upper=_TWO)
-    pts: list[Fraction] = []
-    for a, b in E.intervals:
-        start = a if not pts else max(a, pts[-1] + d)
-        while start <= b:
-            pts.append(start)
-            start += d
-    return pts
+    Q, los, his, (step,) = _on_grid(E, _scale(delta, upper=_TWO))
+    pts = [los[0] - step]  # a sentinel one step left of E
+    for a, b in zip(los, his):
+        pts.extend(range(max(a, pts[-1] + step), b + 1, step))
+    return [Fraction(p, Q) for p in pts[1:]]
 
 
 # ------------------------------------------------------------ characteristics
@@ -423,8 +467,8 @@ def _unit_exponent(value, what: str) -> float:
     return x
 
 
-def _anchors(E: FractalSet) -> list[Fraction]:
-    pts = list(E.endpoints)
+def _anchors(los, his) -> list[int]:
+    pts = [x for a, b in zip(los, his) for x in ((a,) if a == b else (a, b))]
     if len(pts) <= _DIMENSION_ANCHORS:
         return pts
     stride = -(-len(pts) // _DIMENSION_ANCHORS)
@@ -438,33 +482,23 @@ def _window_counts(E: FractalSet, d: Fraction):
     """Yield (L, count) over dyadic windows of length L >= d anchored at set
     endpoints.
 
-    Everything is rescaled to a common integer grid fine enough to hold the
-    component endpoints, the scale and every dyadic window length, so the
-    greedy counts stay exact while they run on machine integers. Anchor
-    density adapts to the window length: long windows are nearly translation
-    invariant, so they get proportionally fewer anchors.
+    The counts run on the set's integer grid, refined once per scale to
+    hold d and every dyadic window length as well, so they stay exact on
+    integers. Anchor density adapts to the window length: long windows are
+    nearly translation invariant, so they get proportionally fewer anchors.
     """
-    jmax = 0
-    L = _ONE
-    while L / 2 >= d:
-        jmax += 1
-        L = L / 2
-    dens = {d.denominator}
-    for a, b in E.intervals:
-        dens.add(a.denominator)
-        dens.add(b.denominator)
-    M = math.lcm(*dens) << jmax
-    pairs = [(int(a * M), int(b * M)) for a, b in E.intervals]
-    step = int(d * M)
-    anchors = [int(e * M) for e in _anchors(E)]
+    jmax = (d.denominator // d.numerator).bit_length() - 1  # 2**-jmax >= d
+    Q, los, his, (step, _) = _on_grid(E, d, Fraction(1, 1 << jmax))
+    anchors = _anchors(los, his)
+    walk = _walk(los, his, step)
     for j in range(jmax + 1):
-        Lint = M >> j
+        L = Q >> j
         Lfrac = Fraction(1, 1 << j)
         per_j = max(4, min(len(anchors), (1 << j) + 4))
         stride = max(1, len(anchors) // per_j)
         for e in anchors[::stride]:
-            for lo, hi in ((e, e + Lint), (e - Lint, e)):
-                count = _cover_count(pairs, lo, hi, step)
+            for lo, hi in ((e, e + L), (e - L, e)):
+                count = _cover_count(los, his, lo, hi, step, walk)
                 if count:
                     yield Lfrac, count
 

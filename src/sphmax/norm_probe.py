@@ -130,8 +130,13 @@ class ProbeInstance:
 
 def _shell_measure(cells, d: int) -> Fraction:
     """Exact sum of (hi^d - lo^d)/d over radial cells (lo, hi): the
-    measure of the shells, without the sphere's area factor."""
-    return sum(((hi ** d - lo ** d) / d for lo, hi in cells), Fraction(0))
+    measure of the shells, without the sphere's area factor, summed as
+    integers over the cells' common denominator D and divided once."""
+    cells = list(cells)
+    D = math.lcm(*{x.denominator for cell in cells for x in cell})
+    return Fraction(sum((hi.numerator * (D // hi.denominator)) ** d
+                        - (lo.numerator * (D // lo.denominator)) ** d
+                        for lo, hi in cells), d * D ** d)
 
 
 def _spread(seq, cap: int = _MAX_WITNESS) -> list:

@@ -157,6 +157,16 @@ scales = 2^-2..2^-5
 """)
     assert main(["dims", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "config error" in capsys.readouterr().err
+    # a progression leaving [1, 2] fails before its points are built
+    cfg = write_cfg(tmp_path, """
+[set]
+expression = progression(u=1, delta=1/2, m=1000000000000)
+
+[dims]
+scales = 2^-2..2^-5
+""")
+    assert main(["dims", "--config", cfg, "--out", str(tmp_path / "y")]) == 2
+    assert "inside [1, 2]" in capsys.readouterr().err
     assert main(["mean", "3", "chi(2,1)", "1", "1"]) == 2
     assert "config error" in capsys.readouterr().err
 

@@ -1,6 +1,8 @@
+import bisect
 import math
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -14,6 +16,7 @@ from sphmax.errors import (
 )
 from sphmax.fractal_set import (
     FractalSet,
+    _window_counts,
     arithmetic_progression,
     binary_covering_number,
     covering_number,
@@ -28,6 +31,7 @@ from sphmax.fractal_set import (
     parse_set,
     power_sequence,
     resolution,
+    restrict,
     separated_points,
     union_of,
 )
@@ -486,7 +490,8 @@ def test_cantor_generation_counts():
         keep = (1 - alpha) / 2
         assert len(E.intervals) == 2 ** k
         assert all(b - a == keep ** k for a, b in E.intervals)
-        assert all(a < b for a, b in zip(E.endpoints, E.endpoints[1:]))
+        ends = [x for iv in E.intervals for x in iv]
+        assert all(a < b for a, b in zip(ends, ends[1:]))
 
 
 def test_cantor_resolution():
@@ -535,6 +540,11 @@ def test_progression_points_and_limits():
     assert E.intervals[-1][0] == F(5, 4) + 15 * F(1, 128)
     with pytest.raises(ParameterError):
         arithmetic_progression(F(15, 8), F(1, 8), 3)
+    # the hull is checked before any point is built, so a count no memory
+    # could hold fails at once, with the same message
+    for u in (F(5, 4), F(1, 2)):
+        with pytest.raises(ParameterError, match=r"inside \[1, 2\]"):
+            arithmetic_progression(u, F(1, 128), 10 ** 12)
 
 
 def test_sets_stay_inside_ambient_interval():
@@ -611,6 +621,14 @@ def test_fractalset_is_hashable_and_frozen():
     assert hash(E) == hash(middle_cantor(F(1, 3), 2))
     with pytest.raises(AttributeError):
         E.generator = "interval"
+    # the integer grid is derived data: equality, hash and repr are those
+    # of the intervals and the generator
+    plain = from_intervals(E.intervals)
+    assert plain.intervals == E.intervals and plain._grid == E._grid
+    same = FractalSet(plain.intervals, E.generator)
+    assert same == E and hash(same) == hash(E) and repr(same) == repr(E)
+    assert same._grid == (9, (9, 11, 15, 17), (10, 12, 16, 18))
+    assert FractalSet(((F(3, 2), F(7, 4)),))._grid == (4, (6,), (7,))
 
 
 def test_component_and_nearest_match_linear_scans():
@@ -619,7 +637,7 @@ def test_component_and_nearest_match_linear_scans():
         E = random_fractal_set(rng)
         # component endpoints, the midpoints between components (ties of
         # nearest), points inside, both ends of [1, 2], and floats
-        probes = [F(1), F(2), *E.endpoints]
+        probes = [F(1), F(2), *(x for iv in E.intervals for x in iv)]
         probes += [(b + a2) / 2 for (_, b), (a2, _) in
                    zip(E.intervals, E.intervals[1:])]
         probes += [F(rng.randint(0, 512), 512) + 1 for _ in range(20)]
@@ -642,3 +660,202 @@ def test_nearest_tie_takes_the_left_component():
     assert E.nearest(F(9, 8)) == F(9, 8)
     assert E.component(F(3, 2)) is None
     assert E.component(F(7, 4)) == (F(7, 4), F(2))
+
+
+# ------------------------------------------------- the Fraction reference
+#
+# The exact set layer as it was written in Fraction arithmetic, before
+# each set carried one integer grid. The integer layer must return the
+# same values, of the same types, on every set and scale below.
+
+def _ref_merged(pairs):
+    out = []
+    for lo, hi in pairs:
+        if out and lo <= out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def _ref_meeting(pairs, lo, hi):
+    first = bisect.bisect_left(pairs, lo, key=itemgetter(1))
+    return first, bisect.bisect_right(pairs, hi, first, key=itemgetter(0))
+
+
+def _ref_cover_count(pairs, lo, hi, step):
+    first, stop = _ref_meeting(pairs, lo, hi)
+    last = stop - 1
+    count = 0
+    covered = None
+    for k in range(first, stop):
+        a, b = pairs[k]
+        if k == last and b > hi:
+            b = hi
+        if covered is None:
+            start = a if a > lo else lo
+        elif b <= covered:
+            continue
+        else:
+            start = a if covered < a else covered
+        need = -((start - b) // step) or 1
+        count += need
+        covered = start + need * step
+    return count
+
+
+def ref_covering_number(E, d):
+    return _ref_cover_count(E.intervals, E.intervals[0][0], E.intervals[-1][1], d)
+
+
+def ref_local_covering_number(E, window, d):
+    return _ref_cover_count(E.intervals, window[0], window[1], d)
+
+
+def ref_binary_covering_number(E, j):
+    cell = F(2) ** j
+    spans = sorted((int(a // cell), int(b // cell) + 1) for a, b in E.intervals)
+    return sum(hi - lo for lo, hi in _ref_merged(spans))
+
+
+def ref_neighborhood_measure(E, n):
+    rad = F(2) ** (1 - n)
+    grown = _ref_merged((max(F(0), a - rad), b + rad) for a, b in E.intervals)
+    return sum((hi - lo for lo, hi in grown), F(0))
+
+
+def ref_restrict(E, lo, hi):
+    first, stop = _ref_meeting(E.intervals, lo, hi)
+    return tuple((max(a, lo), min(b, hi)) for a, b in E.intervals[first:stop])
+
+
+def ref_resolution(E):
+    if len(E.intervals) == 1:
+        return F(0)
+    feats = [E.intervals[i + 1][0] - E.intervals[i][1]
+             for i in range(len(E.intervals) - 1)]
+    feats += [b - a for a, b in E.intervals if b > a]
+    return min(feats)
+
+
+def ref_separated_points(E, d):
+    pts = []
+    for a, b in E.intervals:
+        start = a if not pts else max(a, pts[-1] + d)
+        while start <= b:
+            pts.append(start)
+            start += d
+    return pts
+
+
+def _ref_anchors(E):
+    pts = [x for a, b in E.intervals for x in ((a,) if a == b else (a, b))]
+    if len(pts) <= 256:
+        return pts
+    stride = -(-len(pts) // 256)
+    picked = pts[::stride]
+    if picked[-1] != pts[-1]:
+        picked.append(pts[-1])
+    return picked
+
+
+def ref_window_counts(E, d):
+    jmax = 0
+    L = F(1)
+    while L / 2 >= d:
+        jmax += 1
+        L = L / 2
+    dens = {d.denominator}
+    for a, b in E.intervals:
+        dens.add(a.denominator)
+        dens.add(b.denominator)
+    M = math.lcm(*dens) << jmax
+    pairs = [(int(a * M), int(b * M)) for a, b in E.intervals]
+    step = int(d * M)
+    anchors = [int(e * M) for e in _ref_anchors(E)]
+    for j in range(jmax + 1):
+        Lint = M >> j
+        Lfrac = F(1, 1 << j)
+        per_j = max(4, min(len(anchors), (1 << j) + 4))
+        stride = max(1, len(anchors) // per_j)
+        for e in anchors[::stride]:
+            for lo, hi in ((e, e + Lint), (e - Lint, e)):
+                count = _ref_cover_count(pairs, lo, hi, step)
+                if count:
+                    yield Lfrac, count
+
+
+def ref_cantor_cells(a, depth):
+    keep = (1 - a) / 2
+    cells = [(F(1), F(2))]
+    for _ in range(depth):
+        nxt = []
+        for lo, hi in cells:
+            w = (hi - lo) * keep
+            nxt.append((lo, lo + w))
+            nxt.append((hi - w, hi))
+        cells = nxt
+    return tuple(cells)
+
+
+def _typed(x):
+    """x with every leaf paired with its type, so == also compares types."""
+    if isinstance(x, (tuple, list)):
+        return type(x), tuple(_typed(y) for y in x)
+    return type(x), x
+
+
+def _reference_sets():
+    rng = random.Random(2024)
+    for alpha in (F(1, 3), F(1, 4), F(1, 5), F(2, 5), F(3, 7)):
+        for depth in range(9):
+            E = middle_cantor(alpha, depth)
+            assert E.intervals == ref_cantor_cells(alpha, depth)
+            yield E
+    yield finite_points([F(3, 2)])
+    yield finite_points([1, F(10, 7), F(3, 2), F(51, 32), 2])
+    yield arithmetic_progression(F(5, 4), F(1, 128), 16)
+    yield arithmetic_progression(1, F(1, 3), 4)
+    # at scale 1/4 each cover of the whole-set walk ends on the next point
+    yield arithmetic_progression(1, F(1, 4), 5)
+    yield geometric_sequence(2, 30)
+    yield power_sequence(3, 60)
+    yield power_sequence(F(1, 2), 8)
+    yield union_of(middle_cantor(F(1, 3), 3), finite_points([F(3, 2), F(31, 20)]))
+    yield union_of(from_intervals([(F(9, 8), F(5, 4)), (F(13, 10), F(13, 10))]),
+                   arithmetic_progression(F(3, 2), F(1, 24), 7))
+    for _ in range(12):
+        yield random_fractal_set(rng)
+
+
+def test_integer_layer_matches_the_fraction_reference():
+    # denominators that divide no set's grid (3^k, 7, 40, 1000 on dyadic
+    # sets) as well as ones that do
+    scales = ([F(1, 2 ** k) for k in range(11)] + [F(1, 3 ** k) for k in range(1, 7)]
+              + [F(2, 7), F(3, 40), F(5, 1000)])
+    windows = [(F(1), F(2)), (F(4, 3), F(5, 3)), (F(10, 9), F(3, 2)),
+               (F(8, 7), F(12, 7)), (F(3, 2), F(3, 2) + F(1, 3))]
+    for E in _reference_sets():
+        for d in scales:
+            assert _typed(covering_number(E, d)) == _typed(ref_covering_number(E, d))
+            assert (_typed(separated_points(E, d))
+                    == _typed(ref_separated_points(E, d)))
+            for w in windows:
+                if w[1] - w[0] >= d:
+                    assert (_typed(local_covering_number(E, w, d))
+                            == _typed(ref_local_covering_number(E, w, d)))
+        for d in (F(2), F(3, 2)):
+            assert (_typed(separated_points(E, d))
+                    == _typed(ref_separated_points(E, d)))
+        for w in windows + [(1, 2), (F(5, 4), 2), (2, 2), (F(1, 2), F(5, 2))]:
+            assert _typed(restrict(E, *w)) == _typed(ref_restrict(E, *w))
+        for n in range(13):
+            assert (_typed(binary_covering_number(E, -n))
+                    == _typed(ref_binary_covering_number(E, -n)))
+            assert (_typed(neighborhood_measure(E, n))
+                    == _typed(ref_neighborhood_measure(E, n)))
+        assert _typed(resolution(E)) == _typed(ref_resolution(E))
+        for d in (F(1, 4), F(1, 27), F(3, 200)):
+            assert (_typed(list(_window_counts(E, d)))
+                    == _typed(list(ref_window_counts(E, d))))

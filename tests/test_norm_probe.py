@@ -101,6 +101,9 @@ def test_build_smallball_witness_annuli():
     for (_, hi), (lo2, _) in zip(inst.witness_cells, inst.witness_cells[1:]):
         assert lo2 >= hi
     assert set(inst.witness_radii) <= set(pts)
+    # summed over one denominator, the shell measure is the term-by-term sum
+    assert inst.witness_measure == sum(
+        ((hi ** 3 - lo ** 3) / 3 for lo, hi in inst.witness_cells), F(0))
 
 
 def test_build_localannulus_witness_count():
