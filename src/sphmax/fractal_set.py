@@ -17,7 +17,8 @@ Conventions pinned for determinism:
   * the window search of estimate_dimensions (the spectrum, the
     quasi-Assouad and Assouad estimates and the windowed characteristic)
     uses dyadic window lengths anchored at interval endpoints of the set,
-    a documented constant-factor stand-in for the sup over all windows.
+    a documented constant-factor stand-in for the sup over all windows,
+    and keeps one number per length: the largest count over its anchors.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 
 import numpy as np
 
@@ -100,8 +100,11 @@ class FractalSet:
         return min(near, key=lambda c: abs(c - x))
 
     def _last_start(self, x) -> int:
-        """Index of the last component starting at or left of x, or -1."""
-        return bisect.bisect_right(self.intervals, x, key=itemgetter(0)) - 1
+        """Index of the last component starting at or left of x, or -1; on
+        the integer left ends, exact for int, Fraction and float x."""
+        M, los, _ = self._grid
+        n, q = x.as_integer_ratio()
+        return bisect.bisect_right(los, n * M // q) - 1
 
     def __str__(self) -> str:
         return self.generator or f"<set with {len(self.intervals)} components>"
@@ -225,8 +228,11 @@ def arithmetic_progression(u, delta, m: int) -> FractalSet:
         raise ParameterError(f"spacing must be positive, got {step}")
     _check_count(m)
     _check_hull(start, start + (m - 1) * step)
-    pts = [start + k * step for k in range(m)]
-    return _normalize([(p, p) for p in pts],
+    # sorted distinct points over one denominator, in [1, 2]: nothing to normalize
+    D = math.lcm(start.denominator, step.denominator)
+    a, s = (x.numerator * (D // x.denominator) for x in (start, step))
+    pts = (Fraction(p, D) for p in range(a, a + m * s, s))
+    return FractalSet(tuple((p, p) for p in pts),
                       f"progression(u={start}, delta={step}, m={m})")
 
 
@@ -478,9 +484,10 @@ def _anchors(los, his) -> list[int]:
     return picked
 
 
-def _window_counts(E: FractalSet, d: Fraction):
-    """Yield (L, count) over dyadic windows of length L >= d anchored at set
-    endpoints.
+def _window_counts(E: FractalSet, d: Fraction) -> list[int]:
+    """Per dyadic window length 2**-j >= d, j = 0, 1, ..., the largest
+    count over the windows of that length anchored at set endpoints, or 0
+    when they all miss E.
 
     The counts run on the set's integer grid, refined once per scale to
     hold d and every dyadic window length as well, so they stay exact on
@@ -491,27 +498,15 @@ def _window_counts(E: FractalSet, d: Fraction):
     Q, los, his, (step, _) = _on_grid(E, d, Fraction(1, 1 << jmax))
     anchors = _anchors(los, his)
     walk = _walk(los, his, step)
+    counts = []
     for j in range(jmax + 1):
         L = Q >> j
-        Lfrac = Fraction(1, 1 << j)
         per_j = max(4, min(len(anchors), (1 << j) + 4))
         stride = max(1, len(anchors) // per_j)
-        for e in anchors[::stride]:
-            for lo, hi in ((e, e + L), (e - L, e)):
-                count = _cover_count(los, his, lo, hi, step, walk)
-                if count:
-                    yield Lfrac, count
-
-
-def _assouad_sup(df: float, gamma: float, n_full: int, windows) -> float:
-    """Max of (df/L)**gamma * count over the (L, count) windows, starting
-    from the full-hull value df**gamma * n_full."""
-    best = df ** gamma * n_full
-    for L, count in windows:
-        val = (df / float(L)) ** gamma * count
-        if val > best:
-            best = val
-    return best
+        counts.append(max(_cover_count(los, his, lo, hi, step, walk)
+                          for e in anchors[::stride]
+                          for lo, hi in ((e, e + L), (e - L, e))))
+    return counts
 
 
 @dataclass(frozen=True)
@@ -536,8 +531,10 @@ def estimate_dimensions(E: FractalSet, scales,
     least three are required for the regression. For each theta the
     spectrum value is the max of log N(E cap I, d) / log(|I|/d) over
     sampled windows with |I| >= d**theta; the Assouad estimate drops the
-    theta constraint. Characteristic tables are evaluated at the fitted
-    exponents, clamped into [0, 1].
+    theta constraint; both read only windows with |I| >= 2d and at least
+    two covers. Characteristic tables are evaluated at the fitted
+    exponents, clamped into [0, 1]. Every maximum here grows with the count
+    at a fixed |I|, so only the largest count per length is read.
     """
     ds = [_scale(s) for s in scales]
     if len(ds) < 3:
@@ -560,19 +557,19 @@ def estimate_dimensions(E: FractalSet, scales,
 
     spec = {t: 0.0 for t in ths}
     assouad = 0.0
-    windows = {d: tuple(_window_counts(E, d)) for d in ds}
+    # per scale, (2**-j, the largest count in windows of that length)
+    windows = {d: [(math.ldexp(1.0, -j), n)
+                   for j, n in enumerate(_window_counts(E, d))] for d in ds}
     for d in ds:
         df = float(d)
-        floors = {t: df ** t for t in ths}
-        for L, count in windows[d]:
-            if count < 2 or L < 2 * d:
+        # 2**-j >= 2d exactly when j < jmax, as 2**-(jmax+1) < d <= 2**-jmax
+        for L, count in windows[d][:-1]:
+            if count < 2:
                 continue
-            ratio = math.log(count) / math.log(float(L) / df)
-            if ratio > assouad:
-                assouad = ratio
-            Lf = float(L)
+            ratio = math.log(count) / math.log(L / df)
+            assouad = max(assouad, ratio)
             for t in ths:
-                if Lf >= floors[t] and ratio > spec[t]:
+                if L >= df ** t and ratio > spec[t]:
                     spec[t] = ratio
 
     quasi = spec[ths[-1]]
@@ -580,7 +577,9 @@ def estimate_dimensions(E: FractalSet, scales,
     gamma_hat = min(1.0, max(0.0, quasi))
     # the characteristics are defined for scales below 1 only
     char_m = tuple((d, float(d) ** beta_hat * n) for d, n in table if d < 1)
-    char_a = tuple((d, _assouad_sup(float(d), gamma_hat, n, windows[d]))
+    # the whole set counts as one window of length 1
+    char_a = tuple((d, max((float(d) / L) ** gamma_hat * count
+                           for L, count in [(1.0, n), *windows[d]]))
                    for d, n in table if d < 1)
     return DimensionReport(
         covering_table=table,

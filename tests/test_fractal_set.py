@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -482,6 +483,128 @@ def test_dimension_report_and_window_counts_golden(name):
             local_covering_number(E, (F(10, 9), F(3, 2)), F(1, 100))) == want["local"]
 
 
+# Every DimensionReport field of a Cantor set, a geometric and a power
+# sequence, recorded before the window search kept only the largest count
+# per dyadic length: floats as float.hex, the rest as str, each field's
+# leaves after its name. The fields fitted by np.polyfit (LAPACK) compare
+# their floats to 1e-9 as above; every other leaf compares bit for bit.
+_PINNED_REPORTS = {
+    "cantor": """
+        covering_table 1/81 16 1/243 32 1/729 64 1/2187 128 1/6561 256 1/19683
+            512 1/59049 1024 1/177147 2048 1/531441 4096 1/1594323 8192
+            1/4782969 16384
+        minkowski_estimate 0x1.430939835353dp-1
+        minkowski_residual 0x1.072c18f940467p-49
+        spectrum 0x1.0000000000000p-1 0x1.430939835353dp-1 0x1.6666666666666p-1
+            0x1.5e1ba026cc3b6p-1 0x1.ccccccccccccdp-1 0x1.7e21e035c219ep-1
+        quasi_assouad_estimate 0x1.7e21e035c219ep-1
+        assouad_estimate 0x1.f62ead3ff03aep-1
+        char_minkowski 1/81 0x1.0000000000000p+0 1/243 0x1.0000000000001p+0
+            1/729 0x1.0000000000000p+0 1/2187 0x1.0000000000001p+0 1/6561
+            0x1.0000000000001p+0 1/19683 0x1.0000000000001p+0 1/59049
+            0x1.0000000000001p+0 1/177147 0x1.0000000000001p+0 1/531441
+            0x1.0000000000001p+0 1/1594323 0x1.0000000000001p+0 1/4782969
+            0x1.0000000000001p+0
+        char_assouad 1/81 0x1.ad73a526ab6a8p+0 1/243 0x1.3d5033fd2ed8bp+0 1/729
+            0x1.894fb9e18ed0cp+0 1/2187 0x1.e782f1f642210p+0 1/6561
+            0x1.683665e0b2e60p+0 1/19683 0x1.0a275f6da10fdp+0 1/59049
+            0x1.894fb9e18ed0cp-1 1/177147 0x1.e782f1f642211p-1 1/531441
+            0x1.2e22f0c564557p+0 1/1594323 0x1.be7c364e29b7dp-1 1/4782969
+            0x1.14b5d85e09ae9p+0
+    """,
+    "geometric": """
+        covering_table 1/16 4 1/32 5 1/64 6 1/128 7 1/256 8 1/512 9 1/1024 10
+            1/2048 11 1/4096 12 1/8192 13 1/16384 14 1/32768 15 1/65536 16
+            1/131072 17 1/262144 18 1/524288 19
+        minkowski_estimate 0x1.208769f6b4039p-3
+        minkowski_residual 0x1.85047de8dc188p-4
+        spectrum 0x1.0000000000000p-1 0x1.95c01a39fbd69p-1 0x1.6666666666666p-1
+            0x1.95c01a39fbd69p-1 0x1.ccccccccccccdp-1 0x1.0000000000000p+0
+        quasi_assouad_estimate 0x1.0000000000000p+0
+        assouad_estimate 0x1.0000000000000p+0
+        char_minkowski 1/16 0x1.5a70f5363f39bp+1 1/32 0x1.88c314fa4f2d9p+1 1/64
+            0x1.ab77107d41c32p+1 1/128 0x1.c44faba741cadp+1 1/256
+            0x1.d4d588ae1d402p+1 1/512 0x1.de5e12521260ap+1 1/1024
+            0x1.e2119d8607a02p+1 1/2048 0x1.e0f0d8831fe9cp+1 1/4096
+            0x1.dbd99aec1f42ep+1 1/8192 0x1.d38b288921dbbp+1 1/16384
+            0x1.c8a9f641273b3p+1 1/32768 0x1.bbc2ff46f86d2p+1 1/65536
+            0x1.ad4eb6ecaad44p+1 1/131072 0x1.9db3a237ad529p+1 1/262144
+            0x1.8d48a31aa489cp+1 1/524288 0x1.7c56fe2687928p+1
+        char_assouad 1/16 0x1.0000000000000p+0 1/32 0x1.0000000000000p+0 1/64
+            0x1.0000000000000p+0 1/128 0x1.0000000000000p+0 1/256
+            0x1.0000000000000p+0 1/512 0x1.0000000000000p+0 1/1024
+            0x1.0000000000000p+0 1/2048 0x1.0000000000000p+0 1/4096
+            0x1.0000000000000p+0 1/8192 0x1.0000000000000p+0 1/16384
+            0x1.0000000000000p+0 1/32768 0x1.0000000000000p+0 1/65536
+            0x1.0000000000000p+0 1/131072 0x1.0000000000000p+0 1/262144
+            0x1.0000000000000p+0 1/524288 0x1.0000000000000p+0
+    """,
+    "powerseq": """
+        covering_table 1/16 3 1/32 4 1/64 4 1/128 5 1/256 6 1/512 7 1/1024 9
+            1/2048 11 1/4096 13 1/8192 16 1/16384 18 1/32768 22
+        minkowski_estimate 0x1.0ca0d2ab20e87p-2
+        minkowski_residual 0x1.7d6e5116b3ef2p-5
+        spectrum 0x1.0000000000000p-1 0x1.1b78a065117a2p-1 0x1.6666666666666p-1
+            0x1.95c01a39fbd69p-1 0x1.ccccccccccccdp-1 0x1.0000000000000p+0
+        quasi_assouad_estimate 0x1.0000000000000p+0
+        assouad_estimate 0x1.0000000000000p+0
+        char_minkowski 1/16 0x1.731794ddb828dp+0 1/32 0x1.9c867a24e6d73p+0 1/64
+            0x1.57f03d97036b8p+0 1/128 0x1.6671912df74a0p+0 1/256
+            0x1.669e3d19d1745p+0 1/512 0x1.5cd3846807efbp+0 1/1024
+            0x1.75eca1e21df58p+0 1/2048 0x1.7d08c64b6c60ap+0 1/4096
+            0x1.777197468b2b7p+0 1/8192 0x1.8142082dc23b9p+0 1/16384
+            0x1.695aeade98652p+0 1/32768 0x1.7039e07d781b1p+0
+        char_assouad 1/16 0x1.0000000000000p+0 1/32 0x1.0000000000000p+0 1/64
+            0x1.0000000000000p+0 1/128 0x1.0000000000000p+0 1/256
+            0x1.0000000000000p+0 1/512 0x1.0000000000000p+0 1/1024
+            0x1.0000000000000p+0 1/2048 0x1.0000000000000p+0 1/4096
+            0x1.0000000000000p+0 1/8192 0x1.0000000000000p+0 1/16384
+            0x1.0000000000000p+0 1/32768 0x1.0000000000000p+0
+    """,
+}
+_FITTED = ("minkowski_estimate", "minkowski_residual", "char_minkowski")
+
+
+def _leaves(x):
+    if isinstance(x, tuple):
+        return [leaf for y in x for leaf in _leaves(y)]
+    return [x.hex() if isinstance(x, float) else str(x)]
+
+
+def _floats_and_rest(leaves):
+    return ([float.fromhex(x) for x in leaves if "0x" in x],
+            [x for x in leaves if "0x" not in x])
+
+
+_PINNED_SETS = {
+    "cantor": (lambda: middle_cantor(F(1, 3), 14), [F(1, 3 ** k) for k in range(4, 15)]),
+    "geometric": (lambda: geometric_sequence(2, 30), [F(1, 2 ** k) for k in range(4, 20)]),
+    "powerseq": (lambda: power_sequence(3, 60), [F(1, 2 ** k) for k in range(4, 16)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SETS))
+def test_dimension_reports_pinned_bitwise(name):
+    build, scales = _PINNED_SETS[name]
+    want = {}
+    for token in _PINNED_REPORTS[name].split():
+        if token[0].isalpha():
+            field = want[token] = []
+        else:
+            field.append(token)
+    report = estimate_dimensions(build(), scales)
+    assert list(want) == [f.name for f in dataclasses.fields(report)]
+    for key, leaves in want.items():
+        got = _leaves(getattr(report, key))
+        if key in _FITTED:
+            floats, rest = _floats_and_rest(got)
+            want_floats, want_rest = _floats_and_rest(leaves)
+            assert rest == want_rest
+            assert floats == pytest.approx(want_floats, rel=1e-9, abs=1e-9)
+        else:
+            assert got == leaves
+
+
 # ------------------------------------------------------------------ generators
 
 def test_cantor_generation_counts():
@@ -857,5 +980,12 @@ def test_integer_layer_matches_the_fraction_reference():
                     == _typed(ref_neighborhood_measure(E, n)))
         assert _typed(resolution(E)) == _typed(ref_resolution(E))
         for d in (F(1, 4), F(1, 27), F(3, 200)):
-            assert (_typed(list(_window_counts(E, d)))
-                    == _typed(list(ref_window_counts(E, d))))
+            # the largest count per dyadic length 2**-j, 0 where all miss
+            largest = {}
+            for L, count in ref_window_counts(E, d):
+                largest[L] = max(largest.get(L, 0), count)
+            counts = _window_counts(E, d)
+            jmax = len(counts) - 1
+            assert F(1, 2 ** jmax) >= d > F(1, 2 ** (jmax + 1))
+            assert (_typed(counts)
+                    == _typed([largest.get(F(1, 2 ** j), 0) for j in range(jmax + 1)]))
