@@ -3,9 +3,10 @@
 Configuration lives in one plain-text file (INI style: ``key = value``
 under section headers). Each subcommand reads its own section plus the
 shared ``[set]``, ``[quadrature]`` and ``[output]`` sections; unknown
-sections or keys reject the whole file. All artifacts are CSV. Every
-run writes a manifest with a content hash per artifact, so re-running
-a config byte-reproduces everything except the manifest timestamp.
+sections or keys reject the whole file. All artifacts are CSV. One
+writer, ``_write_artifacts``, writes a run's CSVs and then a
+``manifest.csv`` with a content hash per artifact, so re-running a
+config byte-reproduces everything except the manifest timestamp.
 
 Exit codes: 0 success, 2 configuration error, 3 domain error,
 4 precision (quadrature budget) error, 1 failed verification suite.
@@ -261,23 +262,22 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(cell) for cell in row])
 
 
-def _write_manifest(out: Path, command: str, config: ExperimentConfig,
-                    artifacts: list[Path]) -> Path:
+def _write_artifacts(config: ExperimentConfig, command: str,
+                     artifacts: dict[str, tuple]) -> None:
+    """Write each artifact, name -> (header, rows), as a CSV in the output
+    directory, then manifest.csv: the run's provenance and, in name order,
+    the sha256 of each artifact."""
+    out = config.out_dir
+    out.mkdir(parents=True, exist_ok=True)
     rows = [("command", command), ("version", __version__),
             ("config_sha256", config.sha256),
             ("generated_at", datetime.datetime.now(
                 datetime.timezone.utc).isoformat())]
-    for art in sorted(artifacts):
-        digest = hashlib.sha256(art.read_bytes()).hexdigest()
-        rows.append((art.name, digest))
-    path = out / "manifest.csv"
-    _write_csv(path, ("key", "value"), rows)
-    return path
-
-
-def _out_dir(config: ExperimentConfig) -> Path:
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    return config.out_dir
+    for name in sorted(artifacts):
+        path = out / name
+        _write_csv(path, *artifacts[name])
+        rows.append((name, hashlib.sha256(path.read_bytes()).hexdigest()))
+    _write_csv(out / "manifest.csv", ("key", "value"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +301,6 @@ def cmd_dims(args) -> int:
     kwargs = {"thetas": dims["thetas"]} if "thetas" in dims else {}
     report = estimate_dimensions(E, dims["scales"], **kwargs)
 
-    out = _out_dir(config)
-    counts = out / "dims_counts.csv"
-    _write_csv(counts, ("delta", "covering_number"), report.covering_table)
-
-    chars = out / "dims_characteristics.csv"
-    assouad_at = dict(report.char_assouad)
-    _write_csv(chars, ("delta", "minkowski_char", "assouad_char"),
-               [(d, v, assouad_at.get(d)) for d, v in report.char_minkowski])
-
     def trend(table):
         if len(table) < 2 or table[0][1] == 0:
             return math.nan
@@ -326,10 +317,15 @@ def cmd_dims(args) -> int:
     ]
     summary_rows += [(f"spectrum@{_fmt(theta)}", value)
                      for theta, value in report.spectrum]
-    summary = out / "dims_summary.csv"
-    _write_csv(summary, ("field", "value"), summary_rows)
-
-    _write_manifest(out, "dims", config, [counts, chars, summary])
+    assouad_at = dict(report.char_assouad)
+    _write_artifacts(config, "dims", {
+        "dims_counts.csv": (("delta", "covering_number"),
+                            report.covering_table),
+        "dims_characteristics.csv": (
+            ("delta", "minkowski_char", "assouad_char"),
+            [(d, v, assouad_at.get(d)) for d, v in report.char_minkowski]),
+        "dims_summary.csv": (("field", "value"), summary_rows),
+    })
     print(f"beta_estimate={report.minkowski_estimate:.4f} "
           f"gamma_estimate={report.quasi_assouad_estimate:.4f} "
           f"gamma_star_estimate={report.assouad_estimate:.4f}")
@@ -351,34 +347,28 @@ def cmd_region(args) -> int:
         kwargs["flags"] = CharacteristicFlags(**flags)
     reg = radial_type_set(rp["d"], rp["beta"], **kwargs)
 
-    out = _out_dir(config)
-    verts = out / "region_vertices.csv"
-    _write_csv(verts, ("index", "x", "y", "status"),
-               [(i, v.x, v.y, status)
-                for i, (v, status) in enumerate(
-                    zip(reg.vertices, reg.vertex_status))])
-
-    edges = out / "region_edges.csv"
-    n = len(reg.vertices)
-    _write_csv(edges, ("index", "from_x", "from_y", "to_x", "to_y", "status"),
-               [(i, reg.vertices[i].x, reg.vertices[i].y,
-                 reg.vertices[(i + 1) % n].x, reg.vertices[(i + 1) % n].y,
-                 status)
-                for i, status in enumerate(reg.edge_status)])
-
-    summary = out / "region_summary.csv"
-    _write_csv(summary, ("field", "value"), [
-        ("d", rp["d"]),
-        ("beta", rp["beta"]),
-        ("gamma", rp.get("gamma")),
-        ("gamma_star", rp.get("gamma_star")),
-        ("provenance", reg.provenance),
-        ("exterior_status", reg.exterior_status),
-        ("vertex_count", len(reg.vertices)),
-    ])
-
-    _write_manifest(out, "region", config, [verts, edges, summary])
-    print(f"{len(reg.vertices)} vertices, provenance {reg.provenance}")
+    verts = reg.vertices
+    _write_artifacts(config, "region", {
+        "region_vertices.csv": (
+            ("index", "x", "y", "status"),
+            [(i, v.x, v.y, status)
+             for i, (v, status) in enumerate(zip(verts, reg.vertex_status))]),
+        "region_edges.csv": (
+            ("index", "from_x", "from_y", "to_x", "to_y", "status"),
+            [(i, a.x, a.y, b.x, b.y, status)
+             for i, (a, b, status) in enumerate(
+                 zip(verts, verts[1:] + verts[:1], reg.edge_status))]),
+        "region_summary.csv": (("field", "value"), [
+            ("d", rp["d"]),
+            ("beta", rp["beta"]),
+            ("gamma", rp.get("gamma")),
+            ("gamma_star", rp.get("gamma_star")),
+            ("provenance", reg.provenance),
+            ("exterior_status", reg.exterior_status),
+            ("vertex_count", len(verts)),
+        ]),
+    })
+    print(f"{len(verts)} vertices, provenance {reg.provenance}")
     return 0
 
 
@@ -393,26 +383,21 @@ def cmd_probe(args) -> int:
     results = run_probe(pp["family"], E, pp["d"], pp["pq"], pp["scales"],
                         config.quad, **extra)
 
-    out = _out_dir(config)
-    rows_path = out / "probe_rows.csv"
-    row_data = []
-    for (p, q), res in zip(pp["pq"], results):
-        for row in res.rows:
-            row_data.append((_fmt(p), _fmt(q), row.scale, row.input_norm,
-                             row.output_functional, row.ratio))
-    _write_csv(rows_path, ("p", "q", "scale", "input_norm",
-                           "output_functional", "ratio"), row_data)
-
-    summary_path = out / "probe_summary.csv"
-    _write_csv(summary_path,
-               ("p", "q", "fitted_exponent", "residual", "predicted_gap",
-                "verdict", "partial"),
-               [(_fmt(p), _fmt(q), res.fitted_exponent, res.residual,
-                 res.predicted_gap, res.verdict, res.partial)
-                for (p, q), res in zip(pp["pq"], results)])
-
-    _write_manifest(out, "probe", config, [rows_path, summary_path])
-    for (p, q), res in zip(pp["pq"], results):
+    by_pair = list(zip(pp["pq"], results))
+    _write_artifacts(config, "probe", {
+        "probe_rows.csv": (
+            ("p", "q", "scale", "input_norm", "output_functional", "ratio"),
+            [(p, q, row.scale, row.input_norm, row.output_functional,
+              row.ratio)
+             for (p, q), res in by_pair for row in res.rows]),
+        "probe_summary.csv": (
+            ("p", "q", "fitted_exponent", "residual", "predicted_gap",
+             "verdict", "partial"),
+            [(p, q, res.fitted_exponent, res.residual, res.predicted_gap,
+              res.verdict, res.partial)
+             for (p, q), res in by_pair]),
+    })
+    for (p, q), res in by_pair:
         print(f"p={_fmt(p)} q={_fmt(q)} fitted={res.fitted_exponent:+.4f} "
               f"predicted={res.predicted_gap:+.4f} verdict={res.verdict}")
     return 0
@@ -542,10 +527,8 @@ def cmd_verify(args) -> int:
     print(f"{'total':<{width}}  {total_cases:>5}  {total_failures:>6}")
 
     if args.out is not None:
-        out = _out_dir(config)
-        path = out / "verify_report.csv"
-        _write_csv(path, ("check", "cases", "failed"), results)
-        _write_manifest(out, "verify", config, [path])
+        _write_artifacts(config, "verify", {
+            "verify_report.csv": (("check", "cases", "failed"), results)})
     return 0 if total_failures == 0 else 1
 
 

@@ -42,6 +42,9 @@ from .errors import (
 
 _ONE = Fraction(1)
 _TWO = Fraction(2)
+# the most components a cantor or progression generator builds: a count
+# past it (progression m = 10**9, cantor depth 40) would run for hours
+_MAX_COMPONENTS = 2 ** 16
 
 
 def as_rational(value, error=ParameterError, what: str = "value") -> Fraction:
@@ -167,6 +170,9 @@ def middle_cantor(alpha, depth: int) -> FractalSet:
         raise ParameterError(f"removal ratio must lie in (0, 1), got {a}")
     if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
         raise ParameterError(f"depth must be a non-negative integer, got {depth!r}")
+    if depth > math.log2(_MAX_COMPONENTS):
+        raise ParameterError(f"depth {depth} builds 2**{depth} components, "
+                             f"more than {_MAX_COMPONENTS}")
     # integer cells over D = (2q)**depth for alpha = p/q: each keeps
     # (q - p)/(2q) of its parent, and the cells of a generation are equally long
     den, keep = 2 * a.denominator, a.denominator - a.numerator
@@ -228,6 +234,8 @@ def arithmetic_progression(u, delta, m: int) -> FractalSet:
         raise ParameterError(f"spacing must be positive, got {step}")
     _check_count(m)
     _check_hull(start, start + (m - 1) * step)
+    if m > _MAX_COMPONENTS:
+        raise ParameterError(f"m = {m} points, more than {_MAX_COMPONENTS}")
     # sorted distinct points over one denominator, in [1, 2]: nothing to normalize
     D = math.lcm(start.denominator, step.denominator)
     a, s = (x.numerator * (D // x.denominator) for x in (start, step))

@@ -195,8 +195,7 @@ def region(kind: str, d: int, beta=None, gamma=None) -> TypeSetRegion:
         mid = vertex("Q3", d, b, g) if kind == "Q" else vertex("Q3tilde", d, b)
         points = [_ORIGIN, vertex("Q2", d, 2 * g - 1), mid, vertex("Q1", d, b)]
         prov = "quadrilateral" if kind == "Q" else "quadrilateral-tilde"
-    return _statused_region(points, {}, {}, prov, EXCLUDED,
-                            default_v=INCLUDED, default_e=INCLUDED)
+    return _statused_region(points, {}, {}, prov, EXCLUDED, default=INCLUDED)
 
 
 @dataclass(frozen=True)
@@ -212,34 +211,34 @@ class CharacteristicFlags:
 
 
 def _statused_region(points, vstat_map, estat_map, provenance, exterior,
-                     default_v=UNKNOWN, default_e=UNKNOWN) -> TypeSetRegion:
+                     default=UNKNOWN) -> TypeSetRegion:
     verts = _dedupe(points)
-    vstat = tuple(vstat_map.get(v, default_v) for v in verts)
+    vstat = tuple(vstat_map.get(v, default) for v in verts)
     estat = []
     n = len(verts)
     for i in range(n):
         pair = (verts[i], verts[(i + 1) % n])
-        estat.append(estat_map.get(pair, default_e))
+        estat.append(estat_map.get(pair, default))
     return TypeSetRegion(tuple(verts), vstat, tuple(estat), provenance,
                          exterior)
 
 
-def _inclusion_only(d: int, base, gs, rest, provenance, exterior) -> TypeSetRegion:
-    """Region O, Q2(base), *rest (ending in Q1) of which only the interior,
-    [O, Q1) and (O, Q2(max{base, 2*gs - 1})) are proved: a cut vertex
-    Q2(2*gs - 1) goes in before Q2(base) when it lies beyond it."""
-    q2 = vertex("Q2", d, base)
-    cut = vertex("Q2", d, 2 * gs - 1) if 2 * gs - 1 > base else q2
-    estat = {(rest[-1], _ORIGIN): INCLUDED, (_ORIGIN, cut): INCLUDED}
-    return _statused_region([_ORIGIN, cut, q2, *rest], {_ORIGIN: INCLUDED},
-                            estat, provenance, exterior)
+# d >= 3: the status of the critical segment [Q2, Q1] for each value of the
+# Minkowski-characteristic flag, and the provenance it gives
+_HIGHER_DIM = {True: (INCLUDED, "higher-dim-characteristic-bounded"),
+               False: (EXCLUDED, "higher-dim-characteristic-unbounded"),
+               None: (UNKNOWN, "higher-dim-characteristic-unknown")}
 
 
 def radial_type_set(d: int, beta, gamma=None, gamma_star=None,
                     flags: CharacteristicFlags | None = None) -> TypeSetRegion:
     """Type-set region for the maximal operator restricted to radial data,
     with boundary statuses encoding exactly what is provable from the
-    dimension data (beta, gamma, gamma_star) and the characteristic flags."""
+    dimension data (beta, gamma, gamma_star) and the characteristic flags.
+
+    Two shapes: for d >= 3 (and for the full interval) the triangle
+    O, Q2(beta), Q1; for d = 2 with 2*gamma >= beta + 1, Q2 moves to
+    Q2(2*gamma - 1) and Q3(beta, gamma) comes in before Q1."""
     _check_dim(d)
     b = _unit(beta, "beta")
     g = _unit(gamma, "gamma") if gamma is not None else b
@@ -253,62 +252,42 @@ def radial_type_set(d: int, beta, gamma=None, gamma_star=None,
             "quasi-Assouad regular flag contradicts gamma_star != gamma")
 
     q1 = vertex("Q1", d, b)
-    q2b = vertex("Q2", d, b)
 
-    # full-interval behaviour: the critical segment [Q1, Q2] drops out
-    if b == 1:
-        vstat = {_ORIGIN: INCLUDED, q1: EXCLUDED,
-                 q2b: RESTRICTED_WEAK if d == 2 else EXCLUDED}
-        estat = {(_ORIGIN, q2b): INCLUDED, (q2b, q1): EXCLUDED,
-                 (q1, _ORIGIN): INCLUDED}
-        return _statused_region([_ORIGIN, q2b, q1], vstat, estat,
-                                "interval-endpoint", EXCLUDED)
+    if b == 1 or d >= 3:
+        # the triangle O, Q2(beta), Q1; for the full interval its critical
+        # segment [Q2, Q1] drops out, Q2 keeping restricted weak type in d = 2
+        q2 = vertex("Q2", d, b)
+        seg, prov = ((EXCLUDED, "interval-endpoint") if b == 1
+                     else _HIGHER_DIM[flags.minkowski_char_bounded])
+        vstat = {_ORIGIN: INCLUDED, q2: RESTRICTED_WEAK if d == 2 else seg}
+        estat = {(_ORIGIN, q2): INCLUDED, (q1, _ORIGIN): INCLUDED}
+        return _statused_region([_ORIGIN, q2, q1], vstat, estat, prov,
+                                EXCLUDED, default=seg)
 
-    if d >= 3:
-        known = flags.minkowski_char_bounded
-        if known is True:
-            seg = INCLUDED
-            prov = "higher-dim-characteristic-bounded"
-        elif known is False:
-            seg = EXCLUDED
-            prov = "higher-dim-characteristic-unbounded"
-        else:
-            seg = UNKNOWN
-            prov = "higher-dim-characteristic-unknown"
-        vstat = {_ORIGIN: INCLUDED, q1: seg, q2b: seg}
-        estat = {(_ORIGIN, q2b): INCLUDED, (q2b, q1): seg,
-                 (q1, _ORIGIN): INCLUDED}
-        return _statused_region([_ORIGIN, q2b, q1], vstat, estat, prov,
-                                EXCLUDED)
-
-    # d == 2 below
-    both_bounded = (flags.minkowski_char_bounded is True
-                    and flags.assouad_char_bounded is True)
-
-    if 2 * g < b + 1:
-        if both_bounded:
-            # subcritical with bounded characteristics: the whole closed
-            # triangle, matched by the easy outer containment
-            return _statused_region(
-                [_ORIGIN, q2b, q1], {}, {}, "2d-subcritical-endpoint",
-                EXCLUDED, default_v=INCLUDED, default_e=INCLUDED)
-        return _inclusion_only(d, b, gs, [q1], "2d-subcritical-inclusion",
-                               EXCLUDED)
-
-    # supercritical 2*gamma >= beta + 1
-    q2g = vertex("Q2", d, 2 * g - 1)
-    q3 = vertex("Q3", d, b, g)
-    exterior = EXCLUDED if flags.quasi_assouad_regular is True else UNKNOWN
-    if both_bounded:
-        vstat = {_ORIGIN: INCLUDED, q2g: RESTRICTED_WEAK, q3: INCLUDED,
-                 q1: INCLUDED}
-        if q3 == q2g:
-            vstat[q3] = RESTRICTED_WEAK
+    # d == 2: supercritical when 2*gamma >= beta + 1
+    sup = 2 * g >= b + 1
+    base = 2 * g - 1 if sup else b
+    q2 = vertex("Q2", d, base)
+    rest = [vertex("Q3", d, b, g), q1] if sup else [q1]
+    exterior = (EXCLUDED if not sup or flags.quasi_assouad_regular is True
+                else UNKNOWN)
+    if (flags.minkowski_char_bounded is True
+            and flags.assouad_char_bounded is True):
+        # bounded characteristics: the whole closed polygon, matched by the
+        # outer containment, with Q2 restricted weak type when supercritical
         return _statused_region(
-            [_ORIGIN, q2g, q3, q1], vstat, {}, "2d-critical-endpoint",
-            exterior, default_v=INCLUDED, default_e=INCLUDED)
-    return _inclusion_only(d, 2 * g - 1, gs, [q3, q1],
-                           "2d-supercritical-inclusion", exterior)
+            [_ORIGIN, q2, *rest], {q2: RESTRICTED_WEAK} if sup else {}, {},
+            "2d-critical-endpoint" if sup else "2d-subcritical-endpoint",
+            exterior, default=INCLUDED)
+    # only the interior, [O, Q1) and (O, Q2(max{base, 2*gs - 1})) are
+    # proved: a cut vertex Q2(2*gs - 1) goes in before q2 when it lies
+    # beyond it
+    cut = vertex("Q2", d, 2 * gs - 1) if 2 * gs - 1 > base else q2
+    return _statused_region(
+        [_ORIGIN, cut, q2, *rest], {_ORIGIN: INCLUDED},
+        {(q1, _ORIGIN): INCLUDED, (_ORIGIN, cut): INCLUDED},
+        "2d-supercritical-inclusion" if sup else "2d-subcritical-inclusion",
+        exterior)
 
 
 # ---------------------------------------------------------------------------
@@ -413,40 +392,31 @@ def predicted_probe_exponents(d: int, beta, gamma, gamma_star, p, q,
             f"need beta <= gamma <= gamma_star, got {b}, {g}, {gs}")
     x, y = _xy(p, q)
 
+    extra = {}
     if family == "BallR":
         # scale = 1/R
-        inp = -d * x
-        out = -d * y
+        inp, out = -d * x, -d * y
     elif family == "AnnulusDelta":
-        inp = x
-        out = Fraction(d) * y
+        inp, out = x, Fraction(d) * y
     elif family == "SmallBallDelta":
-        inp = d * x
-        out = (d - 1) + (1 - b) * y
+        inp, out = d * x, (d - 1) + (1 - b) * y
     elif family == "SteinLog":
-        crit = Fraction(d, d - 1)
-        inp = min(Fraction(0), d * x - (d - 1))
-        out = Fraction(0)
-        res = {"input_exponent": inp, "output_exponent": out,
-               "gap": out - inp}
-        res["divergence"] = "log-log" if x == 1 / crit else "none"
-        return res
+        inp, out = min(Fraction(0), d * x - (d - 1)), Fraction(0)
+        extra = {"divergence":
+                 "log-log" if x == Fraction(d - 1, d) else "none"}
     elif family == "EndpointLog":
-        res = {"input_exponent": Fraction(0),
-               "output_exponent": (1 - b) * y,
-               "gap": (1 - b) * y,
-               "input_log_exponent": Fraction(d - 1, d),
-               "output_log_exponent": Fraction(1),
-               "log_gap": Fraction(1, d)}
-        return res
+        inp, out = Fraction(0), (1 - b) * y
+        extra = {"input_log_exponent": Fraction(d - 1, d),
+                 "output_log_exponent": Fraction(1),
+                 "log_gap": Fraction(1, d)}
     elif family == "Lorentz2D":
         if d != 2:
             raise ParameterError("the Lorentz shell probe is two-dimensional")
-        inp = x
-        out = min(Fraction(1, 2), 2 * y)
+        inp, out = x, min(Fraction(1, 2), 2 * y)
     else:  # LocalAnnulus
         if d != 2:
             raise ParameterError("the local annulus probe is two-dimensional")
-        gap = supporting_line_value(x, y, b, g)
-        return {"input_exponent": x, "output_exponent": x + gap, "gap": gap}
-    return {"input_exponent": inp, "output_exponent": out, "gap": out - inp}
+        inp = x
+        out = x + supporting_line_value(x, y, b, g)
+    return {"input_exponent": inp, "output_exponent": out, "gap": out - inp,
+            **extra}

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import sphmax
 from sphmax import radial_operator
 from sphmax.cli import _pq_list, _scale_list, build_parser, load_config, main
 from sphmax.errors import ConfigError
@@ -167,6 +168,16 @@ scales = 2^-2..2^-5
 """)
     assert main(["dims", "--config", cfg, "--out", str(tmp_path / "y")]) == 2
     assert "inside [1, 2]" in capsys.readouterr().err
+    # so does a set past the component cap inside the hull, where building
+    # it would run for hours
+    out = tmp_path / "z"
+    for expression in ("cantor(alpha=1/3, depth=40)",
+                       "progression(u=1, delta=1e-12, m=1000000000)"):
+        cfg = write_cfg(tmp_path, f"[set]\nexpression = {expression}\n\n"
+                        "[dims]\nscales = 2^-2..2^-5\n")
+        assert main(["dims", "--config", cfg, "--out", str(out)]) == 2
+        assert "more than 65536" in capsys.readouterr().err
+        assert not out.exists()
     assert main(["mean", "3", "chi(2,1)", "1", "1"]) == 2
     assert "config error" in capsys.readouterr().err
 
@@ -449,6 +460,7 @@ README_CFGS = {
     "dims": "[set]\nexpression = cantor(alpha=1/3, depth=10)\n\n"
             "[dims]\nscales = 3^-2..3^-8\n",
     "region": "[region]\nd = 3\nbeta = 1\n",
+    "probe": PROBE_CFG.replace("d = 2", "d = 3"),
 }
 README_SHA256 = {
     "dims_characteristics.csv":
@@ -457,6 +469,10 @@ README_SHA256 = {
         "a2bd8bf40c3f3c42a7b821e4f7bb774dc94f469ef8cfc8adf83c3ce42f9ec5bb",
     "dims_summary.csv":
         "3b617a0c4e54739c329291c2c6498d1e34d025993a9e8fe9233f5a6967b95d7c",
+    "probe_rows.csv":
+        "8b73dea780e49774238bd767d4cf7a5bdba9cefe916ec36750c59733097ef145",
+    "probe_summary.csv":
+        "d08923cb764f14b440f0ed9eb09fd5bfc71ca8cc54f0f1ebc6442362aa12df3e",
     "region_edges.csv":
         "70f4ae53db3d6bd1f04231ef221b5e845fa1cec16cfa66edf23ce77eb10cd628",
     "region_summary.csv":
@@ -467,21 +483,45 @@ README_SHA256 = {
 
 
 def test_readme_artifacts_golden(tmp_path, capsys):
+    # the README runs every example into one out/ directory
     for command, text in README_CFGS.items():
         cfg = write_cfg(tmp_path, text, f"{command}.cfg")
-        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
+        threads = ["--threads", "2"] if command == "probe" else []
+        assert main([command, "--config", cfg, "--out", str(tmp_path),
+                     *threads]) == 0
+        out = capsys.readouterr().out.splitlines()
+        if command == "probe":
+            assert out == [
+                "p=2 q=4 fitted=+0.2499 predicted=+0.2500 verdict=consistent",
+                "p=2 q=5 fitted=+0.0999 predicted=+0.1000 verdict=consistent",
+            ]
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in README_SHA256}
     assert got == README_SHA256
 
-    cfg = write_cfg(tmp_path, PROBE_CFG.replace("d = 2", "d = 3"), "probe.cfg")
-    assert main(["probe", "--config", cfg, "--out", str(tmp_path / "probe"),
-                 "--threads", "2"]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "p=2 q=4 fitted=+0.2499 predicted=+0.2500 verdict=consistent",
-        "p=2 q=5 fitted=+0.0999 predicted=+0.1000 verdict=consistent",
-    ]
+
+@pytest.mark.parametrize("command", ["dims", "region", "probe", "verify"])
+def test_output_dir_holds_exactly_the_manifest_artifacts(command, tmp_path,
+                                                         capsys):
+    out = tmp_path / "out"
+    if command == "verify":
+        config_sha256 = "-"
+        assert main(["verify", "--seed", "0", "--out", str(out)]) == 0
+    else:
+        cfg = write_cfg(tmp_path, README_CFGS[command])
+        config_sha256 = hashlib.sha256(Path(cfg).read_bytes()).hexdigest()
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    rows = read_csv(out / "manifest.csv")
+    assert rows[:4] == [["key", "value"], ["command", command],
+                        ["version", sphmax.__version__],
+                        ["config_sha256", config_sha256]]
+    assert rows[4][0] == "generated_at"
+    listed = dict(rows[5:])
+    assert list(listed) == sorted(listed)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [*listed, "manifest.csv"])
+    for name, digest in listed.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 # seed 666 draws d = 2, f = s^2, where a Monte Carlo check with a fixed

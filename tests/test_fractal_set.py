@@ -670,6 +670,21 @@ def test_progression_points_and_limits():
             arithmetic_progression(u, F(1, 128), 10 ** 12)
 
 
+def test_generators_cap_their_component_count():
+    # 2**16 components build in well under a second; past that a cantor
+    # depth or a progression count inside the hull is refused before any
+    # point is built, where it would otherwise run for hours
+    assert len(middle_cantor(F(1, 3), 16).intervals) == 2 ** 16
+    assert len(arithmetic_progression(1, F(1, 2 ** 16), 2 ** 16).intervals) \
+        == 2 ** 16
+    for build in (lambda: middle_cantor(F(1, 3), 17),
+                  lambda: middle_cantor(F(1, 2), 40),
+                  lambda: arithmetic_progression(1, F(1, 2 ** 17), 2 ** 16 + 1),
+                  lambda: arithmetic_progression(F(5, 4), F(1, 2 ** 40), 10 ** 9)):
+        with pytest.raises(ParameterError, match="more than 65536"):
+            build()
+
+
 def test_sets_stay_inside_ambient_interval():
     with pytest.raises(ParameterError):
         finite_points([F(1, 2)])

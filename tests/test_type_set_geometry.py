@@ -1,5 +1,7 @@
 """Exact-arithmetic checks for the type-set regions and probe predictions."""
 
+import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -282,6 +284,33 @@ def test_radial_rejects_bad_parameter_chain():
         radial_type_set(2, F(1, 4), F(1, 2), F(1, 3))
     with pytest.raises(ParameterError):
         radial_type_set(1, F(1, 2))
+
+
+# sha256 over the repr of every radial_type_set on the grid below, or the
+# name of the exception it raises, one line per case in loop order
+RADIAL_GRID_SHA256 = (
+    "e34e3dbf3867a84b793d71287a8d8857a1e1f47a559df8f77bbcfc9105723148")
+
+
+def test_radial_type_set_pinned_on_a_grid():
+    # d in {2, 3}, beta <= gamma <= gamma_star in steps of 1/8 and all 27
+    # flag triples: a moved vertex, status, provenance or exterior, or an
+    # error raised where there was none, changes the digest
+    steps = [F(k, 8) for k in range(9)]
+    digest = hashlib.sha256()
+    cases = 0
+    for d in (2, 3):
+        for chain in itertools.combinations_with_replacement(steps, 3):
+            for flags in itertools.product((True, False, None), repeat=3):
+                try:
+                    text = repr(radial_type_set(
+                        d, *chain, CharacteristicFlags(*flags)))
+                except (ParameterError, ConsistencyError) as exc:
+                    text = type(exc).__name__
+                digest.update(text.encode() + b"\n")
+                cases += 1
+    assert cases == 8910
+    assert digest.hexdigest() == RADIAL_GRID_SHA256
 
 
 # ---------------------------------------------------------------------------
