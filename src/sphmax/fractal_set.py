@@ -197,23 +197,23 @@ def geometric_sequence(base, count: int) -> FractalSet:
     if b <= 1:
         raise ParameterError(f"base must exceed 1, got {b}")
     _check_count(count)
-    pts = [(2 - b ** -n) for n in range(1, count + 1)]
-    pts.append(_TWO)
-    return _normalize([(p, p) for p in pts], f"geometric(base={b}, count={count})")
+    # 2 - base**(-n) rises with n inside (1, 2): nothing to normalize
+    pts = [2 - b ** -n for n in range(1, count + 1)] + [_TWO]
+    return FractalSet(tuple((p, p) for p in pts), f"geometric(base={b}, count={count})")
 
 
 def power_sequence(exponent, count: int) -> FractalSet:
     """Points 1 + n**(-a) for n = 1..count, together with 1 itself.
 
-    Non-integer exponents give irrational points; these are snapped to
-    nearby rationals (denominator <= 2**48), which moves each point by far
-    less than any scale the estimators may legally probe.
+    Non-integer exponents give irrational points, snapped to nearby
+    rationals (denominator <= 2**48) that move each point by far less than
+    any scale the estimators may legally probe; points that snap alike merge.
     """
     _check_count(count)
     a = as_rational(exponent, ParameterError, "exponent")
     if a <= 0:
         raise ParameterError(f"exponent must be positive, got {a}")
-    pts = [_ONE]
+    pts = []
     for n in range(1, count + 1):
         if a.denominator == 1:
             pts.append(1 + Fraction(1, n ** a.numerator))
@@ -222,8 +222,9 @@ def power_sequence(exponent, count: int) -> FractalSet:
             if val == 0.0:
                 raise ParameterError(f"exponent {a} underflows at n={n}")
             pts.append(1 + Fraction(val).limit_denominator(2 ** 48))
-    return _normalize([(p, p) for p in pts],
-                      f"powerseq(exponent={a}, count={count})")
+    # 1, then the points for n = count..1, rising but for snapped ties
+    merged = _merged((p, p) for p in [_ONE, *reversed(pts)])
+    return FractalSet(tuple(merged), f"powerseq(exponent={a}, count={count})")
 
 
 def arithmetic_progression(u, delta, m: int) -> FractalSet:

@@ -699,7 +699,7 @@ def circular_components(f: RadialProfile, r) -> dict[str, float]:
             raise ParameterError(
                 "closed-form window functionals need a piecewise constant profile")
     out = {"U": 0.0, "R": 0.0}
-    if r > 0.5 and 2.0 * r > 1.0:
+    if r > 0.5:
         t = np.linspace(1.0, min(2.0, 2.0 * r), _CIRCULAR_STEPS)
         lo_w = np.abs(r - t)
         hi_w = r + t
@@ -710,7 +710,7 @@ def circular_components(f: RadialProfile, r) -> dict[str, float]:
             m = b > a
             acc[m] += abs(pc.coeff) * 0.5 * (b[m] ** 2 - a[m] ** 2)
         out["U"] = float(acc.max() / r)
-    if r <= 1.0 and 2.0 * r <= 2.0:
+    if r <= 1.0:
         t = np.linspace(max(1.0, 2.0 * r), 2.0, _CIRCULAR_STEPS)
         acc = np.zeros_like(t)
         for pc in f.pieces:

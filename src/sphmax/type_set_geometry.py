@@ -21,8 +21,8 @@ RESTRICTED_WEAK = "restricted-weak-only"
 UNKNOWN = "unknown"
 _STATUSES = {INCLUDED, EXCLUDED, RESTRICTED_WEAK, UNKNOWN}
 
-VERTEX_NAMES = ("P1", "P2", "P3", "Q1", "Q2", "Q3", "Q3tilde")
-REGION_KINDS = ("Delta", "P", "Q", "Qtilde")
+VERTEX_NAMES = ("Q1", "Q2", "Q3")
+REGION_KINDS = ("Delta", "Q")
 
 
 @dataclass(frozen=True, order=True)
@@ -104,6 +104,17 @@ def _unit(value, what: str) -> Fraction:
     return v
 
 
+def _dimensions(beta, gamma, gamma_star) -> tuple[Fraction, Fraction, Fraction]:
+    """beta <= gamma <= gamma_star as Fractions in [0, 1], or ParameterError."""
+    b = _unit(beta, "beta")
+    g = _unit(gamma, "gamma")
+    gs = _unit(gamma_star, "gamma_star")
+    if not b <= g <= gs:
+        raise ParameterError(
+            f"need beta <= gamma <= gamma_star, got {b}, {g}, {gs}")
+    return b, g, gs
+
+
 def _theta(beta: Fraction, gamma: Fraction) -> Fraction:
     if beta == 1 and gamma == 1:
         return Fraction(1)
@@ -111,43 +122,23 @@ def _theta(beta: Fraction, gamma: Fraction) -> Fraction:
 
 
 def vertex(name: str, d: int, beta=None, gamma=None) -> RegionPoint:
-    """Named boundary vertex of the type-set regions; beta feeds the P1/P2/
-    Q1/Q2/Q3tilde formulas, gamma feeds P3, and Q3 needs both."""
+    """Named vertex of the paper's two shapes: Q1(beta) on the diagonal,
+    Q2(beta) below it, and the two-dimensional Q3(beta, gamma), the one
+    that needs gamma."""
     _check_dim(d)
     if name not in VERTEX_NAMES:
         raise ParameterError(f"unknown vertex name {name!r}")
-    b = _unit(beta, "beta") if beta is not None else None
-    g = _unit(gamma, "gamma") if gamma is not None else None
-    if b is not None and g is not None and b > g:
-        raise ParameterError(f"need beta <= gamma, got {b} > {g}")
-
-    def need(value, label):
-        if value is None:
-            raise ParameterError(f"vertex {name} needs {label}")
-        return value
-
-    if name in ("P1", "Q1"):
-        b = need(b, "beta")
+    if gamma is None and name != "Q3":
+        b = _unit(beta, "beta")
+    else:
+        b, g, _ = _dimensions(beta, gamma, gamma)
+    if name == "Q1":
         x = Fraction(d - 1) / (d - 1 + b)
         return RegionPoint(x, x)
     if name == "Q2":
-        b = need(b, "beta")
         den = d * d - 1 + b
         return RegionPoint(Fraction(d * (d - 1)) / den, Fraction(d - 1) / den)
-    if name == "P2":
-        b = need(b, "beta")
-        den = d - b + 1
-        return RegionPoint((d - b) / den, 1 / den)
-    if name == "P3":
-        g = need(g, "gamma")
-        den = d * d - 1 + 2 * g
-        return RegionPoint(Fraction(d * (d - 1)) / den, Fraction(d - 1) / den)
-    if name == "Q3tilde":
-        b = need(b, "beta")
-        return RegionPoint((2 - b) / 2, Fraction(1, 2))
     # Q3: two-dimensional critical vertex
-    b = need(b, "beta")
-    g = need(g, "gamma")
     if d != 2:
         raise ParameterError("Q3 exists only in dimension 2")
     if b + 1 > 2 * g:
@@ -167,35 +158,37 @@ def _dedupe(points: list[RegionPoint]) -> list[RegionPoint]:
     return out
 
 
+def _shape(d: int, b: Fraction, g, quadrilateral: bool) -> list[RegionPoint]:
+    """Un-merged vertices of the paper's triangle O, Q2(beta), Q1 or of its
+    d = 2 quadrilateral O, Q2(2*gamma - 1), Q3(beta, gamma), Q1."""
+    q1 = vertex("Q1", d, b)
+    if quadrilateral:
+        return [_ORIGIN, vertex("Q2", d, 2 * g - 1), vertex("Q3", d, b, g), q1]
+    return [_ORIGIN, vertex("Q2", d, b), q1]
+
+
 def region(kind: str, d: int, beta=None, gamma=None) -> TypeSetRegion:
-    """Bare closed region of the given kind, every part included. Duplicate
-    vertices produced by degenerate parameters are merged."""
+    """Bare closed polygon, every part included: "Delta" is the triangle
+    O, Q2(beta), Q1, "Q" the d = 2 quadrilateral O, Q2(2*gamma - 1),
+    Q3(beta, gamma), Q1, the two shapes that radial_type_set annotates.
+    Duplicate vertices produced by degenerate parameters are merged."""
     _check_dim(d)
     if kind not in REGION_KINDS:
         raise ParameterError(f"unknown region kind {kind!r}")
-    b = _unit(beta, "beta")
-    if kind == "Delta":
-        points = [_ORIGIN, vertex("Q2", d, b), vertex("Q1", d, b)]
-        prov = "triangle"
-    elif kind == "P":
-        g = _unit(gamma, "gamma")
-        if b > g:
-            raise ParameterError(f"need beta <= gamma, got {b} > {g}")
-        points = [_ORIGIN, vertex("P3", d, gamma=g), vertex("P2", d, b),
-                  vertex("P1", d, b)]
-        prov = "general-region"
-    else:
-        g = _unit(gamma, "gamma")
+    quad = kind == "Q"
+    if quad:
+        b, g, _ = _dimensions(beta, gamma, gamma)
         if d != 2:
             raise ParameterError(f"region kind {kind!r} exists only in dimension 2")
         if 2 * g < 1:
             raise ParameterError(
                 f"region kind {kind!r} needs gamma >= 1/2, got {g}")
         # Q3 itself enforces the supercritical constraint 2*gamma >= beta + 1
-        mid = vertex("Q3", d, b, g) if kind == "Q" else vertex("Q3tilde", d, b)
-        points = [_ORIGIN, vertex("Q2", d, 2 * g - 1), mid, vertex("Q1", d, b)]
-        prov = "quadrilateral" if kind == "Q" else "quadrilateral-tilde"
-    return _statused_region(points, {}, {}, prov, EXCLUDED, default=INCLUDED)
+    else:
+        b, g = _unit(beta, "beta"), None
+    return _statused_region(_shape(d, b, g, quad), {}, {},
+                            "quadrilateral" if quad else "triangle", EXCLUDED,
+                            default=INCLUDED)
 
 
 @dataclass(frozen=True)
@@ -240,23 +233,22 @@ def radial_type_set(d: int, beta, gamma=None, gamma_star=None,
     O, Q2(beta), Q1; for d = 2 with 2*gamma >= beta + 1, Q2 moves to
     Q2(2*gamma - 1) and Q3(beta, gamma) comes in before Q1."""
     _check_dim(d)
-    b = _unit(beta, "beta")
-    g = _unit(gamma, "gamma") if gamma is not None else b
-    gs = _unit(gamma_star, "gamma_star") if gamma_star is not None else g
-    if not b <= g <= gs:
-        raise ParameterError(
-            f"need beta <= gamma <= gamma_star, got {b}, {g}, {gs}")
+    gamma = beta if gamma is None else gamma
+    b, g, gs = _dimensions(beta, gamma,
+                           gamma if gamma_star is None else gamma_star)
     flags = flags or CharacteristicFlags()
     if (flags.quasi_assouad_regular is True and g > 0 and gs != g):
         raise ConsistencyError(
             "quasi-Assouad regular flag contradicts gamma_star != gamma")
 
-    q1 = vertex("Q1", d, b)
+    # d == 2 is supercritical when 2*gamma >= beta + 1
+    sup = d == 2 and b < 1 and 2 * g >= b + 1
+    _, q2, *rest = _shape(d, b, g, sup)
+    q1 = rest[-1]
 
     if b == 1 or d >= 3:
-        # the triangle O, Q2(beta), Q1; for the full interval its critical
-        # segment [Q2, Q1] drops out, Q2 keeping restricted weak type in d = 2
-        q2 = vertex("Q2", d, b)
+        # the triangle; for the full interval its critical segment [Q2, Q1]
+        # drops out, Q2 keeping restricted weak type in d = 2
         seg, prov = ((EXCLUDED, "interval-endpoint") if b == 1
                      else _HIGHER_DIM[flags.minkowski_char_bounded])
         vstat = {_ORIGIN: INCLUDED, q2: RESTRICTED_WEAK if d == 2 else seg}
@@ -264,11 +256,7 @@ def radial_type_set(d: int, beta, gamma=None, gamma_star=None,
         return _statused_region([_ORIGIN, q2, q1], vstat, estat, prov,
                                 EXCLUDED, default=seg)
 
-    # d == 2: supercritical when 2*gamma >= beta + 1
-    sup = 2 * g >= b + 1
     base = 2 * g - 1 if sup else b
-    q2 = vertex("Q2", d, base)
-    rest = [vertex("Q3", d, b, g), q1] if sup else [q1]
     exterior = (EXCLUDED if not sup or flags.quasi_assouad_regular is True
                 else UNKNOWN)
     if (flags.minkowski_char_bounded is True
@@ -358,12 +346,9 @@ def supporting_line_value(x, y, beta, gamma) -> Fraction:
     vanishes at Q2(2*gamma-1) identically in beta and at Q3(beta, gamma)."""
     x = as_rational(x, what="x")
     y = as_rational(y, what="y")
-    b = _unit(beta, "beta")
-    g = _unit(gamma, "gamma")
+    b, g, _ = _dimensions(beta, gamma, gamma)
     if g == 0:
         raise ParameterError("the supporting line needs gamma > 0")
-    if b > g:
-        raise ParameterError(f"need beta <= gamma, got {b} > {g}")
     return (Fraction(1, 2) + (1 - g) * y
             + (1 - b / g) * ((1 + g) * y - Fraction(1, 2)) - x)
 
@@ -384,12 +369,7 @@ def predicted_probe_exponents(d: int, beta, gamma, gamma_star, p, q,
     _check_dim(d)
     if family not in PROBE_FAMILIES:
         raise ParameterError(f"unknown probe family {family!r}")
-    b = _unit(beta, "beta")
-    g = _unit(gamma, "gamma")
-    gs = _unit(gamma_star, "gamma_star")
-    if not b <= g <= gs:
-        raise ParameterError(
-            f"need beta <= gamma <= gamma_star, got {b}, {g}, {gs}")
+    b, g, gs = _dimensions(beta, gamma, gamma_star)
     x, y = _xy(p, q)
 
     extra = {}

@@ -500,6 +500,26 @@ def test_readme_artifacts_golden(tmp_path, capsys):
     assert got == README_SHA256
 
 
+def test_readme_library_block():
+    # the README's "Library" example runs as printed, and every value its
+    # comments state holds
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    assert [ln for ln in block.splitlines() if ln.startswith("#")] == [
+        "# m.value = 0.150000 attained at t = 1.000000",
+        "# rep.minkowski_estimate = 0.6309...",
+        '# vertices (0,0), (2/3,2/9), (2/3,2/3); exterior_status = "excluded"',
+    ]
+    scope = {}
+    exec(block, scope)
+    m, rep, R = scope["m"], scope["rep"], scope["R"]
+    assert (f"{m.value:.6f}", f"{m.t:.6f}") == ("0.150000", "1.000000")
+    assert f"{rep.minkowski_estimate:.12f}".startswith("0.6309")
+    assert [(v.x, v.y) for v in R.vertices] == [
+        (0, 0), (F(2, 3), F(2, 9)), (F(2, 3), F(2, 3))]
+    assert R.exterior_status == "excluded"
+
+
 @pytest.mark.parametrize("command", ["dims", "region", "probe", "verify"])
 def test_output_dir_holds_exactly_the_manifest_artifacts(command, tmp_path,
                                                          capsys):

@@ -656,6 +656,37 @@ def test_power_sequence_fractional_exponent_rationalized():
         assert min(abs(x - (1 + n ** -0.5)) for x in xs) < 1e-12
 
 
+def _sequence_points(kind, a, count):
+    # the generators' points, each computed alone, in no particular order
+    if kind == "geometric":
+        return [2 - a ** -n for n in range(1, count + 1)] + [F(2)]
+    if a.denominator == 1:
+        tail = [1 + F(1, n ** a.numerator) for n in range(1, count + 1)]
+    else:
+        tail = [1 + F(float(n) ** -float(a)).limit_denominator(2 ** 48)
+                for n in range(1, count + 1)]
+    return [F(1)] + tail
+
+
+@pytest.mark.parametrize("kind, a", [
+    ("geometric", F(2)), ("geometric", F(9, 8)),
+    ("powerseq", F(3)), ("powerseq", F(1, 2)), ("powerseq", F(2, 3)),
+    ("powerseq", F(40, 3))])
+def test_sequences_equal_the_sorted_union_of_their_points(kind, a):
+    # built without a sort, the sets equal from_intervals of the same points;
+    # at exponent 40/3 the points for n >= 13 snap onto a few rationals
+    # (n**(-40/3) < 2**-49 snaps to 0, onto the point 1) and merge
+    make = geometric_sequence if kind == "geometric" else power_sequence
+    for count in (1, 2, 7, 40):
+        E = make(a, count)
+        pts = _sequence_points(kind, a, count)
+        assert E.intervals == from_intervals([(p, p) for p in pts]).intervals
+        assert len(E.intervals) == len(set(pts))
+        assert all(x < y for (x, _), (y, _) in zip(E.intervals, E.intervals[1:]))
+    if a == F(40, 3):
+        assert len(E.intervals) < count + 1
+
+
 def test_progression_points_and_limits():
     E = arithmetic_progression(F(5, 4), F(1, 128), 16)
     assert len(E.intervals) == 16

@@ -36,11 +36,8 @@ def pt(x, y):
 def test_vertex_reference_points():
     assert vertex("Q2", 3, 1) == pt(F(2, 3), F(2, 9))
     assert vertex("Q2", 2, 1) == pt(F(1, 2), F(1, 4))
-    assert vertex("P3", 2, gamma=1) == pt(F(2, 5), F(1, 5))
     assert vertex("Q1", 3, 1) == pt(F(2, 3), F(2, 3))
-    assert vertex("P1", 2, F(1, 2)) == pt(F(2, 3), F(2, 3))
-    assert vertex("Q3tilde", 2, F(1, 2)) == pt(F(3, 4), F(1, 2))
-    assert vertex("P2", 3, 1) == pt(F(2, 3), F(1, 3))
+    assert vertex("Q1", 2, F(1, 2)) == pt(F(2, 3), F(2, 3))
 
 
 def test_vertex_q3_interpolation():
@@ -54,18 +51,14 @@ def test_vertex_q3_interpolation():
         assert vertex("Q3", 2, b, g) == vertex("Q2", 2, b)
 
 
-def test_vertex_degenerate_merges():
-    assert vertex("P1", 2, 1) == vertex("P2", 2, 1)
-    for d in (2, 3, 4):
-        assert vertex("P3", d, gamma=0) == vertex("P2", d, 0)
-    assert vertex("Q3tilde", 2, 1) == vertex("Q1", 2, 1)
-
-
 def test_vertex_rejects_bad_requests():
     with pytest.raises(ParameterError):
         vertex("X9", 2, 1)
+    for gone in ("P1", "P2", "P3", "Q3tilde"):
+        with pytest.raises(ParameterError):
+            vertex(gone, 2, F(1, 2), F(1))
     with pytest.raises(ParameterError):
-        vertex("P3", 2, beta=F(1, 2))  # needs gamma
+        vertex("Q1", 2)  # needs beta
     with pytest.raises(ParameterError):
         vertex("Q3", 2, beta=F(1, 2))
     with pytest.raises(ParameterError):
@@ -80,20 +73,29 @@ def test_vertex_rejects_bad_requests():
         vertex("Q1", 1, F(1, 2))
 
 
+def test_every_caller_refuses_beta_above_gamma_alike():
+    b, g = F(3, 4), F(5, 8)
+    calls = [lambda: vertex("Q1", 2, b, g),
+             lambda: region("Q", 2, b, g),
+             lambda: radial_type_set(2, b, g),
+             lambda: supporting_line_value(0, 0, b, g),
+             lambda: predicted_probe_exponents(2, b, g, 1, 2, 4, "BallR")]
+    for call in calls:
+        with pytest.raises(ParameterError, match="need beta <= gamma <= "
+                                                 "gamma_star, got 3/4, 5/8"):
+            call()
+
+
 def test_vertex_grid_lands_in_triangle():
     # RegionPoint construction itself enforces 0 <= y <= x <= 1
     betas = [F(k, 8) for k in range(9)]
     for d in (2, 3, 5):
         for b in betas:
-            for name in ("P1", "P2", "Q1", "Q2", "Q3tilde"):
-                if name == "Q3tilde" and d != 2:
-                    continue
+            for name in ("Q1", "Q2"):
                 vertex(name, d, b)
             for g in betas:
-                if g >= b:
-                    vertex("P3", d, gamma=g)
-                    if d == 2 and 2 * g >= b + 1:
-                        vertex("Q3", d, b, g)
+                if d == 2 and g >= b and 2 * g >= b + 1:
+                    vertex("Q3", d, b, g)
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +117,6 @@ def test_region_q_degenerates_to_delta_on_critical_line():
     d = region("Delta", 2, F(1, 3))
     assert q.vertices == d.vertices
     assert len(q.vertices) == 3
-
-
-def test_region_p_merges_at_beta_one():
-    r = region("P", 2, 1, 1)
-    assert len(r.vertices) == 3
-    assert r.vertices == (pt(0, 0), pt(F(2, 5), F(1, 5)), pt(F(1, 2), F(1, 2)))
 
 
 def test_region_rejects_bad_requests():
@@ -154,15 +150,6 @@ def test_region_validation_catches_bad_polygons():
     with pytest.raises(ConsistencyError):
         TypeSetRegion((o, a, b), ("unknown", "included", "included"), inc,
                       "origin-not-included")
-
-
-def test_qtilde_contains_delta_when_subcritical():
-    # quadrilateral-tilde with the same bottom vertex swallows the triangle
-    b, g = F(1, 2), F(5, 8)  # 2*gamma = 5/4 < 3/2 = beta + 1
-    qt = region("Qtilde", 2, b, g)
-    tri = region("Delta", 2, b)
-    for v in tri.vertices:
-        assert classify_point(qt, v.x, v.y) != "outside"
 
 
 # ---------------------------------------------------------------------------
@@ -415,19 +402,6 @@ def test_q_inside_delta_strict_iff_supercritical():
             else:
                 # beta > 0: the triangle's bottom vertex sticks out
                 assert classify_point(q, q2.x, q2.y) == "outside"
-
-
-def test_p_region_inside_delta():
-    grid = [F(k, 8) for k in range(9)]
-    for d in (2, 3):
-        for b in grid:
-            for g in grid:
-                if g < b:
-                    continue
-                p = region("P", d, b, g)
-                tri = region("Delta", d, b)
-                for v in p.vertices:
-                    assert classify_point(tri, v.x, v.y) != "outside"
 
 
 # ---------------------------------------------------------------------------
