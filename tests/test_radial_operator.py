@@ -9,10 +9,10 @@ import scipy.integrate
 from conftest import kernel_mass, sphere_average_mc
 from sphmax.errors import (ConfigError, DivergentNormError, DomainError,
                            InsufficientDataError, ParameterError,
-                           SingularityError)
+                           PrecisionError, SingularityError)
 from sphmax.fractal_set import (finite_points, from_intervals, full_interval,
                                 middle_cantor)
-from sphmax import quadrature
+from sphmax import quadrature, radial_operator
 from sphmax.quadrature import DEFAULT_QUAD, QuadratureSpec
 from sphmax.radial_operator import (_INVPHI, DilationGrid, MaximalValue,
                                     RadialProfile, ProfilePiece, _golden_max,
@@ -441,6 +441,91 @@ def test_maximal_value_refinement_beats_grid_sweep():
     assert refined.value == pytest.approx(fine.value, rel=1e-4)
 
 
+_PIN_SETS = {
+    # 33 points; 33 points; two points per component; eight per component
+    "full": (full_interval(), F(1, 32)),
+    "sub": (from_intervals([(F(17, 16), F(7, 4))]), F(11, 512)),
+    "cantor": (middle_cantor(F(1, 3), 3), F(1, 27)),
+    "cantor-fine": (middle_cantor(F(1, 3), 3), F(1, 108)),
+}
+_PIN_PROFILES = {
+    "chi": indicator(F(1, 4), F(5, 2)),
+    "chi-shell": indicator(F(1, 2), F(3, 2)),
+    "pow": power_profile(1.5, -0.5, 0, 0, F(7, 2)),
+    "pow-sq": power_profile(0.5, 2.0, 0, F(1, 4), F(3)),
+    "log": power_profile(0.8, -0.5, 1.0, F(1, 16), F(15, 16)),
+    "log-inv": power_profile(1.0, 0.0, -1.0, F(3, 4), F(63, 64)),
+    "log-sq": power_profile(2.0, 0.5, 2.0, F(1, 2), F(63, 64)),
+}
+# (set, profile, d, r, where the best grid point sits in its polish
+# bracket, value.hex(), t.hex()) of maximal_value, recorded while every
+# polish step was a lone row
+_MAXVAL_PINS = [
+    ("full", "chi", 2, 1.3, "left", "0x1.0000000000001p+0", "0x1.018c462d772eap+0"),
+    ("full", "pow", 3, 1.3, "left", "0x1.47445d2232fdap+0", "0x1.0000000000000p+0"),
+    ("full", "log", 4, 0.3, "left", "0x1.5c76f72e25903p-5", "0x1.0000000000000p+0"),
+    ("full", "chi-shell", 5, 2.9, "right", "0x1.6b0ceb8902ccep-7", "0x1.0000000000000p+1"),
+    ("full", "chi", 2, 2.9, "interior", "0x1.52c5841901f9cp-2", "0x1.783dda89fc61bp+0"),
+    ("full", "pow-sq", 3, 1.3, "interior", "0x1.251eb8516fac0p+1", "0x1.b3333333ea188p+0"),
+    ("full", "log-inv", 2, 0.9, "interior", "0x1.cbc4878f577acp+0", "0x1.d95da65224902p+0"),
+    ("sub", "chi", 5, 1.3, "left", "0x1.ffff85a29e78cp-1", "0x1.1000000000000p+0"),
+    ("sub", "pow", 2, 2.9, "left", "0x1.3b26b6c44fed8p-1", "0x1.1000000000000p+0"),
+    ("sub", "log", 3, 0.3, "left", "0x1.0d6fc1ade385fp-5", "0x1.1000000000000p+0"),
+    ("sub", "chi-shell", 4, 2.9, "right", "0x1.0be30b953fb19p-6", "0x1.c000000000000p+0"),
+    ("sub", "pow-sq", 5, 1.3, "right", "0x1.2e459590b2f1cp+1", "0x1.c000000000000p+0"),
+    ("sub", "log-inv", 2, 0.8, "right", "0x1.f59f3d778d1ddp+0", "0x1.bfb5c51b6e592p+0"),
+    ("sub", "chi", 3, 2.9, "interior", "0x1.f90bc8f63a5c6p-3", "0x1.783ddae7ed70bp+0"),
+    ("sub", "pow-sq", 4, 1.7, "interior", "0x1.27bb496611251p+1", "0x1.59dbc2316d737p+0"),
+    ("sub", "log-sq", 2, 0.6, "interior", "0x1.b436ecfa519c6p-4", "0x1.1999999a5ae94p+0"),
+    ("cantor", "chi", 2, 1.3, "left", "0x1.0000000000001p+0", "0x1.0479ff11ffe52p+0"),
+    ("cantor", "pow", 3, 1.3, "left", "0x1.47445d2232fdap+0", "0x1.0000000000000p+0"),
+    ("cantor", "log", 4, 0.3, "left", "0x1.5c76f72e25903p-5", "0x1.0000000000000p+0"),
+    ("cantor", "chi", 5, 1.3, "right", "0x1.0000000000002p+0", "0x1.05d7784ad6af6p+0"),
+    ("cantor", "pow", 2, 1.7, "right", "0x1.5ba05404ded9bp+0", "0x1.b33333325c0a1p+0"),
+    ("cantor", "log-inv", 2, 0.9, "right", "0x1.a3df0134cd8f8p+0", "0x1.c71c71c71c71cp+0"),
+    ("cantor-fine", "chi", 4, 1.7, "left", "0x1.ce77672c29fbcp-1", "0x1.0000000000000p+0"),
+    ("cantor-fine", "pow", 5, 1.3, "left", "0x1.389898e214912p+0", "0x1.0000000000000p+0"),
+    ("cantor-fine", "log", 2, 0.3, "left", "0x1.6023ffa7cd742p-4", "0x1.0000000000000p+0"),
+    ("cantor-fine", "chi", 3, 2.9, "right", "0x1.f6957aff6957bp-3", "0x1.5555555555555p+0"),
+    ("cantor-fine", "pow-sq", 4, 1.3, "right", "0x1.2b108d6e832e4p+1", "0x1.c71c71c71c71cp+0"),
+    ("cantor-fine", "log-inv", 2, 0.9, "right", "0x1.a3df0134cd8f8p+0", "0x1.c71c71c71c71cp+0"),
+    ("cantor-fine", "chi", 2, 1.3, "interior", "0x1.0000000000001p+0", "0x1.00ed9086656cap+0"),
+    ("cantor-fine", "pow-sq", 5, 1.3, "interior", "0x1.391c830d903bbp+1", "0x1.e88250a7ebc82p+0"),
+    ("cantor-fine", "log-sq", 2, 0.6, "interior", "0x1.b436ecff60a09p-4", "0x1.19999999cefd4p+0"),
+]
+
+
+@pytest.mark.parametrize("set_name,prof,d,r,where,value,t", _MAXVAL_PINS)
+def test_maximal_value_pinned_bits(set_name, prof, d, r, where, value, t,
+                                   monkeypatch):
+    E, spacing = _PIN_SETS[set_name]
+    grid = DilationGrid.from_set(E, spacing)
+    f = _PIN_PROFILES[prof]
+    # the best grid point and its bracket, as the polish of maximal_value
+    # cuts it: within the refinement radius and inside its component
+    v = np.abs(_spherical_means(d, f, r, grid._floats))
+    i = int(np.argmax(v))
+    best = float(grid._floats[i])
+    lo, hi = E.component(grid.points[i])
+    h = float(grid.refinement)
+    a, b = max(float(lo), best - h), min(float(hi), best + h)
+    assert where == ("left" if best == a else "right" if best == b
+                     else "interior")
+    # a bracket whose grid maximum is one of its ends, and only such a
+    # bracket, evaluates its predicted path in one batch
+    marks = []
+    golden = radial_operator._golden_max
+
+    def recording(fn, brackets, iters, marked):
+        marks.append(list(marked))
+        return golden(fn, brackets, iters, marked)
+
+    monkeypatch.setattr(radial_operator, "_golden_max", recording)
+    got = maximal_value(d, f, r, E, grid)
+    assert marks == [[] if where == "interior" else [0]]
+    assert (got.value.hex(), got.t.hex()) == (value, t)
+
+
 def _golden_alone(fn, a, b, iters):
     # the golden-section search of one bracket, one point per step
     c = b - _INVPHI * (b - a)
@@ -472,20 +557,146 @@ def test_golden_lockstep_matches_each_bracket_alone():
     assert peaks[1](b - _INVPHI * (b - a)) == peaks[1](a + _INVPHI * (b - a))
     batches = []
 
-    def fn(xs):
-        batches.append(len(xs))
-        return [g(x) for g, x in zip(peaks, xs)]
+    def fn(xs, js):
+        batches.append(list(js))
+        return [peaks[j](x) for j, x in zip(js, xs)]
 
-    got = _golden_max(fn, brackets, 36)
-    assert batches == [len(brackets)] * 38
+    # no bracket marked: every step evaluates every search
+    got = _golden_max(fn, brackets, 36, [])
+    assert batches == [[0, 1, 2, 3]] * 38
     for g, (a, b), (t, v) in zip(peaks, brackets, got):
         want_t, want_v = _golden_alone(g, a, b, 36)
         assert (t.hex(), v.hex()) == (want_t.hex(), want_v.hex())
     for iters in (0, 1, 30):
-        [(t, v)] = _golden_max(lambda xs: [peaks[1](xs[0])], [(1.0, 2.0)],
-                               iters)
+        [(t, v)] = _golden_max(lambda xs, js: [peaks[1](xs[0])],
+                               [(1.0, 2.0)], iters, [])
         want_t, want_v = _golden_alone(peaks[1], 1.0, 2.0, iters)
         assert (t.hex(), v.hex()) == (want_t.hex(), want_v.hex())
+
+
+def _path_alone(fn, a, b, iters):
+    # the abscissae the search of one bracket evaluates alone, in order
+    path = []
+    _golden_alone(lambda x: path.append(x) or fn(x), a, b, iters)
+    return path
+
+
+def _run_marked(g, bracket, iters):
+    # one marked bracket: the sizes of fn's calls, and the result
+    sizes = []
+
+    def fn(xs, js):
+        sizes.append(len(xs))
+        return [g(x) for x in xs]
+
+    [got] = _golden_max(fn, [bracket], iters, [0])
+    t, v = _golden_alone(g, *bracket, iters)
+    assert (got[0].hex(), got[1].hex()) == (t.hex(), v.hex())
+    return sizes
+
+
+def _ramp_steps(g, a, b, iters):
+    # how many points after c and d the lone search takes in one direction
+    # before it turns: each new c lies below the last, each new d above
+    path = _path_alone(g, a, b, iters)
+    left = path[2] < path[0]
+    last, k = path[0] if left else path[1], 0
+    for x in path[2:]:
+        if (x < last) != left:
+            break
+        last, k = x, k + 1
+    return k
+
+
+@pytest.mark.parametrize("g", [lambda x: -x, lambda x: x, lambda x: 1.0],
+                         ids=["into-left-end", "into-right-end", "plateau"])
+def test_golden_path_batch_replays_a_ramp(g):
+    # one speculative call holds the whole rest of the path; the plateau
+    # (fc == fd at every step) runs toward a, as the ramp -x does
+    for bracket in [(1.0, 2.0), (1.375, 1.40625)]:
+        assert _run_marked(g, bracket, 36) == [1, 1, 36]
+    assert _run_marked(g, (1.0, 2.0), 1) == [1, 1, 1]
+    # no predicted point: no call at all, empty or not
+    assert _run_marked(g, (1.0, 2.0), 0) == [1, 1]
+
+
+@pytest.mark.parametrize("peak", [1.01, 1.2, 1.45, 1.99, 1.7])
+def test_golden_path_batch_rejoins_the_lockstep(peak):
+    # the search leaves the ramp after k steps, then asks for one lone
+    # point per step; the first step follows the comparison of c and d,
+    # so k >= 1 whatever the profile
+    def g(x):
+        return -(x - peak) ** 2
+
+    k = _ramp_steps(g, 1.0, 2.0, 36)
+    assert 0 < k < 36
+    assert _run_marked(g, (1.0, 2.0), 36) == [1, 1, 36] + [1] * (36 - k)
+
+
+def test_golden_path_batch_mixes_marked_and_lockstep_brackets():
+    peaks = [lambda x: -x, lambda x: -(x - 1.3) ** 2, lambda x: x,
+             lambda x: -(x - 1.01) ** 2]
+    brackets = [(1.0, 2.0), (1.0, 2.0), (1.2, 1.25), (1.0, 2.0)]
+    calls = []
+
+    def fn(xs, js):
+        calls.append(list(js))
+        return [peaks[j](x) for j, x in zip(js, xs)]
+
+    got = _golden_max(fn, brackets, 36, [0, 2, 3])
+    k = _ramp_steps(peaks[3], 1.0, 2.0, 36)
+    assert calls[:2] == [[0, 1, 2, 3]] * 2
+    assert calls[2] == [0] * 36 + [2] * 36 + [3] * 36
+    assert 0 < k < 36
+    assert calls[3:] == [[1]] * k + [[1, 3]] * (36 - k)
+    for g, (a, b), (t, v) in zip(peaks, brackets, got):
+        want_t, want_v = _golden_alone(g, a, b, 36)
+        assert (t.hex(), v.hex()) == (want_t.hex(), want_v.hex())
+
+
+def test_golden_path_batch_drops_an_error_off_the_path():
+    # the speculative call raises at a point the search never visits: the
+    # batch is dropped, and the search runs in lockstep to its lone result
+    def g(x):
+        return -(x - 1.01) ** 2
+
+    off = (set(_path_alone(lambda x: -x, 1.0, 2.0, 36))
+           - set(_path_alone(g, 1.0, 2.0, 36)))
+    assert off
+    sizes = []
+
+    def fn(xs, js):
+        sizes.append(len(xs))
+        if off.intersection(xs):
+            raise PrecisionError("stalled off the path")
+        return [g(x) for x in xs]
+
+    [got] = _golden_max(fn, [(1.0, 2.0)], 36, [0])
+    t, v = _golden_alone(g, 1.0, 2.0, 36)
+    assert (got[0].hex(), got[1].hex()) == (t.hex(), v.hex())
+    assert sizes == [1, 1, 36] + [1] * 36
+
+
+@pytest.mark.parametrize("step", [0, 1, 2, 9, 37])
+@pytest.mark.parametrize("g", [lambda x: -x, lambda x: -(x - 1.01) ** 2],
+                         ids=["ramp", "turn"])
+def test_golden_path_batch_raises_where_the_search_alone_does(g, step):
+    # a PrecisionError on the true path, inside the predicted part or not:
+    # the same error, from the same point, as the search alone
+    bad = _path_alone(g, 1.0, 2.0, 36)[step]
+
+    def h(x):
+        if x == bad:
+            raise PrecisionError(f"stalled at {x.hex()}")
+        return g(x)
+
+    with pytest.raises(PrecisionError) as alone:
+        _golden_alone(h, 1.0, 2.0, 36)
+    for marked in ([], [0]):
+        with pytest.raises(PrecisionError) as err:
+            _golden_max(lambda xs, js: [h(x) for x in xs], [(1.0, 2.0)], 36,
+                        marked)
+        assert str(err.value) == str(alone.value)
 
 
 _BATCH_PROFILES = {
