@@ -4,7 +4,7 @@ Each family packages the radial profile of a scaling test function together
 with the witness radii where its lower bound is realized. A probe run sweeps
 the scale, computes a lower-bound functional at the witnesses (a grid and
 golden-polish lower bound on the maximal value, up to the quadrature's
-|G15 - G7| error estimate), and fits the log-log slope of functional over
+|K15 - G7| error estimate), and fits the log-log slope of functional over
 input norm; the sign of the fitted gap mirrors the necessary condition at
 the chosen exponent pair. Witness evaluation anchors the dilation search at
 one known-good point per radius, which keeps every sweep cheap and
@@ -391,7 +391,7 @@ def lorentz_log_probe(scales, s=4, quad: QuadratureSpec = DEFAULT_QUAD,
         # ladder past the conservative 1/4 witness cap: the edge-tangent
         # dilation 1 - delta + r stays admissible for radii up to 1, and each
         # sampled value is a grid-and-polish lower bound on the maximal
-        # value, up to the quadrature's |G15 - G7| error estimate
+        # value, up to the quadrature's |K15 - G7| error estimate
         radii, anchors = _lorentz_ladder(delta, Fraction(1))
         grids = [DilationGrid((E.nearest(anchor),), inst.anchor_refinement)
                  for anchor in anchors]

@@ -69,8 +69,8 @@ class RadialProfile:
     pieces: tuple[ProfilePiece, ...]
     # derived once, so none takes part in equality or repr: per piece its
     # float ends, the float ends again as two ascending arrays, and every
-    # breakpoint of the profile as a sorted tuple (1.0 included: log pieces
-    # kink there)
+    # breakpoint of the profile as a sorted tuple of the piece ends (a log
+    # piece stops at or before s = 1, so its kink there is a piece end)
     _table: tuple[tuple[float, float, ProfilePiece], ...] = field(
         init=False, repr=False, compare=False)
     _ends: tuple[np.ndarray, np.ndarray] = field(
@@ -104,7 +104,7 @@ class RadialProfile:
         object.__setattr__(self, "_ends", tuple(
             np.array([b[k] for b in bounds], dtype=float) for k in (0, 1)))
         object.__setattr__(self, "_breaks",
-                           tuple(sorted({1.0, *(e for b in bounds for e in b)})))
+                           tuple(sorted({e for b in bounds for e in b})))
 
     def values(self, s):
         """Vectorized evaluation; zero outside every piece."""
@@ -552,7 +552,7 @@ def maximal_value(d: int, f: RadialProfile, r, E: FractalSet,
 
     Every grid point must lie in E; the polish step then cannot leave E, so
     the result is a lower bound for the supremum, up to the quadrature
-    error, which is the |G15 - G7| estimate and not a bound. It is the
+    error, which is the |K15 - G7| estimate and not a bound. It is the
     batch of one of _maximal_values."""
     return _maximal_values(d, f, (r,), E, (grid,), quad)[0]
 

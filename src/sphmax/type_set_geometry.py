@@ -361,7 +361,7 @@ def predicted_probe_exponents(d: int, beta, gamma, gamma_star, p, q,
                               family: str) -> dict:
     """Theoretical scale exponents for one probe family at the exponent pair
     (p, q): the input norm and the lower-bound functional (a grid-and-polish
-    lower bound, up to the quadrature's |G15 - G7| error estimate) both
+    lower bound, up to the quadrature's |K15 - G7| error estimate) both
     scale like (probe scale)**exponent, and gap = output - input. The probe
     scale always decreases to 0, so gap < 0 means the ratio blows up and the
     necessary condition at (1/p, 1/q) is violated. log entries refine ties:

@@ -10,6 +10,26 @@ from sphmax.quadrature import (_CHUNK_ROWS, _NOISE, DEFAULT_QUAD,
                                QuadratureSpec, _integrate_rows, integrate)
 
 
+def test_gauss_kronrod_constants():
+    # a mistyped digit of the qk15 tables breaks one of these
+    nodes, k15, g7 = (quadrature._NODES, quadrature._WEIGHTS_K15,
+                      quadrature._WEIGHTS_G7)
+    # leggauss's own weights sit up to 4 ulp of themselves off the correctly
+    # rounded ones, so compare on the scale of the interval, in ulp of 1
+    x, w = np.polynomial.legendre.leggauss(7)
+    eps = np.finfo(float).eps
+    assert np.abs(nodes[1::2] - x).max() <= 2 * eps
+    assert np.abs(g7 - w).max() <= 2 * eps
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(k15, k15[::-1]) and np.array_equal(g7, g7[::-1])
+    # on [-1, 1], x^k integrates to 2/(k+1) for even k and to 0 for odd k
+    for k in range(23):
+        want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.dot(k15, nodes ** k) - want) <= 1e-15, k
+        if k <= 13:
+            assert abs(np.dot(g7, nodes[1::2] ** k) - want) <= 1e-15, k
+
+
 def test_polynomial_exact():
     assert integrate(lambda s, a, b: s ** 3, 0, 1) == pytest.approx(0.25, abs=1e-12)
 
