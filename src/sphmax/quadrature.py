@@ -24,17 +24,11 @@ _ARRAY_ROWS rows, such as a dilation sweep, is laid out and summed over
 its first round as numpy columns, with no Python per panel; only the rows
 that miss their budget get a heap of panels for the lockstep refinement.
 Smaller batches and lone rows keep the per-panel layout: below about 32
-rows the array steps cost more than they save. A golden polish sends
-both. Its first two steps, and each step of a search that leaves its
-predicted path, are a lone row, or one row per witness radius polished
-in lockstep. The predicted path of a search whose grid maximum is an end
-of its bracket is one batch of 30 or 36 rows per search, laid out as
-arrays. A lone spherical mean costs about 40 to 190 us on a shared 2-CPU
-host, mostly the fixed cost of some twenty numpy calls, so panels carry
-the center and half width their nodes are computed from; a 36-row batch
-costs 0.5 to 1.4 ms, a sixth to a third of 36 lone rows. Both layouts
-produce the same panels in the same order and sum them in the same
-order, so every value is bitwise that of the point by point computation.
+rows the array steps cost more than they save. A lone row costs mostly
+the fixed cost of some twenty numpy calls, so panels carry the center
+and half width their nodes are computed from. Both layouts produce the
+same panels in the same order and sum them in the same order, so every
+value is bitwise that of the point by point computation.
 """
 
 from __future__ import annotations

@@ -413,57 +413,40 @@ def _ramp_path(a: float, b: float, iters: int, left: bool) -> list[float]:
 def _golden_max(fn, brackets, iters: int, marked) -> list[tuple[float, float]]:
     """Per bracket (a, b), the best pair its golden-section search finds, the
     searches in lockstep: fn(xs, ks) maps the abscissae xs of the searches
-    ks to values, once per step for the searches that step evaluates.
+    ks to values, in one call per step for the searches whose abscissa has
+    no value yet in the table known, keyed by (search, abscissa).
 
     After their first two points c and d, the searches whose indices are
-    in marked predict the rest of their path: the one they take on a ramp
-    toward a when f(c) >= f(d), else toward b. One fn call evaluates every
-    predicted point, and each marked search takes those values while the
-    abscissa it asks for is the predicted one, then rejoins the lockstep.
-    A value depends only on its abscissa, so every result is bitwise that
-    of the search alone; a PrecisionError in that call discards it, so an
-    error is raised where the lockstep raises it. A 36-point path of a
-    spherical mean costs 0.5 to 1.4 ms in one call, against 1.4 to 6.8 ms
-    point by point on a shared 2-CPU host."""
+    in marked put in the table, in one fn call, the rest of the path they
+    take on a ramp toward a when f(c) >= f(d), else toward b; a search
+    that leaves that path finds no values there and rejoins the lockstep.
+    A value depends only on its search and abscissa, so every result is
+    bitwise that of the search alone; a PrecisionError in that call adds
+    nothing, so an error is raised where the lockstep raises it. A
+    36-point path of a spherical mean costs 0.5 to 1.4 ms in one call,
+    against 1.4 to 6.8 ms point by point on a shared 2-CPU host."""
     searches = [_golden_search(a, b, iters) for a, b in brackets]
     xs = [next(search) for search in searches]
-    ahead = [[] for _ in searches]
+    known = {}
     for step in range(iters + 2):
-        vals = [None] * len(xs)
-        due = []
-        for j, x in enumerate(xs):
-            if ahead[j] and ahead[j][-1][0] == x:
-                vals[j] = ahead[j].pop()[1]
-            else:
-                ahead[j] = []
-                due.append(j)
-        if due:
+        vals = [known.get(key) for key in enumerate(xs)]
+        if None in vals:
+            due = [j for j, v in enumerate(vals) if v is None]
             for j, v in zip(due, fn([xs[j] for j in due], due)):
                 vals[j] = v
         if step == 0:
             fcs = vals
         elif step == 1:
-            ahead = _path_batch(fn, brackets, iters, marked, fcs, vals)
+            path = [(j, x) for j in marked
+                    for x in _ramp_path(*brackets[j], iters, fcs[j] >= vals[j])]
+            if path:
+                try:
+                    known.update(zip(path, fn([x for _, x in path],
+                                              [j for j, _ in path])))
+                except PrecisionError:
+                    pass
         xs = [search.send(v) for search, v in zip(searches, vals)]
     return xs
-
-
-def _path_batch(fn, brackets, iters, marked, fcs, fds):
-    # per search, the (abscissa, value) pairs of its predicted path, last
-    # first; none unless marked, and none at all when the call raises
-    paths = {j: _ramp_path(*brackets[j], iters, fcs[j] >= fds[j])
-             for j in marked}
-    ahead = [[] for _ in brackets]
-    xs = [x for path in paths.values() for x in path]
-    if not xs:
-        return ahead
-    try:
-        vals = iter(fn(xs, [j for j, path in paths.items() for _ in path]))
-    except PrecisionError:
-        return ahead
-    for j, path in paths.items():
-        ahead[j] = [(x, next(vals)) for x in path][::-1]
-    return ahead
 
 
 def _sup_over_dilations(eval_many, sweeps, E: FractalSet, start: float = 0.0,
@@ -478,11 +461,11 @@ def _sup_over_dilations(eval_many, sweeps, E: FractalSet, start: float = 0.0,
 
     A bracket whose grid maximum is one of its ends, which happens exactly
     when the maximum is an end of its component of E or of bounds, is
-    marked for _golden_max's path batch: its search mostly runs straight
-    into that end, so its remaining points are evaluated in one call. In
-    the maxval-sweep benchmark that is 213 of 240 polishes, and 35 of the
-    7668 predicted points go unused; a polish then costs two lone rows and
-    one batch instead of 38 lone rows, which halves the median operation."""
+    marked for _golden_max: its search mostly runs straight into that end,
+    so the rest of that path is evaluated in one call. In the maxval-sweep
+    benchmark that is 213 of 240 polishes, and 35 of the 7668 predicted
+    points go unused; a polish then costs two lone rows and one batch
+    instead of 38 lone rows, which halves the median operation."""
     owner = np.repeat(np.arange(len(sweeps)), [len(sw[0]) for sw in sweeps])
     values = (eval_many(np.concatenate([sw[0] for sw in sweeps]), owner)
               if len(owner) else ())

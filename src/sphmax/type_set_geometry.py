@@ -153,8 +153,6 @@ def _dedupe(points: list[RegionPoint]) -> list[RegionPoint]:
     for p in points:
         if not out or p != out[-1]:
             out.append(p)
-    if len(out) > 1 and out[0] == out[-1]:
-        out.pop()
     return out
 
 

@@ -507,7 +507,10 @@ _MAXVAL_PINS = [
 ]
 
 
-@pytest.mark.parametrize("set_name,prof,d,r,where,value,t", _MAXVAL_PINS)
+# ids of (set, profile, d, r, where) only, so a re-baseline keeps them
+@pytest.mark.parametrize("set_name,prof,d,r,where,value,t", _MAXVAL_PINS,
+                         ids=["-".join(map(str, pin[:5]))
+                              for pin in _MAXVAL_PINS])
 def test_maximal_value_pinned_bits(set_name, prof, d, r, where, value, t,
                                    monkeypatch):
     E, spacing = _PIN_SETS[set_name]
@@ -839,6 +842,8 @@ def test_lp_norm_unit_ball_indicator():
         for p in (1.0, 2.0, 3.5):
             want = (1.0 / d) ** (1.0 / p)
             assert lp_norm(indicator(0, 1), p, d) == pytest.approx(want, rel=1e-12)
+    # a zero coefficient: norm 0, though s**-1 alone diverges for p = 2
+    assert lp_norm(power_profile(0, -1, 0, 0, 1), 2.0, 2) == 0.0
 
 
 def test_lp_norm_small_ball_scaling():
@@ -899,9 +904,22 @@ def test_lp_norm_closed_form_log_win_at_origin():
 
 
 def test_ess_sup_interior_critical_point():
-    f = power_profile(1, 1, 1, F(1, 100), F(99, 100))
-    want = math.exp(-1.0)  # s log(1/s) peaks at s = 1/e
-    assert lp_norm(f, math.inf, 2) == pytest.approx(want, rel=1e-12)
+    cases = [
+        # s log(1/s) peaks at s = 1/e, inside the piece or up to s = 1
+        (power_profile(1, 1, 1, F(1, 100), F(99, 100)), math.exp(-1.0)),
+        (power_profile(1, 1, 1, 0, 1), math.exp(-1.0)),
+        # pieces from s = 0, where a log power below 0 or a power above 0
+        # vanishes and a constant does not
+        (power_profile(1, 0, -1, 0, F(1, 2)), 1.0 / math.log(2.0)),
+        (power_profile(-3, 2, 0, 0, F(1, 2)), 0.75),
+        (power_profile(2, 0, 0, 0, F(1, 2)), 2.0),
+        # a log piece ending at s = 1, where it vanishes
+        (power_profile(1, 0, 2, F(1, 4), 1), math.log(4.0) ** 2),
+        # a zero coefficient, whatever its powers
+        (power_profile(0, -1, 0, 0, 1), 0.0),
+    ]
+    for f, want in cases:
+        assert lp_norm(f, math.inf, 2) == pytest.approx(want, rel=1e-12)
 
 
 def test_ess_sup_divergence_at_origin():
