@@ -20,15 +20,17 @@ and each row refines its own worst panel in lockstep with the others, so a
 row's value is bitwise the one it gets when integrated alone.
 
 Rows go through in chunks of at most _CHUNK_ROWS. A chunk of at least
-_ARRAY_ROWS rows, such as a dilation sweep, is laid out and summed over
-its first round as numpy columns, with no Python per panel; only the rows
-that miss their budget get a heap of panels for the lockstep refinement.
-Smaller batches and lone rows keep the per-panel layout: below about 32
-rows the array steps cost more than they save. A lone row costs mostly
-the fixed cost of some twenty numpy calls, so panels carry the center
-and half width their nodes are computed from. Both layouts produce the
-same panels in the same order and sum them in the same order, so every
-value is bitwise that of the point by point computation.
+_ARRAY_ROWS rows, such as a dilation sweep, is laid out, summed over its
+first round and split once as numpy columns, with no Python per panel:
+the rows that miss their budget take their first split together, and
+only those still short after it get a heap of panels for the lockstep
+refinement. Smaller batches and lone rows keep the per-panel layout:
+below about 32 rows the array steps cost more than they save. A lone row
+costs mostly the fixed cost of some twenty numpy calls, so panels carry
+the center and half width their nodes are computed from. Both layouts
+produce the same panels in the same order, sum them in the same order
+and split the same panel first, so every value is bitwise that of the
+point by point computation.
 """
 
 from __future__ import annotations
@@ -94,17 +96,26 @@ _NOISE = 64.0 * np.finfo(float).eps
 _MAX_SPLITS = 40_000
 # rows integrated together; bounds the memory of one round, not a tuning knob
 _CHUNK_ROWS = 256
-# the fewest rows of a chunk laid out and first summed as arrays; below it
-# the fixed cost of the array steps outweighs the per-panel Python they
-# save (measured on a 2-CPU host: per row the arrays cost more at 16 rows,
-# about the same at 24, the same or less at 32, less at 48, and three to
-# four times as much for one row)
+# the fewest rows of a chunk laid out, first summed and split as arrays;
+# below it the fixed cost of the array steps outweighs the per-panel Python
+# they save (measured on a 2-CPU host, array time over per-panel time of
+# one batch of spherical means with indicator, power and log profiles:
+# 1.0-1.4 at 16 rows, 0.8-1.1 at 24 and at 28, where the log profile still
+# pays more, 0.7-0.9 at 32, 0.55-0.8 at 48, and 2.1-2.4 for one row)
 _ARRAY_ROWS = 32
 
 
 def _budget(total: float, quad: QuadratureSpec) -> float:
     return max(quad.abs_tol, quad.rel_tol * abs(total),
                _NOISE * (abs(total) + quad.abs_tol))
+
+
+def _meets(total: np.ndarray, live: np.ndarray,
+           quad: QuadratureSpec) -> np.ndarray:
+    """Whether each error live meets the _budget of its estimate total."""
+    size = np.abs(total)
+    return live <= np.fmax(np.fmax(quad.abs_tol, quad.rel_tol * size),
+                           _NOISE * (size + quad.abs_tol))
 
 
 def _layout(los: list, his: list, start: int, cuts: list, skip) -> list:
@@ -168,58 +179,57 @@ def _layout_array(lo: np.ndarray, hi: np.ndarray, start: int,
     """_layout with one numpy operation per step instead of per panel: the
     same panels, bitwise and in the same order, as an (n, 9) array whose
     columns are the fields of _layout's tuples."""
-    rows = np.flatnonzero(hi > lo)
+    rows = (hi > lo).nonzero()[0]
     lo = lo[rows]
     hi = hi[rows]
-    first = np.searchsorted(cuts, lo, side="right")
-    inner = np.searchsorted(cuts, hi, side="left") - first
-    # every row's edges: lo, its inner cuts or else its midpoint, hi
-    n_edges = np.maximum(inner, 1) + 2
-    row = np.repeat(np.arange(len(rows)), n_edges)
-    at = np.arange(len(row)) - np.repeat(np.cumsum(n_edges) - n_edges,
-                                         n_edges)
-    last = at == n_edges[row] - 1
-    cut = np.take(np.append(cuts, np.nan), first[row] + at - 1, mode="clip")
-    mid = lo + 0.5 * (hi - lo)
-    edges = np.where(at == 0, lo[row], np.where(
-        last, hi[row], np.where(inner[row] > 0, cut, mid[row])))
-    a = edges[~last]
-    b = edges[at > 0]
-    row = row[~last]
-    # the bisection of _layout, one level of every hugging panel per pass
+    first = cuts.searchsorted(lo, "right")
+    inner = cuts.searchsorted(hi, "left") - first
+    # a row's panels run from lo over its inner cuts, or else its midpoint,
+    # to hi: panel j ends at entry j + shift[row] of the cuts followed by
+    # the rows' midpoints, its row's last panel at hi instead
+    count = np.maximum(inner, 1) + 1
+    ends = count.cumsum()
+    starts = ends - count
+    row = np.arange(len(rows)).repeat(count)
+    shift = np.where(inner > 0, first, np.arange(len(cuts), len(cuts) +
+                                                 len(rows))) - starts
+    b = np.concatenate((cuts, lo + 0.5 * (hi - lo))).take(
+        np.arange(len(row)) + shift[row], mode="clip")
+    a = np.empty_like(b)
+    a[1:] = b[:-1]
+    a[starts] = lo
+    b[ends - 1] = hi
+    # the bisection of _layout, one level of the hugging panels per pass,
+    # each split in place so that the panels stay in _layout's order; only
+    # the halves a pass makes are tested in the next
+    hug = (a - lo[row] < b - a) & (hi[row] - b < b - a)
     while True:
-        hug = (a - lo[row] < b - a) & (hi[row] - b < b - a)
-        if not hug.any():
+        split = hug.nonzero()[0]
+        if not len(split):
             break
-        halves = np.flatnonzero(hug)
-        mid = 0.5 * (a[halves] + b[halves])
-        twice = np.repeat(np.arange(len(a)), hug + 1)
-        left = halves + np.arange(len(halves))
-        a = a[twice]
-        b = b[twice]
-        row = row[twice]
+        mid = 0.5 * (a[split] + b[split])
+        twice = np.arange(len(a)).repeat(hug + 1)
+        left = split + np.arange(len(split))
+        a, b, row = a[twice], b[twice], row[twice]
         b[left] = mid
         a[left + 1] = mid
+        new = np.concatenate((left, left + 1))
+        na, nb, nrow = a[new], b[new], row[new]
+        hug = np.zeros(len(a), dtype=bool)
+        hug[new] = (na - lo[nrow] < nb - na) & (hi[nrow] - nb < nb - na)
     if skip is not None:
         keep = np.logical_not(skip(a, b))
-        a = a[keep]
-        b = b[keep]
-        row = row[keep]
+        a, b, row = a[keep], b[keep], row[keep]
     lo = lo[row]
     hi = hi[row]
     near = a - lo <= hi - b
     width = hi - lo
-    panels = np.empty((len(a), 9))
-    ua = panels[:, 0] = np.where(near, np.sqrt(a - lo), np.sqrt(hi - b))
-    ub = panels[:, 1] = np.where(near, np.sqrt(b - lo), np.sqrt(hi - a))
-    panels[:, 2] = 0.5 * (ua + ub)
-    panels[:, 3] = 0.5 * (ub - ua)
-    panels[:, 4] = np.where(near, lo, hi)
-    panels[:, 5] = np.where(near, 1.0, -1.0)
-    panels[:, 6] = np.where(near, 0.0, width)
-    panels[:, 7] = np.where(near, width, 0.0)
-    panels[:, 8] = rows[row] + start
-    return panels
+    ua = np.sqrt(np.where(near, a - lo, hi - b))
+    ub = np.sqrt(np.where(near, b - lo, hi - a))
+    return np.array((ua, ub, 0.5 * (ua + ub), 0.5 * (ub - ua),
+                     np.where(near, lo, hi), np.where(near, 1.0, -1.0),
+                     np.where(near, 0.0, width), np.where(near, width, 0.0),
+                     rows[row] + start)).T
 
 
 def _pairs(f, panels) -> tuple[np.ndarray, np.ndarray]:
@@ -293,33 +303,68 @@ def _first_round(f, panels: list, quad: QuadratureSpec, out) -> list:
 
 def _first_round_array(f, panels: np.ndarray, quad: QuadratureSpec,
                        out) -> list:
-    """_first_round on the panel array of _layout_array: the same sums,
-    taken with one add per panel position across all rows, and the budget
-    test over the whole chunk."""
+    """_first_round on the panel array of _layout_array, as arrays. Each
+    row's values and errors fill a column of a (position, row) table padded
+    with +0.0, summed with one add per position: a sum that starts at +0.0
+    never holds -0.0, so the padding leaves every bit alone. A row that
+    misses its budget with a finite error takes _refine's first split here,
+    in one array round for all such rows: its worst panel by argmax, which
+    picks the first of equal errors as the heap does, both halves in one
+    integrand call, the sums updated in _refine's order and one budget
+    test. Only the rows still short, and those with a non-finite error, get
+    a _Row, its heap as _refine would have left it."""
     value, err = _pairs(f, panels)
     rows = panels[:, -1].astype(np.intp)
-    first = np.flatnonzero(np.diff(rows, prepend=-1))
-    count = np.diff(first, append=len(rows))
-    total = np.zeros(len(first))
-    live = np.zeros(len(first))
-    for k in range(count.max()):
-        has = count > k
-        at = first[has] + k
-        total[has] += value[at]
-        live[has] += err[at]
-    size = np.abs(total)
-    budget = np.fmax(np.fmax(quad.abs_tol, quad.rel_tol * size),
-                     _NOISE * (size + quad.abs_tol))
-    done = live <= budget
+    head = np.empty(len(rows), dtype=bool)
+    head[0] = True
+    np.not_equal(rows[1:], rows[:-1], out=head[1:])
+    first = head.nonzero()[0]
+    group = head.cumsum() - 1
+    at = np.arange(len(rows)) - first[group]
+    table = np.zeros((at.max() + 1, 2, len(first)))
+    table[at, 0, group] = value
+    table[at, 1, group] = err
+    sums = np.zeros((2, len(first)))
+    for position in table:
+        sums += position
+    total, live = sums
+    done = _meets(total, live, quad)
+    short = (~done).nonzero()[0]
+    split = short[np.isfinite(live[short]) & (quad.max_refinement > 0)]
+    halved = {}
+    if len(split):
+        worst = first[split] + table[:, 1, split].argmax(axis=0)
+        a, b, mid = panels[worst, :3].T
+        halves = panels[worst].repeat(2, axis=0)
+        halves[::2, 1] = mid
+        halves[::2, 2] = 0.5 * (a + mid)
+        halves[::2, 3] = 0.5 * (mid - a)
+        halves[1::2, 0] = mid
+        halves[1::2, 2] = 0.5 * (mid + b)
+        halves[1::2, 3] = 0.5 * (b - mid)
+        hv, he = _pairs(f, halves)
+        total[split] += hv[::2] + hv[1::2] - value[worst]
+        live[split] += he[::2] + he[1::2] + -err[worst]
+        done[split] = again = _meets(total[split], live[split], quad)
+        left = ~again
+        halved = dict(zip(split[left].tolist(), zip(
+            he.reshape(-1, 2)[left].tolist(), hv.reshape(-1, 2)[left].tolist(),
+            halves.reshape(-1, 2, 9)[left].tolist())))
+        short = (~done).nonzero()[0]
     out[rows[first[done]]] = total[done]
     states = []
-    for j in np.flatnonzero(~done).tolist():
+    for j in short.tolist():
         begin = first[j]
-        end = begin + count[j]
+        end = first[j + 1] if j + 1 < len(first) else len(rows)
         st = _Row(int(rows[begin]), float(total[j]), float(live[j]))
         for e, v, pn in zip(err[begin:end].tolist(), value[begin:end].tolist(),
                             panels[begin:end].tolist()):
             st.push(e, v, pn, quad.max_refinement)
+        if j in halved:
+            heapq.heappop(st.heap)
+            st.pops = 1
+            for e, v, pn in zip(*halved[j]):
+                st.push(e, v, pn, quad.max_refinement - 1)
         states.append(st)
     return states
 
@@ -385,19 +430,18 @@ def _integrate_rows(f, los, his, quad: QuadratureSpec = DEFAULT_QUAD,
     most _CHUNK_ROWS; a chunk of at least _ARRAY_ROWS is laid out as
     arrays. Raises PrecisionError for the first row, in order, that cannot
     reach its error budget."""
-    los = [float(x) for x in los]
-    his = [float(x) for x in his]
+    los = np.asarray(los, dtype=float)
+    his = np.asarray(his, dtype=float)
     cuts = sorted({float(c) for c in breakpoints})
     out = np.zeros(len(los))
     for start in range(0, len(los), _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, len(los))
         if stop - start < _ARRAY_ROWS:
-            panels = _layout(los[start:stop], his[start:stop], start, cuts,
-                             skip)
+            panels = _layout(los[start:stop].tolist(),
+                             his[start:stop].tolist(), start, cuts, skip)
             first_round = _first_round
         else:
-            panels = _layout_array(np.array(los[start:stop]),
-                                   np.array(his[start:stop]), start,
+            panels = _layout_array(los[start:stop], his[start:stop], start,
                                    np.array(cuts), skip)
             first_round = _first_round_array
         if not len(panels):

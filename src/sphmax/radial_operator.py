@@ -84,8 +84,10 @@ class RadialProfile:
                 raise ParameterError("piece endpoints must be rational")
             if pc.lo < 0 or pc.hi <= pc.lo:
                 raise ParameterError(f"bad piece interval [{pc.lo}, {pc.hi}]")
-            if not math.isfinite(pc.coeff):
-                raise ParameterError("piece coefficient must be finite")
+            if not all(map(math.isfinite, (pc.coeff, pc.a_pow, pc.b_pow))):
+                raise ParameterError(
+                    "piece coefficient and powers must be finite, got "
+                    f"{pc.coeff!r}, {pc.a_pow!r}, {pc.b_pow!r}")
             if pc.b_pow != 0.0:
                 if pc.hi > 1:
                     raise ParameterError(
@@ -410,24 +412,44 @@ def _ramp_path(a: float, b: float, iters: int, left: bool) -> list[float]:
     return path[2:]
 
 
+def _values(fn, keys) -> dict:
+    """fn's values at the (search, abscissa) pairs keys, in one call."""
+    return dict(zip(keys, fn([x for _, x in keys], [j for j, _ in keys])))
+
+
 def _golden_max(fn, brackets, iters: int, marked) -> list[tuple[float, float]]:
     """Per bracket (a, b), the best pair its golden-section search finds, the
     searches in lockstep: fn(xs, ks) maps the abscissae xs of the searches
     ks to values, in one call per step for the searches whose abscissa has
     no value yet in the table known, keyed by (search, abscissa).
 
-    After their first two points c and d, the searches whose indices are
-    in marked put in the table, in one fn call, the rest of the path they
-    take on a ramp toward a when f(c) >= f(d), else toward b; a search
-    that leaves that path finds no values there and rejoins the lockstep.
-    A value depends only on its search and abscissa, so every result is
-    bitwise that of the search alone; a PrecisionError in that call adds
-    nothing, so an error is raised where the lockstep raises it. A
-    36-point path of a spherical mean costs 0.5 to 1.4 ms in one call,
-    against 1.4 to 6.8 ms point by point on a shared 2-CPU host."""
+    The first two points of every search, c and then d, go in one call,
+    since d does not depend on f(c). marked maps the index of a search to
+    a guess of the end its path runs into, True for a and False for b, or
+    to None; the first call also takes, for each guess, the rest of the
+    path the search follows on a ramp toward that end. f(c) >= f(d) still
+    sends a search toward a, else toward b, and when that differs from its
+    guess the rest of the path toward that end goes in one more call. A
+    search that leaves its path finds no values there and rejoins the
+    lockstep. A value depends only on its search and abscissa, so every
+    result is bitwise that of the search alone. A PrecisionError in the
+    first call retries c and d alone, and one in the second call adds
+    nothing, so an error is raised where the lockstep raises it. A 38-point
+    call of spherical means costs 0.15 to 1.1 ms, against 1.3 to 6.9 ms
+    point by point on a shared 2-CPU host."""
     searches = [_golden_search(a, b, iters) for a, b in brackets]
     xs = [next(search) for search in searches]
-    known = {}
+    # d = a + _INVPHI * (b - a), as _golden_search computes it
+    first = [*enumerate(xs), *((j, a + _INVPHI * (b - a))
+                               for j, (a, b) in enumerate(brackets))]
+    path = [(j, x) for j in marked if marked[j] is not None
+            for x in _ramp_path(*brackets[j], iters, marked[j])]
+    try:
+        known = _values(fn, first + path)
+    except PrecisionError:
+        if not path:
+            raise
+        known = _values(fn, first)
     for step in range(iters + 2):
         vals = [known.get(key) for key in enumerate(xs)]
         if None in vals:
@@ -437,12 +459,12 @@ def _golden_max(fn, brackets, iters: int, marked) -> list[tuple[float, float]]:
         if step == 0:
             fcs = vals
         elif step == 1:
-            path = [(j, x) for j in marked
-                    for x in _ramp_path(*brackets[j], iters, fcs[j] >= vals[j])]
-            if path:
+            sides = {j: fcs[j] >= vals[j] for j in marked}
+            turned = [(j, x) for j, left in sides.items() if left != marked[j]
+                      for x in _ramp_path(*brackets[j], iters, left)]
+            if turned:
                 try:
-                    known.update(zip(path, fn([x for _, x in path],
-                                              [j for j, _ in path])))
+                    known.update(_values(fn, turned))
                 except PrecisionError:
                     pass
         xs = [search.send(v) for search, v in zip(searches, vals)]
@@ -462,14 +484,19 @@ def _sup_over_dilations(eval_many, sweeps, E: FractalSet, start: float = 0.0,
     A bracket whose grid maximum is one of its ends, which happens exactly
     when the maximum is an end of its component of E or of bounds, is
     marked for _golden_max: its search mostly runs straight into that end,
-    so the rest of that path is evaluated in one call. In the maxval-sweep
-    benchmark that is 213 of 240 polishes, and 35 of the 7668 predicted
-    points go unused; a polish then costs two lone rows and one batch
-    instead of 38 lone rows, which halves the median operation."""
+    so the rest of that path is evaluated in one call. When the other end
+    of the bracket is a swept point valued below the maximum, the path is
+    guessed to run into the maximum and goes in the first call, with c and
+    d; else it follows them. In the maxval-sweep benchmark (seed 1, 6
+    decks) 213 of 240 polishes are marked and 208 guessed, so most polishes
+    cost one batch. In domination 31 of 365 marked polishes are guessed:
+    the candidates of decomposition_components are not grid neighbours,
+    and the side of the maximum alone guessed wrong in 157 of 359 (seed
+    3)."""
     owner = np.repeat(np.arange(len(sweeps)), [len(sw[0]) for sw in sweeps])
     values = (eval_many(np.concatenate([sw[0] for sw in sweeps]), owner)
               if len(owner) else ())
-    best, brackets, polished, marked = [], [], [], []
+    best, brackets, polished, marked = [], [], [], {}
     end = 0
     for k, (ts, points, (lo, hi), h) in enumerate(sweeps):
         v = values[end:end + len(ts)]
@@ -488,7 +515,11 @@ def _sup_over_dilations(eval_many, sweeps, E: FractalSet, start: float = 0.0,
         a, b = max(lo, t - h), min(hi, t + h)
         if b > a:
             if t in (a, b):
-                marked.append(len(brackets))
+                # the path is guessed to run into t when the other end of
+                # the bracket is a swept point valued below the maximum
+                far, other = (i + 1, b) if t == a else (i - 1, a)
+                sure = 0 <= far < len(ts) and ts[far] == other and v[far] < v[i]
+                marked[len(brackets)] = t == a if sure else None
             brackets.append((a, b))
             polished.append(k)
     if brackets:

@@ -184,3 +184,118 @@ def test_rows_raise_for_first_stalled_row_in_order():
     with pytest.raises(PrecisionError,
                        match=r"on \[0, 0\.96875\] stalled"):
         _integrate_rows(f, los, his, tight, cuts)
+
+
+def _random_layout_case(rng):
+    # rows on a few dyadic scales, some empty or reversed, and cuts some of
+    # which sit a few ulp inside a row end, so that rounding makes the
+    # bisected halves hug both ends again; some rows hold no cut
+    n = rng.integers(1, 40)
+    lo = rng.uniform(0.0, 3.0, n) * 2.0 ** rng.integers(-6, 3, n)
+    hi = lo + rng.uniform(-0.1, 2.0, n) * 2.0 ** rng.integers(-8, 2, n)
+    empty = rng.random(n) < 0.1
+    hi[empty] = lo[empty]
+    cuts = list(rng.uniform(0.0, 6.0, rng.integers(0, 12)))
+    for i in rng.choice(n, rng.integers(0, n + 1)):
+        end, inward = (lo[i], hi[i]) if rng.random() < 0.5 else (hi[i], lo[i])
+        step = np.nextafter(end, inward) - end
+        cuts.append(float(end + rng.integers(1, 5) * step))
+    if rng.random() < 0.2:
+        cuts = []
+    return lo, hi, sorted(set(cuts))
+
+
+def test_array_layout_matches_panel_layout_bitwise():
+    # _layout_array against _layout over random rows and cuts, with and
+    # without skip: the same panels, field by field and in the same order
+    rng = np.random.default_rng(20261019)
+    bisected = 0
+    for _ in range(1500):
+        lo, hi, cuts = _random_layout_case(rng)
+        start = int(rng.integers(0, 1000))
+        live = np.sort(rng.uniform(0.0, 6.0, 4))
+        for skip in (None, lambda a, b: (b <= live[0]) | (a >= live[3]) | (
+                (a >= live[1]) & (b <= live[2]))):
+            want = quadrature._layout(lo.tolist(), hi.tolist(), start, cuts,
+                                      skip)
+            got = quadrature._layout_array(lo, hi, start, np.array(cuts),
+                                           skip)
+            want = np.array(want, dtype=float).reshape(-1, 9)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        # without bisection a row gets one panel more than its inner cuts,
+        # and two without any
+        unsplit = sum(max(sum(a < c < b for c in cuts), 1) + 1
+                      for a, b in zip(lo, hi) if b > a)
+        bisected += len(quadrature._layout(lo.tolist(), hi.tolist(), 0, cuts,
+                                           None)) > unsplit
+    assert bisected > 100
+
+
+def _split_kinds(s, dlo, dhi, rows):
+    # the integrand of row i by i % 4: 0 a polynomial, which the first round
+    # meets;
+    # 1 symmetric about the row midpoint, so that its two first panels get
+    # bitwise-equal error estimates; 2 antisymmetric, equal errors and
+    # opposite values; 3 an endpoint singularity that takes many splits
+    kind = rows % 4
+    return np.select(
+        [kind == 0, kind == 1, kind == 2],
+        [s * s, dlo ** -0.3 + dhi ** -0.3, dlo ** -0.3 - dhi ** -0.3],
+        dlo ** -0.45)
+
+
+def _lone(f, i, lo, hi, quad=DEFAULT_QUAD):
+    # row i integrated alone, and its integrand calls
+    calls = []
+
+    def g(s, dlo, dhi):
+        calls.append(len(s))
+        return f(s, dlo, dhi, np.full((len(s), 1), i))
+
+    return integrate(g, lo, hi, quad), calls
+
+
+def test_array_first_split_matches_the_heap_bitwise():
+    # a chunk laid out as arrays takes the first split of every row short
+    # of its budget in one round; each row still gets the bits and the
+    # refinement of its lone integral, which splits in the heap
+    n = 2 * quadrature._ARRAY_ROWS + 4
+    los = np.arange(n) / 16.0
+    his = los + 2.0 ** -(np.arange(n) % 5)
+    batch = _integrate_rows(_split_kinds, los, his)
+    for i in range(n):
+        lone, calls = _lone(_split_kinds, i, los[i], his[i])
+        assert batch[i] == lone, i
+        # one call per round: kind 0 takes one, the others two splits or more
+        assert len(calls) == 1 if i % 4 == 0 else len(calls) >= 3, i
+    # the two first panels of a symmetric row tie in error, bitwise, and
+    # those of an antisymmetric one have opposite values besides
+    for i in (1, 2):
+        panels = quadrature._layout([los[i]], [his[i]], i, [], None)
+        value, err = quadrature._pairs(_split_kinds, panels)
+        assert err[0] == err[1] and value[0] == (-1) ** (i + 1) * value[1]
+
+
+@pytest.mark.parametrize("where", ["first-round", "halves"])
+def test_array_first_split_keeps_the_error_of_a_nan_row(where):
+    # row 20 meets a nan error in its first round or in the halves of its
+    # first split, rows before it converge and rows after it stall: the
+    # batch raises the error of row 20 alone, word for word
+    quad = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9, max_refinement=3)
+    n = 2 * quadrature._ARRAY_ROWS
+
+    def f(s, dlo, dhi, rows):
+        width = np.abs(s[:, -1:] - s[:, :1])
+        nan = (rows == 20) & ((where == "first-round") | (width < 0.2))
+        rough = np.where(rows > 20, dlo ** -0.45, np.cos(3.0 * s))
+        return np.where(nan, np.nan, np.where(rows == 20, dlo ** -0.45, rough))
+
+    los = np.zeros(n)
+    his = np.ones(n)
+    with pytest.raises(PrecisionError) as alone:
+        _lone(f, 20, 0.0, 1.0, quad)
+    assert "error nan" in str(alone.value)
+    with pytest.raises(PrecisionError) as batch:
+        _integrate_rows(f, los, his, quad)
+    assert str(batch.value) == str(alone.value)

@@ -16,6 +16,7 @@ from sphmax.quadrature import QuadratureSpec
 from sphmax.radial_operator import (_INVPHI, DilationGrid, MaximalValue,
                                     RadialProfile, ProfilePiece, _golden_max,
                                     _norm_const, _spherical_means,
+                                    _sup_over_dilations,
                                     circular_components,
                                     decomposition_components, indicator,
                                     kernel, lp_norm, maximal_value,
@@ -134,6 +135,16 @@ def test_log_piece_must_stay_below_one():
         power_profile(1.0, 0.0, -1.0, F(1, 2), 1)  # negative power at s=1
     # positive log power may end exactly at 1
     power_profile(1.0, 0.0, 1.0, F(1, 2), 1)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_piece_numbers_must_be_finite(x):
+    # refused where the piece is built, not met later as a bare ValueError
+    # or OverflowError in profile_expression, or as a PrecisionError whose
+    # error and estimate are nan
+    for args in [(x, 0, 0), (1, x, 0), (1, 0, x)]:
+        with pytest.raises(ParameterError, match="must be finite"):
+            power_profile(*args, 0, 1)
 
 
 def test_degenerate_interval_rejected():
@@ -576,15 +587,16 @@ def test_golden_lockstep_matches_each_bracket_alone():
         batches.append(list(js))
         return [peaks[j](x) for j, x in zip(js, xs)]
 
-    # no bracket marked: every step evaluates every search
-    got = _golden_max(fn, brackets, 36, [])
-    assert batches == [[0, 1, 2, 3]] * 38
+    # no bracket marked: the first call takes every c and then every d,
+    # and every later step evaluates every search
+    got = _golden_max(fn, brackets, 36, {})
+    assert batches == [[0, 1, 2, 3] * 2] + [[0, 1, 2, 3]] * 36
     for g, (a, b), (t, v) in zip(peaks, brackets, got):
         want_t, want_v = _golden_alone(g, a, b, 36)
         assert (t.hex(), v.hex()) == (want_t.hex(), want_v.hex())
     for iters in (0, 1, 30):
-        [(t, v)] = _golden_max(lambda xs, js: [peaks[1](xs[0])],
-                               [(1.0, 2.0)], iters, [])
+        [(t, v)] = _golden_max(lambda xs, js: [peaks[1](x) for x in xs],
+                               [(1.0, 2.0)], iters, {})
         want_t, want_v = _golden_alone(peaks[1], 1.0, 2.0, iters)
         assert (t.hex(), v.hex()) == (want_t.hex(), want_v.hex())
 
@@ -596,18 +608,24 @@ def _path_alone(fn, a, b, iters):
     return path
 
 
-def _run_marked(g, bracket, iters):
-    # one marked bracket: the sizes of fn's calls, and the result
+def _run_marked(g, bracket, iters, left):
+    # one bracket, marked with the guess left: the sizes of fn's calls,
+    # and the result
     sizes = []
 
     def fn(xs, js):
         sizes.append(len(xs))
         return [g(x) for x in xs]
 
-    [got] = _golden_max(fn, [bracket], iters, [0])
+    [got] = _golden_max(fn, [bracket], iters, {0: left})
     t, v = _golden_alone(g, *bracket, iters)
     assert (got[0].hex(), got[1].hex()) == (t.hex(), v.hex())
     return sizes
+
+
+def _ramp_left(g, a, b):
+    # whether the search's first comparison sends it toward a
+    return g(b - _INVPHI * (b - a)) >= g(a + _INVPHI * (b - a))
 
 
 def _ramp_steps(g, a, b, iters):
@@ -626,13 +644,21 @@ def _ramp_steps(g, a, b, iters):
 @pytest.mark.parametrize("g", [lambda x: -x, lambda x: x, lambda x: 1.0],
                          ids=["into-left-end", "into-right-end", "plateau"])
 def test_golden_path_batch_replays_a_ramp(g):
-    # one speculative call holds the whole rest of the path; the plateau
-    # (fc == fd at every step) runs toward a, as the ramp -x does
+    # one call holds c, d and the whole rest of the path when the guess
+    # is right, and a wrong guess costs one call for the other path; the
+    # plateau (fc == fd at every step) runs toward a, as the ramp -x does
     for bracket in [(1.0, 2.0), (1.375, 1.40625)]:
-        assert _run_marked(g, bracket, 36) == [1, 1, 36]
-    assert _run_marked(g, (1.0, 2.0), 1) == [1, 1, 1]
-    # no predicted point: no call at all, empty or not
-    assert _run_marked(g, (1.0, 2.0), 0) == [1, 1]
+        left = _ramp_left(g, *bracket)
+        assert _run_marked(g, bracket, 36, left) == [38]
+        assert _run_marked(g, bracket, 36, not left) == [38, 36]
+    left = _ramp_left(g, 1.0, 2.0)
+    assert _run_marked(g, (1.0, 2.0), 1, left) == [3]
+    assert _run_marked(g, (1.0, 2.0), 1, not left) == [3, 1]
+    # no guess: c and d alone, then the path the search takes
+    assert _run_marked(g, (1.0, 2.0), 36, None) == [2, 36]
+    # no predicted point: c and d alone, and no call for the other path
+    for guess in (left, not left, None):
+        assert _run_marked(g, (1.0, 2.0), 0, guess) == [2]
 
 
 @pytest.mark.parametrize("peak", [1.01, 1.2, 1.45, 1.99, 1.7])
@@ -645,7 +671,10 @@ def test_golden_path_batch_rejoins_the_lockstep(peak):
 
     k = _ramp_steps(g, 1.0, 2.0, 36)
     assert 0 < k < 36
-    assert _run_marked(g, (1.0, 2.0), 36) == [1, 1, 36] + [1] * (36 - k)
+    left = _ramp_left(g, 1.0, 2.0)
+    assert _run_marked(g, (1.0, 2.0), 36, left) == [38] + [1] * (36 - k)
+    assert (_run_marked(g, (1.0, 2.0), 36, not left)
+            == [38, 36] + [1] * (36 - k))
 
 
 def test_golden_path_batch_mixes_marked_and_lockstep_brackets():
@@ -658,38 +687,61 @@ def test_golden_path_batch_mixes_marked_and_lockstep_brackets():
         calls.append(list(js))
         return [peaks[j](x) for j, x in zip(js, xs)]
 
-    got = _golden_max(fn, brackets, 36, [0, 2, 3])
+    # bracket 2 runs toward b, against its guess
+    got = _golden_max(fn, brackets, 36, {0: True, 2: True, 3: True})
     k = _ramp_steps(peaks[3], 1.0, 2.0, 36)
-    assert calls[:2] == [[0, 1, 2, 3]] * 2
-    assert calls[2] == [0] * 36 + [2] * 36 + [3] * 36
+    assert calls[0] == [0, 1, 2, 3] * 2 + [0] * 36 + [2] * 36 + [3] * 36
+    assert calls[1] == [2] * 36
     assert 0 < k < 36
-    assert calls[3:] == [[1]] * k + [[1, 3]] * (36 - k)
+    assert calls[2:] == [[1]] * k + [[1, 3]] * (36 - k)
     for g, (a, b), (t, v) in zip(peaks, brackets, got):
         want_t, want_v = _golden_alone(g, a, b, 36)
         assert (t.hex(), v.hex()) == (want_t.hex(), want_v.hex())
 
 
+def test_sup_guesses_a_side_from_a_lower_swept_neighbour():
+    # the best grid point 1 is the left end of its bracket [1, 1 + h]; the
+    # first polish call takes the path toward it only when 1 + h is a swept
+    # point valued below the best: else c and d go alone, then the path
+    ts = np.linspace(1.0, 2.0, 5)
+    for h, values, want in [(0.25, [4, 3, 2, 1, 0], [5, 38]),
+                            (0.2, [4, 3, 2, 1, 0], [5, 2, 36]),
+                            (0.25, [4, 4, 2, 1, 0], [5, 2, 36])]:
+        calls = []
+
+        def eval_many(xs, ks):
+            calls.append(len(xs))
+            return [np.interp(x, ts, values) for x in xs]
+
+        [(v, t)] = _sup_over_dilations(eval_many, [(ts, None, (1.0, 2.0), h)],
+                                       None, iters=36)
+        assert calls == want and (v, t) == (4.0, 1.0)
+
+
 def test_golden_path_batch_drops_an_error_off_the_path():
-    # the speculative call raises at a point the search never visits: the
-    # batch is dropped, and the search runs in lockstep to its lone result
+    # a path call raises at a point the search never visits: a first call
+    # with the guess toward a (left) is retried with c and d alone, a call
+    # for the path toward a after the guess toward b is dropped, and the
+    # search runs in lockstep to its lone result
     def g(x):
         return -(x - 1.01) ** 2
 
     off = (set(_path_alone(lambda x: -x, 1.0, 2.0, 36))
            - set(_path_alone(g, 1.0, 2.0, 36)))
     assert off
-    sizes = []
-
-    def fn(xs, js):
-        sizes.append(len(xs))
-        if off.intersection(xs):
-            raise PrecisionError("stalled off the path")
-        return [g(x) for x in xs]
-
-    [got] = _golden_max(fn, [(1.0, 2.0)], 36, [0])
     t, v = _golden_alone(g, 1.0, 2.0, 36)
-    assert (got[0].hex(), got[1].hex()) == (t.hex(), v.hex())
-    assert sizes == [1, 1, 36] + [1] * 36
+    for left, first in [(True, [38, 2]), (False, [38, 36])]:
+        sizes = []
+
+        def fn(xs, js):
+            sizes.append(len(xs))
+            if off.intersection(xs):
+                raise PrecisionError("stalled off the path")
+            return [g(x) for x in xs]
+
+        [got] = _golden_max(fn, [(1.0, 2.0)], 36, {0: left})
+        assert (got[0].hex(), got[1].hex()) == (t.hex(), v.hex())
+        assert sizes == first + [1] * 36
 
 
 @pytest.mark.parametrize("step", [0, 1, 2, 9, 37])
