@@ -22,15 +22,16 @@ row's value is bitwise the one it gets when integrated alone.
 Rows go through in chunks of at most _CHUNK_ROWS. A chunk of at least
 _ARRAY_ROWS rows, such as a dilation sweep, is laid out, summed over its
 first round and split once as numpy columns, with no Python per panel:
-the rows that miss their budget take their first split together, and
-only those still short after it get a heap of panels for the lockstep
-refinement. Smaller batches and lone rows keep the per-panel layout:
-below about 32 rows the array steps cost more than they save. A lone row
-costs mostly the fixed cost of some twenty numpy calls, so panels carry
-the center and half width their nodes are computed from. Both layouts
-produce the same panels in the same order, sum them in the same order
-and split the same panel first, so every value is bitwise that of the
-point by point computation.
+the rows that miss their budget take their first split together, which
+finishes most of them, and every row still short after it enters the
+lockstep refinement as in the per-panel layout, with its sums and panels
+from before that split. Smaller batches and lone rows keep the per-panel
+layout: below about 32 rows the array steps cost more than they save. A
+lone row costs mostly the fixed cost of some twenty numpy calls, so
+panels carry the center and half width their nodes are computed from.
+Both layouts produce the same panels in the same order, sum them in the
+same order and split the same panel first, so every value is bitwise
+that of the point by point computation.
 """
 
 from __future__ import annotations
@@ -144,9 +145,10 @@ def _layout(los: list, his: list, start: int, cuts: list, skip) -> list:
             # both: when a breakpoint sits a hair inside an endpoint, the
             # wide leftover panel touches one singularity and leans on the
             # other, and gets bisected until each half is adjacent to at
-            # most one endpoint.
-            if a - lo < b - a and hi - b < b - a:
-                mid = 0.5 * (a + b)
+            # most one endpoint. A panel whose midpoint rounds onto one of
+            # its edges stays whole: its halves would be itself again.
+            mid = 0.5 * (a + b)
+            if a - lo < b - a and hi - b < b - a and a < mid < b:
                 todo += [(mid, b), (a, mid)]
                 continue
             rows.append(i)
@@ -201,13 +203,17 @@ def _layout_array(lo: np.ndarray, hi: np.ndarray, start: int,
     b[ends - 1] = hi
     # the bisection of _layout, one level of the hugging panels per pass,
     # each split in place so that the panels stay in _layout's order; only
-    # the halves a pass makes are tested in the next
+    # the halves a pass makes are tested in the next, and a panel whose
+    # midpoint rounds onto one of its edges stays whole
     hug = (a - lo[row] < b - a) & (hi[row] - b < b - a)
     while True:
         split = hug.nonzero()[0]
         if not len(split):
             break
         mid = 0.5 * (a[split] + b[split])
+        hug[split] = inside = (a[split] < mid) & (mid < b[split])
+        split = split[inside]
+        mid = mid[inside]
         twice = np.arange(len(a)).repeat(hug + 1)
         left = split + np.arange(len(split))
         a, b, row = a[twice], b[twice], row[twice]
@@ -306,13 +312,15 @@ def _first_round_array(f, panels: np.ndarray, quad: QuadratureSpec,
     """_first_round on the panel array of _layout_array, as arrays. Each
     row's values and errors fill a column of a (position, row) table padded
     with +0.0, summed with one add per position: a sum that starts at +0.0
-    never holds -0.0, so the padding leaves every bit alone. A row that
-    misses its budget with a finite error takes _refine's first split here,
-    in one array round for all such rows: its worst panel by argmax, which
-    picks the first of equal errors as the heap does, both halves in one
-    integrand call, the sums updated in _refine's order and one budget
-    test. Only the rows still short, and those with a non-finite error, get
-    a _Row, its heap as _refine would have left it."""
+    never holds -0.0, so the padding leaves every bit alone. Every row that
+    misses its budget then takes _refine's first split here, in one array
+    round for all such rows: its worst panel by argmax, which picks the
+    first of equal errors as the heap does, both halves in one integrand
+    call, the sums updated in _refine's order and one budget test. This
+    split only finishes rows: the rows it brings within budget are written
+    to out, and every other row becomes a _Row as _first_round makes it,
+    with its sums before the split and all its panels, so that _refine
+    takes the same first split itself."""
     value, err = _pairs(f, panels)
     rows = panels[:, -1].astype(np.intp)
     head = np.empty(len(rows), dtype=bool)
@@ -329,11 +337,10 @@ def _first_round_array(f, panels: np.ndarray, quad: QuadratureSpec,
         sums += position
     total, live = sums
     done = _meets(total, live, quad)
+    out[rows[first[done]]] = total[done]
     short = (~done).nonzero()[0]
-    split = short[np.isfinite(live[short]) & (quad.max_refinement > 0)]
-    halved = {}
-    if len(split):
-        worst = first[split] + table[:, 1, split].argmax(axis=0)
+    if len(short) and quad.max_refinement > 0:
+        worst = first[short] + table[:, 1, short].argmax(axis=0)
         a, b, mid = panels[worst, :3].T
         halves = panels[worst].repeat(2, axis=0)
         halves[::2, 1] = mid
@@ -343,15 +350,11 @@ def _first_round_array(f, panels: np.ndarray, quad: QuadratureSpec,
         halves[1::2, 2] = 0.5 * (mid + b)
         halves[1::2, 3] = 0.5 * (b - mid)
         hv, he = _pairs(f, halves)
-        total[split] += hv[::2] + hv[1::2] - value[worst]
-        live[split] += he[::2] + he[1::2] + -err[worst]
-        done[split] = again = _meets(total[split], live[split], quad)
-        left = ~again
-        halved = dict(zip(split[left].tolist(), zip(
-            he.reshape(-1, 2)[left].tolist(), hv.reshape(-1, 2)[left].tolist(),
-            halves.reshape(-1, 2, 9)[left].tolist())))
-        short = (~done).nonzero()[0]
-    out[rows[first[done]]] = total[done]
+        after = total[short] + (hv[::2] + hv[1::2] - value[worst])
+        met = _meets(after, live[short] + (he[::2] + he[1::2] + -err[worst]),
+                     quad)
+        out[rows[first[short[met]]]] = after[met]
+        short = short[~met]
     states = []
     for j in short.tolist():
         begin = first[j]
@@ -360,11 +363,6 @@ def _first_round_array(f, panels: np.ndarray, quad: QuadratureSpec,
         for e, v, pn in zip(err[begin:end].tolist(), value[begin:end].tolist(),
                             panels[begin:end].tolist()):
             st.push(e, v, pn, quad.max_refinement)
-        if j in halved:
-            heapq.heappop(st.heap)
-            st.pops = 1
-            for e, v, pn in zip(*halved[j]):
-                st.push(e, v, pn, quad.max_refinement - 1)
         states.append(st)
     return states
 
@@ -381,7 +379,8 @@ def _refine(f, active: list, quad: QuadratureSpec, out) -> dict:
         splits = []
         for st in active:
             budget = _budget(st.total, quad)
-            if st.pops < _MAX_SPLITS:
+            # a nan error stays nan, so its row can never meet a budget
+            if st.pops < _MAX_SPLITS and st.live == st.live:
                 if st.frozen + st.live <= budget:
                     out[st.index] = st.total
                     continue

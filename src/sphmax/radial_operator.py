@@ -197,6 +197,9 @@ def _check_dim(d) -> None:
 def _kernel_factor(d: int, r: float, t: float, s, dlo, dhi):
     # dlo = s - |r-t| and dhi = r + t - s arrive exactly from the integrator,
     # so the near-endpoint factors never suffer cancellation.
+    # From d = 4 on, root is divided by 2rt, where it peaks at 1, rather
+    # than by 4rt: the kernel's mass then stays near 1 / sqrt(d) instead of
+    # sinking like 2^-d below the absolute error floor of the quadrature.
     a = abs(r - t)
     b = r + t
     four = 4.0 * r * t
@@ -205,7 +208,7 @@ def _kernel_factor(d: int, r: float, t: float, s, dlo, dhi):
     root = np.sqrt(dlo * (s + a)) * np.sqrt(dhi * (b + s))
     if d == 2:
         return s / root
-    return (root / four) ** (d - 3) * (s / four)
+    return (root / (2.0 * r * t)) ** (d - 3) * (s / four)
 
 
 def _radius(x) -> float:
@@ -218,7 +221,8 @@ def _radius(x) -> float:
 def kernel(d: int, t, r, s) -> float:
     """Distance-distribution kernel K_t(r, s) of the sphere of radius t seen
     from distance r, before normalization. Defined for |r - t| <= s <= r + t;
-    when d = 2 the endpoints are genuine singularities and are refused."""
+    when d = 2 the endpoints are genuine singularities and are refused.
+    From d = 4 on it is scaled by 2^(d-3), which _norm_const divides out."""
     _check_dim(d)
     t = _radius(t)
     r = _radius(r)
@@ -237,15 +241,27 @@ def kernel(d: int, t, r, s) -> float:
 def _norm_const(d: int) -> float:
     # 1 / m_d for the kernel mass m_d = B((d-1)/2, (d-1)/2) / 2, found
     # exactly from m_2 = pi/2, m_3 = 1/2 and m_{k+2} = m_k (k-1)/(4k), with
-    # pi entering once as its nearest double
+    # pi entering once as its nearest double; from d = 4 on it is divided by
+    # the 2^(d-3) that _kernel_factor scales the kernel up by
     m = Fraction(math.pi) / 2 if d % 2 == 0 else Fraction(1, 2)
     for k in range(2 + d % 2, d, 2):
         m *= Fraction(k - 1, 4 * k)
-    try:
-        return float(1 / m)
-    except OverflowError:
-        raise DomainError(
-            f"the normalization constant overflows a float at d = {d}") from None
+    return float(1 / (m * 2 ** max(d - 3, 0)))
+
+
+def _window_drift(near, far, a, b):
+    """The relative error |(b - a) - 2 near| / (2 near) that rounding makes
+    in the width of the kernel window [a, b] = [fl(far - near), fl(far +
+    near)], near = min(r, t) and far = max(r, t); both ends' rounding
+    errors are exact (Fast2Sum), so only the last steps round."""
+    return abs(((far - a) - near) - (near - (b - far))) / (2.0 * near)
+
+
+def _window_error(d: int, r, t, drift, quad) -> PrecisionError:
+    return PrecisionError(
+        f"the kernel window of r = {float(r)!r}, t = {float(t)!r} rounds to "
+        f"a width off by {drift:.3e} relative, which d = {d} magnifies past "
+        f"rel_tol = {quad.rel_tol:.3e}")
 
 
 _LONE_ROW = np.zeros((1, 1), dtype=np.intp)
@@ -287,10 +303,19 @@ def _spherical_means(d: int, f: RadialProfile, r, ts,
     if not ((ts > 0.0) & (ts < math.inf) & (rs > 0.0) & (rs < math.inf)).all():
         raise DomainError("spherical mean radii must be positive and finite")
 
+    los = np.abs(rs - ts)
+    his = rs + ts
+    if d > 2:
+        drift = _window_drift(np.minimum(rs, ts), np.maximum(rs, ts), los, his)
+        wide = (d - 2) * drift > quad.rel_tol
+        if wide.any():
+            i = int(wide.argmax())
+            raise _window_error(d, rs[i], ts[i], drift[i], quad)
+
     def kern(s, dlo, dhi, rows):
         return _kernel_factor(d, rs[rows], ts[rows], s, dlo, dhi)
 
-    raw = _profile_integrals(f, np.abs(rs - ts), rs + ts, kern, quad)
+    raw = _profile_integrals(f, los, his, kern, quad)
     return _norm_const(d) * raw
 
 
@@ -303,10 +328,17 @@ def spherical_mean(d: int, f: RadialProfile, r, t,
     r = _radius(r)
     t = _radius(t)
 
+    lo = abs(r - t)
+    hi = r + t
+    if d > 2:
+        drift = _window_drift(min(r, t), max(r, t), lo, hi)
+        if (d - 2) * drift > quad.rel_tol:
+            raise _window_error(d, r, t, drift, quad)
+
     def kern(s, dlo, dhi, rows):
         return _kernel_factor(d, r, t, s, dlo, dhi)
 
-    raw = _profile_integrals(f, (abs(r - t),), (r + t,), kern, quad)
+    raw = _profile_integrals(f, (lo,), (hi,), kern, quad)
     return _norm_const(d) * float(raw[0])
 
 

@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +190,35 @@ def test_rows_raise_for_first_stalled_row_in_order():
         _integrate_rows(f, los, his, tight, cuts)
 
 
+_ULP_ROWS = """
+import math
+import numpy as np
+from sphmax.quadrature import _integrate_rows, integrate
+hi = math.nextafter(1.0, 2.0)
+print(integrate(lambda s, dlo, dhi: s, 1.0, hi))
+print(*set(_integrate_rows(lambda s, dlo, dhi, rows: s, np.ones(40),
+                           np.full(40, hi)).tolist()))
+"""
+
+
+def test_rows_one_ulp_wide_return():
+    # the midpoint of a row one ulp wide rounds onto one of its ends, so its
+    # other panel hugs both ends, and bisecting that panel would give it
+    # back forever. A subprocess with a timeout turns a hang into a failure.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _ULP_ROWS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # the lone row and all 40 rows of a batch laid out as arrays agree
+    # bitwise, within an ulp of 2^-52 + 2^-105, the integral of s over
+    # [1, 1 + 2^-52]
+    lone, batch = map(float, proc.stdout.split())
+    assert lone == batch == pytest.approx(2.0 ** -52, rel=3e-16)
+
+
 def _random_layout_case(rng):
     # rows on a few dyadic scales, some empty or reversed, and cuts some of
     # which sit a few ulp inside a row end, so that rounding makes the
@@ -195,6 +228,11 @@ def _random_layout_case(rng):
     hi = lo + rng.uniform(-0.1, 2.0, n) * 2.0 ** rng.integers(-8, 2, n)
     empty = rng.random(n) < 0.1
     hi[empty] = lo[empty]
+    # rows one or two ulp wide, whose midpoints round onto an end
+    for i in rng.choice(n, rng.integers(0, 3)):
+        hi[i] = np.nextafter(lo[i], np.inf)
+        if rng.random() < 0.5:
+            hi[i] = np.nextafter(hi[i], np.inf)
     cuts = list(rng.uniform(0.0, 6.0, rng.integers(0, 12)))
     for i in rng.choice(n, rng.integers(0, n + 1)):
         end, inward = (lo[i], hi[i]) if rng.random() < 0.5 else (hi[i], lo[i])
@@ -299,3 +337,28 @@ def test_array_first_split_keeps_the_error_of_a_nan_row(where):
     with pytest.raises(PrecisionError) as batch:
         _integrate_rows(f, los, his, quad)
     assert str(batch.value) == str(alone.value)
+
+
+def test_nan_row_stalls_at_once():
+    # a nan error stays nan and can never meet a budget, so the row stalls
+    # the first time _refine sees it: after the first round when alone, and
+    # after the array round's split in a chunk laid out as arrays, where
+    # every row is nan and the stall of row 0 abandons the others
+    calls = []
+
+    def f(s, dlo, dhi):
+        calls.append(len(s))
+        return np.where(s < 0.3, np.nan, s)
+
+    with pytest.raises(PrecisionError) as alone:
+        integrate(f, 0.0, 1.0)
+    assert str(alone.value) == ("quadrature on [0, 1] stalled: error nan "
+                                "above budget 1.000e-12 (estimate nan)")
+    assert len(calls) == 1
+    calls.clear()
+    n = 2 * quadrature._ARRAY_ROWS
+    with pytest.raises(PrecisionError) as batch:
+        _integrate_rows(lambda s, dlo, dhi, rows: f(s, dlo, dhi),
+                        np.zeros(n), np.ones(n))
+    assert str(batch.value) == str(alone.value)
+    assert len(calls) <= 2

@@ -269,8 +269,11 @@ def test_normalization_d2_reference_quadrature():
 
 
 def test_normalization_matches_beta_function():
+    # 1 / m_d with m_d = B((d-1)/2, (d-1)/2) / 2, divided from d = 4 on by
+    # the 2^(d-3) that the kernel is scaled up by
     for d in range(2, 8):
         c_d = 2.0 * math.gamma(d - 1) / math.gamma((d - 1) / 2.0) ** 2
+        c_d /= 2.0 ** max(d - 3, 0)
         assert _norm_const(d) == pytest.approx(c_d, rel=1e-9)
         assert 1.0 / kernel_mass(d, 1.0, 1.0) == pytest.approx(
             _norm_const(d), rel=1e-9)
@@ -287,10 +290,11 @@ def test_normalization_scale_invariant():
 
 
 def test_normalization_constants_pinned():
-    # 2/pi, 2, 16/pi and 12, as the quadrature-calibrated constants were
+    # 2/pi, 2, and 16/pi and 12 divided by the 2^(d-3) that the kernel is
+    # scaled up by from d = 4 on
     assert [_norm_const(d).hex() for d in (2, 3, 4, 5)] == [
         "0x1.45f306dc9c883p-1", "0x1.0000000000000p+1",
-        "0x1.45f306dc9c883p+2", "0x1.8000000000000p+3"]
+        "0x1.45f306dc9c883p+1", "0x1.8000000000000p+1"]
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +314,36 @@ def test_mean_of_constant_is_one_on_log_grid():
             worst = max(abs(spherical_mean(d, f, r, t) / mean(d, r, t) - 1.0)
                         for r in grid for t in grid)
             assert worst <= 1e-12, (d, f)
+
+
+def test_means_hold_in_high_dimensions():
+    # the kernel peaks at 1 in every d, so its mass no longer sinks below
+    # the absolute error floor of the quadrature as d grows
+    cases = [(parse_profile("one"), lambda r, t: 1.0),
+             (parse_profile("pow(1,2,0,0,8)"), lambda r, t: r * r + t * t)]
+    for d, tol in ((40, 1e-12), (64, 1e-12), (128, 1e-10)):
+        for f, mean in cases:
+            worst = max(abs(spherical_mean(d, f, r, t) / mean(r, t) - 1.0)
+                        for r in (0.3, 1.0, 1.25, 2.5) for t in (1.0, 1.5, 2.0))
+            assert worst <= tol, (d, f)
+
+
+def test_window_rounded_below_resolution_raises():
+    # for d >= 3 the kernel scales up an error delta that rounding makes in
+    # the width 2 min(r, t) of the window [|r - t|, r + t] about (d - 2)
+    # times; past rel_tol the mean refuses instead of returning it
+    f = indicator(0, 3)
+    with pytest.raises(PrecisionError, match="r = 6e-17, t = 0.75"):
+        spherical_mean(3, indicator(0, 2), 6e-17, 0.75)
+    with pytest.raises(PrecisionError, match=r"1\.076e-08 relative"):
+        spherical_mean(3, f, 1.234e-9, 0.7501)
+    # a batch names its first row whose window is off
+    with pytest.raises(PrecisionError, match="r = 1.234e-09, t = 0.7501 "):
+        _spherical_means(3, f, 1.234e-9, [1e-9, 0.7501, 0.5])
+    assert spherical_mean(3, f, 1.234e-7, 0.7501) == pytest.approx(1.0,
+                                                                   rel=1e-9)
+    # d = 2 has no such factor and stays exact
+    assert spherical_mean(2, indicator(0, 2), 6e-17, 0.75) == 1.0
 
 
 def test_mean_linear_profile_closed_form_d3():
