@@ -45,7 +45,8 @@ from .fractal_set import (
 )
 from .norm_probe import run_probe
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
-from .radial_operator import parse_profile, spherical_mean
+from .radial_operator import (_spherical_means, parse_profile,
+                              spherical_mean)
 from .type_set_geometry import (
     CharacteristicFlags,
     membership,
@@ -450,11 +451,14 @@ def _check_means(rng, quad):
     for expr, dims, exact in _EXACT_MEANS:
         f = parse_profile(expr)
         for d in dims:
-            for _ in range(6):
-                r, t = rng.choice(grid), rng.choice(grid)
+            # the six (r, t) of a case are drawn first, r before t, and
+            # their means taken in one batch, each bitwise spherical_mean's
+            rs, ts = zip(*((rng.choice(grid), rng.choice(grid))
+                           for _ in range(6)))
+            means = _spherical_means(d, f, rs, ts, quad)
+            for r, t, mean in zip(rs, ts, means):
                 want = exact(d, r, t)
-                yield (abs(spherical_mean(d, f, r, t, quad) - want)
-                       <= 1e-6 * max(1.0, abs(want)))
+                yield abs(mean - want) <= 1e-6 * max(1.0, abs(want))
 
 
 def _check_covering_sandwich(rng, quad):

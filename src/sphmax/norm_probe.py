@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DegenerateProbeError,
+    DomainError,
     InsufficientDataError,
     InvalidScaleError,
     ParameterError,
@@ -282,12 +283,54 @@ class ProbeResult:
     partial: bool = False
 
 
+def _witness_bounds(insts, E: FractalSet,
+                    quad: QuadratureSpec) -> list[float]:
+    """Per instance, the smallest maximal value of its profile over its
+    witness radii, each anchored at its dilation: every (instance, radius)
+    pair of every instance in one _maximal_values call, so all are swept in
+    one batch and polished in lockstep."""
+    pairs = [(inst, r, DilationGrid((anchor,), inst.anchor_refinement))
+             for inst in insts
+             for r, anchor in zip(inst.witness_radii, inst.witness_anchors)]
+    if not pairs:
+        return []
+    found = iter(_maximal_values(
+        insts[0].family.d, [inst.profile for inst, _, _ in pairs],
+        [r for _, r, _ in pairs], E, [grid for _, _, grid in pairs], quad))
+    return [min(next(found).value for _ in inst.witness_radii)
+            for inst in insts]
+
+
 def _witness_bound(inst: ProbeInstance, E: FractalSet,
                    quad: QuadratureSpec) -> float:
-    grids = [DilationGrid((anchor,), inst.anchor_refinement)
-             for anchor in inst.witness_anchors]
-    return min(m.value for m in _maximal_values(
-        inst.family.d, inst.profile, inst.witness_radii, E, grids, quad))
+    """_witness_bounds of the one instance inst."""
+    return _witness_bounds([inst], E, quad)[0]
+
+
+def _witness_ladder(family: ProbeFamily, scales, E: FractalSet,
+                    quad: QuadratureSpec):
+    """Per scale, in order, its instance and its witness bound lambda, as
+    a generator. Every instance is built first and every lambda comes from
+    one _witness_bounds batch. When the batch raises PrecisionError, each
+    lambda is found alone instead, so the error is raised at the scale
+    whose bound fails. An error building an instance is held and raised at
+    its scale, after the scales before it."""
+    insts = []
+    for s in scales:
+        try:
+            insts.append(build_probe(family, s, E))
+        except DomainError as exc:
+            insts.append(exc)
+            break
+    built = [inst for inst in insts if isinstance(inst, ProbeInstance)]
+    try:
+        lams = _witness_bounds(built, E, quad)
+    except PrecisionError:
+        lams = [None] * len(built)
+    for inst, lam in zip(insts, lams + [None]):
+        if isinstance(inst, DomainError):
+            raise inst
+        yield inst, _witness_bound(inst, E, quad) if lam is None else lam
 
 
 def _fit_rows(rows) -> tuple[float, float]:
@@ -306,11 +349,15 @@ def run_probe(kind: str, E: FractalSet, d: int, pq, scales,
     (p, q) and compare against the predictions; one result per pair.
 
     Per scale the instance and lambda, the smallest anchored maximal value
-    over the witness radii, serve every pair. A pair's input_norm is the
-    exact indicator measure to the 1/p (a Lorentz L^{p,1} surrogate) or the
-    quadrature L^p norm for the log families; its output_functional is
-    lambda * mu_d(witness)^(1/q). A quadrature failure stops every pair if
-    in lambda, else its own, with a partial, inconclusive result."""
+    over the witness radii, serve every pair; the lambdas of all scales
+    come from one batch (_witness_ladder), every (scale, radius) pair swept
+    together and polished in lockstep, each bitwise its value alone. A
+    pair's input_norm is the exact indicator measure to the 1/p (a Lorentz
+    L^{p,1} surrogate) or the quadrature L^p norm for the log families; its
+    output_functional is lambda * mu_d(witness)^(1/q). A quadrature failure
+    stops every pair if in lambda, else its own, with a partial,
+    inconclusive result. An error building the instance of a scale is
+    raised where the scale loop reaches it."""
     family = ProbeFamily(kind, d, t0=t0, u=u, window=window)
     pq = list(pq)
     # validates every p, q, beta, gamma and gamma_star before any sweep
@@ -323,14 +370,14 @@ def run_probe(kind: str, E: FractalSet, d: int, pq, scales,
     if any(b >= a for a, b in zip(svals, svals[1:])):
         raise ParameterError("scales must be strictly decreasing")
 
+    ladder = _witness_ladder(family, svals, E, quad)
     rows = [[] for _ in exps]
     partial = [False] * len(exps)
     for s in svals:
         if all(partial):
             break
-        inst = build_probe(family, s, E)
         try:
-            lam = _witness_bound(inst, E, quad)
+            inst, lam = next(ladder)
         except PrecisionError:
             partial = [True] * len(exps)
             break
@@ -440,12 +487,13 @@ def endpoint_log_probe(E: FractalSet, d: int, q, n_values,
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ParameterError("n values must be strictly increasing")
     family = ProbeFamily("EndpointLog", d)
+    ladder = _witness_ladder(family, [Fraction(1, 2 ** n) for n in ns], E,
+                             quad)
     rows: list[dict] = []
     for n in ns:
         delta = Fraction(1, 2 ** n)
-        inst = build_probe(family, delta, E)
         try:
-            value = _witness_bound(inst, E, quad)
+            _, value = next(ladder)
         except PrecisionError:
             break
         cover = covering_number(E, delta)

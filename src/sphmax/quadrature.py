@@ -19,6 +19,9 @@ panels of all rows are evaluated together, one integrand call per round,
 and each row refines its own worst panel in lockstep with the others, so a
 row's value is bitwise the one it gets when integrated alone.
 
+Rows may come in groups, each with its own breakpoints and skip test;
+each run of adjacent rows of one group is laid out on its own.
+
 Rows go through in chunks of at most _CHUNK_ROWS. A chunk of at least
 _ARRAY_ROWS rows, such as a dilation sweep, is laid out, summed over its
 first round and split once as numpy columns, with no Python per panel:
@@ -113,10 +116,12 @@ def _budget(total: float, quad: QuadratureSpec) -> float:
 
 def _meets(total: np.ndarray, live: np.ndarray,
            quad: QuadratureSpec) -> np.ndarray:
-    """Whether each error live meets the _budget of its estimate total."""
+    """Whether each error live is finite and meets the _budget of its
+    estimate total."""
     size = np.abs(total)
-    return live <= np.fmax(np.fmax(quad.abs_tol, quad.rel_tol * size),
-                           _NOISE * (size + quad.abs_tol))
+    budget = np.fmax(np.fmax(quad.abs_tol, quad.rel_tol * size),
+                     _NOISE * (size + quad.abs_tol))
+    return (live <= budget) & np.isfinite(live)
 
 
 def _layout(los: list, his: list, start: int, cuts: list, skip) -> list:
@@ -128,7 +133,8 @@ def _layout(los: list, his: list, start: int, cuts: list, skip) -> list:
     samples s = base + sign * u**2, at distances dlo0 + sign * u**2 and
     dhi0 - sign * u**2 from the ends of its row, so u = 0 sits on the
     nearer end. cuts is the sorted list of breakpoints; skip(a, b) maps the
-    arrays of panel edges in s to the panels to drop, as booleans."""
+    arrays of the edges in s of the panels between a row's ends and cuts
+    to the panels to drop, as booleans, before any is bisected."""
     rows, sa, sb = [], [], []
     for i, (lo, hi) in enumerate(zip(los, his)):
         if not hi > lo:
@@ -137,7 +143,22 @@ def _layout(los: list, his: list, start: int, cuts: list, skip) -> list:
         # endpoints get their own substituted panel
         inner = cuts[bisect_right(cuts, lo):bisect_left(cuts, hi)]
         edges = [lo, *(inner or [lo + 0.5 * (hi - lo)]), hi]
-        todo = list(zip(edges[-2::-1], edges[:0:-1]))
+        rows += [i] * (len(edges) - 1)
+        sa += edges[:-1]
+        sb += edges[1:]
+    # skip sees the panels before any is bisected, so no dropped panel is
+    # bisected; the halves of a panel between the breakpoints of a profile
+    # lie in the same piece, or gap, as the panel
+    drop = repeat(False)
+    if skip is not None and rows:
+        drop = skip(np.array(sa), np.array(sb)).tolist()
+    panels = []
+    for i, a, b, dead in zip(rows, sa, sb, drop):
+        if dead:
+            continue
+        lo = los[i]
+        hi = his[i]
+        todo = [(a, b)]
         while todo:
             a, b = todo.pop()
             # Every panel is reparametrized toward the nearer endpoint. The
@@ -150,29 +171,16 @@ def _layout(los: list, his: list, start: int, cuts: list, skip) -> list:
             mid = 0.5 * (a + b)
             if a - lo < b - a and hi - b < b - a and a < mid < b:
                 todo += [(mid, b), (a, mid)]
-                continue
-            rows.append(i)
-            sa.append(a)
-            sb.append(b)
-    drop = repeat(False)
-    if skip is not None and rows:
-        drop = skip(np.array(sa), np.array(sb)).tolist()
-    panels = []
-    for i, a, b, dead in zip(rows, sa, sb, drop):
-        if dead:
-            continue
-        lo = los[i]
-        hi = his[i]
-        if a - lo <= hi - b:
-            ua = math.sqrt(a - lo)
-            ub = math.sqrt(b - lo)
-            panels.append((ua, ub, 0.5 * (ua + ub), 0.5 * (ub - ua),
-                           lo, 1.0, 0.0, hi - lo, start + i))
-        else:
-            ua = math.sqrt(hi - b)
-            ub = math.sqrt(hi - a)
-            panels.append((ua, ub, 0.5 * (ua + ub), 0.5 * (ub - ua),
-                           hi, -1.0, hi - lo, 0.0, start + i))
+            elif a - lo <= hi - b:
+                ua = math.sqrt(a - lo)
+                ub = math.sqrt(b - lo)
+                panels.append((ua, ub, 0.5 * (ua + ub), 0.5 * (ub - ua),
+                               lo, 1.0, 0.0, hi - lo, start + i))
+            else:
+                ua = math.sqrt(hi - b)
+                ub = math.sqrt(hi - a)
+                panels.append((ua, ub, 0.5 * (ua + ub), 0.5 * (ub - ua),
+                               hi, -1.0, hi - lo, 0.0, start + i))
     return panels
 
 
@@ -201,6 +209,9 @@ def _layout_array(lo: np.ndarray, hi: np.ndarray, start: int,
     a[1:] = b[:-1]
     a[starts] = lo
     b[ends - 1] = hi
+    if skip is not None:
+        keep = np.logical_not(skip(a, b))
+        a, b, row = a[keep], b[keep], row[keep]
     # the bisection of _layout, one level of the hugging panels per pass,
     # each split in place so that the panels stay in _layout's order; only
     # the halves a pass makes are tested in the next, and a panel whose
@@ -223,9 +234,6 @@ def _layout_array(lo: np.ndarray, hi: np.ndarray, start: int,
         na, nb, nrow = a[new], b[new], row[new]
         hug = np.zeros(len(a), dtype=bool)
         hug[new] = (na - lo[nrow] < nb - na) & (hi[nrow] - nb < nb - na)
-    if skip is not None:
-        keep = np.logical_not(skip(a, b))
-        a, b, row = a[keep], b[keep], row[keep]
     lo = lo[row]
     hi = hi[row]
     near = a - lo <= hi - b
@@ -238,13 +246,14 @@ def _layout_array(lo: np.ndarray, hi: np.ndarray, start: int,
                      rows[row] + start)).T
 
 
-def _pairs(f, panels) -> tuple[np.ndarray, np.ndarray]:
+def _pairs(f, panels) -> tuple:
     """Gauss-Kronrod 7/15 estimates on many panels in one integrand call;
-    returns arrays (value, error): the 15-point Kronrod value, and its gap
-    to the 7-point Gauss value taken from the odd-indexed nodes, an
-    estimate of the error and not a bound. np.vecdot takes each panel's
-    sums with the dot that np.dot takes on a lone panel, so no value
-    depends on the other panels."""
+    returns (value, error): the 15-point Kronrod value, and its gap to the
+    7-point Gauss value taken from the odd-indexed nodes, an estimate of
+    the error and not a bound. Both are lists for a list of panels and
+    arrays for a panel array, as each layout goes on with them. np.vecdot
+    takes each panel's sums with the dot that np.dot takes on a lone
+    panel, so no value depends on the other panels."""
     # the fields after the edges, each as a column
     center, half, base, sign, dlo0, dhi0, rows = \
         np.asarray(panels).T[2:, :, None]
@@ -254,7 +263,14 @@ def _pairs(f, panels) -> tuple[np.ndarray, np.ndarray]:
     half = half[:, 0]
     low = half * np.vecdot(vals[:, 1::2], _WEIGHTS_G7)
     high = half * np.vecdot(vals, _WEIGHTS_K15)
-    return high, np.abs(high - low)
+    # an integrand infinite at a Gauss node makes both rules infinite: their
+    # gap is then nan, which Python floats give without numpy's warning of
+    # inf - inf
+    if isinstance(panels, list):
+        high = high.tolist()
+        return high, [abs(k - g) for k, g in zip(high, low.tolist())]
+    with np.errstate(invalid="ignore"):
+        return high, np.abs(high - low)
 
 
 class _Row:
@@ -282,8 +298,6 @@ def _first_round(f, panels: list, quad: QuadratureSpec, out) -> list:
     Rows whose error meets their budget are written to out; the others are
     returned in order as _Rows holding their panels."""
     value, err = _pairs(f, panels)
-    value = value.tolist()
-    err = err.tolist()
     states = []
     n = len(panels)
     j = 0
@@ -296,7 +310,7 @@ def _first_round(f, panels: list, quad: QuadratureSpec, out) -> list:
             total += value[k]
             live += err[k]
             k += 1
-        if live <= _budget(total, quad):
+        if live <= _budget(total, quad) and live < math.inf:
             out[i] = total
         else:
             st = _Row(i, total, live)
@@ -350,9 +364,11 @@ def _first_round_array(f, panels: np.ndarray, quad: QuadratureSpec,
         halves[1::2, 2] = 0.5 * (mid + b)
         halves[1::2, 3] = 0.5 * (b - mid)
         hv, he = _pairs(f, halves)
-        after = total[short] + (hv[::2] + hv[1::2] - value[worst])
-        met = _meets(after, live[short] + (he[::2] + he[1::2] + -err[worst]),
-                     quad)
+        # an infinite row gives inf - inf here, which stays nan and quiet
+        with np.errstate(invalid="ignore"):
+            after = total[short] + (hv[::2] + hv[1::2] - value[worst])
+            met = _meets(after, live[short] + (he[::2] + he[1::2] +
+                                               -err[worst]), quad)
         out[rows[first[short[met]]]] = after[met]
         short = short[~met]
     states = []
@@ -379,9 +395,11 @@ def _refine(f, active: list, quad: QuadratureSpec, out) -> dict:
         splits = []
         for st in active:
             budget = _budget(st.total, quad)
-            # a nan error stays nan, so its row can never meet a budget
+            error = st.frozen + st.live
+            # a nan error stays nan, so its row can never meet a budget, and
+            # an infinite one meets none
             if st.pops < _MAX_SPLITS and st.live == st.live:
-                if st.frozen + st.live <= budget:
+                if error <= budget and error < math.inf:
                     out[st.index] = st.total
                     continue
                 if st.heap and not st.frozen > budget:
@@ -395,7 +413,7 @@ def _refine(f, active: list, quad: QuadratureSpec, out) -> dict:
                     else:
                         splits.append((st, entry))
                     continue
-            stalled[st.index] = (st.frozen + st.live, budget, st.total)
+            stalled[st.index] = (error, budget, st.total)
         if stalled:
             cut = min(stalled)
             keep = [st for st in keep if st.index < cut]
@@ -406,8 +424,6 @@ def _refine(f, active: list, quad: QuadratureSpec, out) -> dict:
                 halves += [(a, mid, 0.5 * (a + mid), 0.5 * (mid - a), *rest),
                            (mid, b, 0.5 * (mid + b), 0.5 * (b - mid), *rest)]
             v, e = _pairs(f, halves)
-            v = v.tolist()
-            e = e.tolist()
             for j, (st, (neg_err, _, old, _, depth)) in enumerate(splits):
                 v1, v2 = v[2 * j], v[2 * j + 1]
                 e1, e2 = e[2 * j], e[2 * j + 1]
@@ -419,30 +435,59 @@ def _refine(f, active: list, quad: QuadratureSpec, out) -> dict:
     return stalled
 
 
+def _runs(labels: np.ndarray) -> list[tuple[int, int]]:
+    """The (begin, end) of every run of equal adjacent entries of labels."""
+    ends = [*(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(),
+            len(labels)]
+    return [(b, e) for b, e in zip([0, *ends], ends) if b < e]
+
+
 def _integrate_rows(f, los, his, quad: QuadratureSpec = DEFAULT_QUAD,
-                    breakpoints=(), skip=None) -> np.ndarray:
+                    breakpoints=(), skip=None, group=None) -> np.ndarray:
     """Integrate f over [los[i], his[i]] for every row i, as integrate does
     for one. The integrand is f(s, dlo, dhi, rows): the arrays have one row
     per panel, and rows is the column of the row indices i they belong to.
     skip(a, b), when given, takes arrays of panel edges and returns, for
-    each panel, whether f vanishes on it. Rows are refined in chunks of at
-    most _CHUNK_ROWS; a chunk of at least _ARRAY_ROWS is laid out as
-    arrays. Raises PrecisionError for the first row, in order, that cannot
-    reach its error budget."""
+    each panel, whether f vanishes on it.
+
+    group, when given, names the group of each row, and breakpoints and
+    skip then hold one entry per group: a row is cut at the breakpoints of
+    its group and skipped by its skip. Each run of adjacent rows of one
+    group is laid out on its own and the runs are joined in row order, so
+    a row gets the panels it gets alone; rows of one group kept together
+    make one run per group.
+
+    Rows are refined in chunks of at most _CHUNK_ROWS; a chunk of at least
+    _ARRAY_ROWS is laid out as arrays. Raises PrecisionError for the first
+    row, in order, that cannot reach its error budget."""
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
-    cuts = sorted({float(c) for c in breakpoints})
-    out = np.zeros(len(los))
-    for start in range(0, len(los), _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, len(los))
-        if stop - start < _ARRAY_ROWS:
-            panels = _layout(los[start:stop].tolist(),
-                             his[start:stop].tolist(), start, cuts, skip)
-            first_round = _first_round
-        else:
-            panels = _layout_array(los[start:stop], his[start:stop], start,
-                                   np.array(cuts), skip)
-            first_round = _first_round_array
+    n = len(los)
+    if group is None:
+        runs = [(0, n, sorted({float(c) for c in breakpoints}), skip)]
+    else:
+        runs = [(b, e, sorted({float(c) for c in breakpoints[group[b]]}),
+                 skip[group[b]]) for b, e in _runs(np.asarray(group))]
+    out = np.zeros(n)
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
+        array = stop - start >= _ARRAY_ROWS
+        # the panels of the runs in the chunk, in row order: as a list of
+        # arrays joined below, or as one list of tuples
+        panels = []
+        for b, e, cuts, skip in runs:
+            b, e = max(b, start), min(e, stop)
+            if b >= e:
+                continue
+            if array:
+                panels.append(_layout_array(los[b:e], his[b:e], b,
+                                            np.array(cuts), skip))
+            else:
+                panels += _layout(los[b:e].tolist(), his[b:e].tolist(), b,
+                                  cuts, skip)
+        if array:
+            panels = np.concatenate(panels)
+        first_round = _first_round_array if array else _first_round
         if not len(panels):
             continue
         stalled = _refine(f, first_round(f, panels, quad, out), quad, out)

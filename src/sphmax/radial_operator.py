@@ -22,7 +22,7 @@ from .errors import (ConfigError, DivergentNormError, DomainError,
 from .fractal_set import (FractalSet, _read_expression, as_rational, resolution,
                           separated_points)
 from .quadrature import (DEFAULT_QUAD, QuadratureSpec, _integrate_rows,
-                         integrate)
+                         _runs, integrate)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -114,6 +114,11 @@ class RadialProfile:
         out = np.zeros(s.shape)
         for lo, hi, pc in self._table:
             m = (s >= lo) & (s <= hi)
+            if pc.a_pow == 0.0 and pc.b_pow == 0.0:
+                # a constant piece adds its coefficient where m holds and
+                # +0.0 elsewhere, which leaves a sum from +0.0 bitwise as is
+                out += np.where(m, pc.coeff, 0.0)
+                continue
             x = s[m]
             if x.size:
                 out[m] += _piece_values(pc, x)
@@ -121,6 +126,14 @@ class RadialProfile:
 
     def __call__(self, s) -> float:
         return float(self.values(np.array([s], dtype=float))[0])
+
+    def _misses(self, a, b):
+        """Whether each panel [a, b], given as arrays of edges, misses every
+        piece: the quadrature's skip. A panel meets piece j when lows[j] < b
+        and highs[j] > a; the pieces are sorted and disjoint, so those j run
+        from the count of highs <= a up to the count of lows < b."""
+        lows, highs = self._ends
+        return lows.searchsorted(b) <= highs.searchsorted(a, "right")
 
     def __add__(self, other: "RadialProfile") -> "RadialProfile":
         if not isinstance(other, RadialProfile):
@@ -267,36 +280,53 @@ def _window_error(d: int, r, t, drift, quad) -> PrecisionError:
 _LONE_ROW = np.zeros((1, 1), dtype=np.intp)
 
 
-def _profile_integrals(f: RadialProfile, los, his, weight, quad,
+def _profile_integrals(f, los, his, weight, quad,
                        absolute: bool = False) -> np.ndarray:
     """Integral of weight(s, dlo, dhi, rows) * f(s), or * |f(s)| when
     absolute, over [los[i], his[i]] for every row i; rows indexes los.
-    Panels off the support of f are skipped, so a row whose window misses
-    the support is exactly 0.0. A lone row goes to integrate, the batch of
-    one."""
-    lows, highs = f._ends
+
+    f is one profile, or a sequence of one profile per row. The rows of
+    one profile object form a group of the quadrature, cut at that
+    profile's breakpoints, and each profile is evaluated on the whole
+    panels of its rows, so every row is bitwise its integral alone. Panels
+    off the support of their row's profile are skipped, so a row whose
+    window misses it is exactly 0.0. A lone row goes to integrate, the
+    batch of one."""
+    group = None
+    if not isinstance(f, RadialProfile):
+        profiles = list({id(p): p for p in f}.values())
+        if len(profiles) > 1:
+            index = {id(p): k for k, p in enumerate(profiles)}
+            group = np.array([index[id(p)] for p in f])
+        f = profiles[0]
 
     def g(s, dlo, dhi, rows=_LONE_ROW):
-        v = f.values(s)
+        if group is None:
+            v = f.values(s)
+        else:
+            # the panels of a round come in row order, so those of one
+            # profile's rows follow each other when its rows do
+            at = group[rows[:, 0]]
+            v = np.concatenate([profiles[at[b]].values(s[b:e])
+                                for b, e in _runs(at)])
         return weight(s, dlo, dhi, rows) * (np.abs(v) if absolute else v)
 
-    def skip(a, b):
-        # a panel meets piece j when lows[j] < b and highs[j] > a; the
-        # pieces are sorted and disjoint, so those j run from the count of
-        # highs <= a up to the count of lows < b
-        return lows.searchsorted(b) <= highs.searchsorted(a, "right")
-
+    if group is not None:
+        return _integrate_rows(g, los, his, quad,
+                               [p._breaks for p in profiles],
+                               [p._misses for p in profiles], group)
     if len(los) == 1:
-        return np.array([integrate(g, los[0], his[0], quad, f._breaks, skip)])
+        return np.array([integrate(g, los[0], his[0], quad, f._breaks,
+                                   f._misses)])
+    return _integrate_rows(g, los, his, quad, f._breaks, f._misses)
 
-    return _integrate_rows(g, los, his, quad, f._breaks, skip)
 
-
-def _spherical_means(d: int, f: RadialProfile, r, ts,
+def _spherical_means(d: int, f, r, ts,
                      quad: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
-    """Averages of the radial profile f over the spheres of radii ts whose
-    centers lie at distance r (one for all, or one per radius) from the
-    origin, integrated together; each is bitwise its spherical_mean."""
+    """Averages of the radial profile f (one for all, or one per radius)
+    over the spheres of radii ts whose centers lie at distance r (one for
+    all, or one per radius) from the origin, integrated together; each is
+    bitwise its spherical_mean."""
     _check_dim(d)
     ts = np.array(ts, dtype=float).ravel()
     rs = np.full(ts.shape, r, dtype=float)
@@ -569,20 +599,24 @@ class MaximalValue(NamedTuple):
     t: float
 
 
-def _maximal_values(d: int, f: RadialProfile, rs, E: FractalSet, grids,
+def _maximal_values(d: int, f, rs, E: FractalSet, grids,
                     quad: QuadratureSpec = DEFAULT_QUAD) -> list[MaximalValue]:
-    """maximal_value at every radius rs[k] over grids[k], all grids checked
-    against E first, swept in one batch and polished in lockstep; each
-    entry is bitwise the maximal_value of its pair alone."""
+    """maximal_value of the profile f, or of f[k] when f is a sequence, at
+    every radius rs[k] over grids[k], all grids checked against E first.
+    Every pair is swept in one batch and polished in lockstep, whatever its
+    profile; each entry is bitwise the maximal_value of its pair alone."""
     _check_dim(d)
     rs = [_radius(r) for r in rs]
     grids = [_grid_in(E, grid) for grid in grids]
+    one = isinstance(f, RadialProfile)
 
     def absmeans(ts, k):
         if len(ts) == 1:
             # a lone row, as in a polish step: the scalar kernel is cheaper
-            return [abs(spherical_mean(d, f, rs[k[0]], ts[0], quad))]
-        return np.abs(_spherical_means(d, f, np.take(rs, k), ts, quad))
+            return [abs(spherical_mean(d, f if one else f[k[0]], rs[k[0]],
+                                       ts[0], quad))]
+        return np.abs(_spherical_means(d, f if one else [f[j] for j in k],
+                                       np.take(rs, k), ts, quad))
 
     return [MaximalValue(*found) for found in _sup_over_dilations(
         absmeans, [(g._floats, g.points, (-math.inf, math.inf),

@@ -331,17 +331,19 @@ def test_run_probe_failures_end_their_pairs(monkeypatch):
     pq = [(2, 4), (3, 4), (2, 6)]
     kind, E = "SteinLog", full_interval()
     lp_norm = norm_probe.lp_norm
-    witness_bound = norm_probe._witness_bound
+    witness_bounds = norm_probe._witness_bounds
 
     def lp_stalls(f, p, d, quad):
         if p == 3.0 and f.pieces[0].lo == DYADIC[1]:
             raise PrecisionError("stalled")
         return lp_norm(f, p, d, quad)
 
-    def witness_stalls(inst, E, quad):
-        if inst.scale == DYADIC[3]:
+    def witness_stalls(insts, E, quad):
+        # the batch of all scales stalls, and so does the scale-by-scale
+        # rerun at DYADIC[3]
+        if any(inst.scale == DYADIC[3] for inst in insts):
             raise PrecisionError("stalled")
-        return witness_bound(inst, E, quad)
+        return witness_bounds(insts, E, quad)
 
     monkeypatch.setattr(norm_probe, "lp_norm", lp_stalls)
     res = run_probe(kind, E, 2, pq, DYADIC[:4])
@@ -354,7 +356,7 @@ def test_run_probe_failures_end_their_pairs(monkeypatch):
         assert repr(res[k]) == repr(alone)
 
     monkeypatch.setattr(norm_probe, "lp_norm", lp_stalls)
-    monkeypatch.setattr(norm_probe, "_witness_bound", witness_stalls)
+    monkeypatch.setattr(norm_probe, "_witness_bounds", witness_stalls)
     res = run_probe(kind, E, 2, pq, DYADIC[:4])
     assert [r.partial for r in res] == [True, True, True]
     assert [len(r.rows) for r in res] == [3, 1, 3]
@@ -404,6 +406,58 @@ def test_witness_bound_matches_maximal_value_per_radius(case):
         inst = build_probe(family, s, E)
         got = norm_probe._witness_bound(inst, E, DEFAULT_QUAD)
         assert got.hex() == _witness_bound_alone(inst, E, DEFAULT_QUAD).hex()
+
+
+@pytest.mark.parametrize("case", sorted(_WITNESS_CASES))
+def test_run_probe_batch_matches_scale_by_scale(case, monkeypatch):
+    # run_probe sweeps and polishes every (scale, radius) pair of its
+    # scales in one _maximal_values call; the reference finds each scale's
+    # witness bound alone, one maximal_value per radius
+    family, E, scales = _WITNESS_CASES[case]
+    scales = [*scales, scales[-1] / 2]
+    args = (family.kind, E, family.d, [(2, 4), (3, 6)], scales)
+    kwargs = dict(t0=family.t0, u=family.u, window=family.window)
+    calls = []
+    real = norm_probe._maximal_values
+
+    def counted(*a):
+        calls.append(len(a[2]))
+        return real(*a)
+
+    monkeypatch.setattr(norm_probe, "_maximal_values", counted)
+    batched = run_probe(*args, **kwargs)
+    assert calls == [sum(len(build_probe(family, s, E).witness_radii)
+                         for s in scales)]
+    monkeypatch.setattr(norm_probe, "_witness_bounds", lambda insts, E, quad: [
+        _witness_bound_alone(inst, E, quad) for inst in insts])
+    assert repr(batched) == repr(run_probe(*args, **kwargs))
+
+
+def test_run_probe_build_error_waits_for_its_scale(monkeypatch):
+    # the set misses the Lorentz witness dilation 1 + 1/128 of the third
+    # scale: the scales before it are batched, and the error is raised
+    # where the scale loop reaches it, or not at all when the loop stops
+    # first
+    E = from_intervals([(1 + F(1, 64), F(2))])
+    scales = [F(1, 32), F(1, 64), F(1, 128)]
+    calls = []
+    real = norm_probe._maximal_values
+
+    def counted(*a):
+        calls.append(len(a[2]))
+        return real(*a)
+
+    monkeypatch.setattr(norm_probe, "_maximal_values", counted)
+    with pytest.raises(DegenerateProbeError, match="at scale 1/128 "):
+        run_probe("Lorentz2D", E, 2, [(2, 4)], scales)
+    assert calls == [3 + 4]
+
+    def stalls(*a):
+        raise PrecisionError("stalled")
+
+    monkeypatch.setattr(norm_probe, "_maximal_values", stalls)
+    [res] = run_probe("Lorentz2D", E, 2, [(2, 4)], scales)
+    assert res.partial and res.rows == ()
 
 
 @pytest.mark.parametrize("case, s", [("EndpointLog", F(1, 8)),

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,26 @@ def test_array_layout_matches_panel_layout_bitwise():
             want = np.array(want, dtype=float).reshape(-1, 9)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+        # rows in runs of groups, each run laid out alone with its group's
+        # cuts and skip as _integrate_rows lays out a chunk: in either
+        # layout every row gets the panels it gets laid out on its own
+        ends = sorted({*rng.integers(1, len(lo) + 1, 3).tolist(), len(lo)})
+        want, got = [], []
+        for b, e in zip([0, *ends], ends):
+            _, _, cuts_g = _random_layout_case(rng)
+            ends_g = np.sort(rng.uniform(0.0, 6.0, 2))
+            skip_g = rng.choice([None, lambda a, b, ends_g=ends_g: (
+                b <= ends_g[0]) | (a >= ends_g[1])])
+            for i in range(b, e):
+                want += quadrature._layout([lo[i]], [hi[i]], start + i, cuts_g,
+                                           skip_g)
+            got.append(quadrature._layout_array(lo[b:e], hi[b:e], start + b,
+                                                np.array(cuts_g), skip_g))
+            assert quadrature._layout(lo[b:e].tolist(), hi[b:e].tolist(),
+                                      start + b, cuts_g, skip_g) == \
+                want[len(want) - len(got[-1]):]
+        want = np.array(want, dtype=float).reshape(-1, 9)
+        assert np.concatenate(got).tobytes() == want.tobytes()
         # without bisection a row gets one panel more than its inner cuts,
         # and two without any
         unsplit = sum(max(sum(a < c < b for c in cuts), 1) + 1
@@ -362,3 +383,55 @@ def test_nan_row_stalls_at_once():
                         np.zeros(n), np.ones(n))
     assert str(batch.value) == str(alone.value)
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("node", [0, 1], ids=["kronrod-only", "gauss"])
+@pytest.mark.parametrize("rows", [1, 2 * quadrature._ARRAY_ROWS])
+def test_infinite_node_raises_precision_error(node, rows):
+    # ones everywhere but inf at one node of the first panel of every
+    # round: the Kronrod-only node 0, where K15 is inf and G7 finite, or
+    # the Gauss node 1, where both are inf and their gap is inf - inf; an
+    # infinite error never meets a budget, so the row stalls instead of
+    # returning inf, and no warning escapes
+    def f(s, dlo, dhi, rows=None):
+        v = np.ones(s.shape)
+        v[0, node] = np.inf
+        return v
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError, match=r"on \[0, 1\] stalled"):
+            if rows == 1:
+                integrate(f, 0.0, 1.0)
+            else:
+                _integrate_rows(f, np.zeros(rows), np.ones(rows))
+
+
+def test_groups_match_their_rows_alone_bitwise():
+    # rows of three groups, each with its own breakpoints, skip and
+    # integrand, kept together or interleaved, laid out per panel (12
+    # rows) and as arrays (40 rows): every row is bitwise its lone
+    # integral with its group's breakpoints and skip
+    breaks = [(0.25, 0.5, 1.0), (0.3,), ()]
+    skips = [None, lambda a, b: b <= 0.3, lambda a, b: a >= 1.5]
+
+    def f(s, dlo, dhi, rows, group):
+        g = group[rows]
+        return np.select([g == 0, g == 1],
+                         [np.cos(3.0 * s), dlo ** -0.45], s * s)
+
+    for n in (12, 40):
+        los = np.linspace(0.0, 1.9, n)
+        his = los + np.linspace(0.05, 1.2, n)
+        his[4] = los[4]     # an empty row
+        for group in (np.arange(n) * 3 // n, np.arange(n) % 3):
+            batch = _integrate_rows(
+                lambda s, dlo, dhi, rows: f(s, dlo, dhi, rows, group),
+                los, his, DEFAULT_QUAD, breaks, skips, group)
+            for i in range(n):
+                g = group[i]
+                lone = integrate(
+                    lambda s, dlo, dhi: f(s, dlo, dhi, np.array([[i]]), group),
+                    los[i], his[i], DEFAULT_QUAD, breaks[g], skips[g])
+                assert batch[i] == lone, (n, i)
+            assert batch[4] == 0.0

@@ -858,6 +858,51 @@ def test_spherical_means_match_spherical_mean_bitwise(d, kind, monkeypatch):
         assert max(lone_rounds) >= 3
 
 
+# profiles with different breakpoints and supports, for batches that mix
+# them row by row
+_MIXED_PROFILES = (indicator(F(1, 2), F(3, 2)),
+                   power_profile(1.0, -0.5, 0.0, F(1, 4), F(5, 2)),
+                   power_profile(0.8, 0.5, 1.0, F(1, 16), F(3, 4)),
+                   _BATCH_PROFILES["mixed"])
+
+
+@pytest.mark.parametrize("n", [12, 44])
+@pytest.mark.parametrize("order", ["together", "interleaved"])
+def test_mixed_profile_rows_match_their_profiles_alone_bitwise(n, order):
+    # a batch of 12 rows is laid out per panel and one of 44 as arrays; a
+    # row whose window misses its own profile's support, though not the
+    # others', is 0.0, and so is an empty row
+    rng = np.random.default_rng(n)
+    which = np.arange(n) % len(_MIXED_PROFILES)
+    if order == "together":
+        which = np.sort(which)
+    profiles = [_MIXED_PROFILES[k] for k in which]
+    los = rng.uniform(0.0, 2.0, n)
+    his = los + rng.uniform(0.1, 1.5, n)
+    his[3] = los[3]
+    miss = 5
+    los[miss] = float(profiles[miss].support[1]) + 0.25
+    his[miss] = los[miss] + 0.5
+
+    def weight(s, dlo, dhi, rows):
+        return np.sqrt(s) / np.sqrt(dlo)
+
+    batch = radial_operator._profile_integrals(profiles, los, his, weight,
+                                               quadrature.DEFAULT_QUAD)
+    for i in range(n):
+        alone = radial_operator._profile_integrals(
+            profiles[i], [los[i]], [his[i]], weight, quadrature.DEFAULT_QUAD)
+        assert batch[i] == alone[0], (i, which[i])
+    assert batch[3] == batch[miss] == 0.0
+    assert (batch != 0.0).sum() > n // 2
+
+    d = 3
+    ts = rng.uniform(1.0, 2.0, n)
+    means = _spherical_means(d, profiles, 1.25, ts)
+    for i in range(n):
+        assert means[i] == spherical_mean(d, profiles[i], 1.25, ts[i]), i
+
+
 def test_maximal_value_default_grid_matches_closed_form_d3():
     # for d = 3 the mean of chi[a, b] is
     # (min(b, r + t)**2 - max(a, |r - t|)**2) / (4 r t); with a = 1/10,
