@@ -446,19 +446,30 @@ _EXACT_MEANS = (
 )
 
 
+@functools.cache
+def _exact_profiles() -> tuple:
+    """The profiles of _EXACT_MEANS, parsed once per process."""
+    return tuple(parse_profile(expr) for expr, _, _ in _EXACT_MEANS)
+
+
 def _check_means(rng, quad):
     grid = [2.0 ** (k / 2.0) for k in range(-6, 7)]
-    for expr, dims, exact in _EXACT_MEANS:
-        f = parse_profile(expr)
-        for d in dims:
-            # the six (r, t) of a case are drawn first, r before t, and
-            # their means taken in one batch, each bitwise spherical_mean's
-            rs, ts = zip(*((rng.choice(grid), rng.choice(grid))
-                           for _ in range(6)))
-            means = _spherical_means(d, f, rs, ts, quad)
-            for r, t, mean in zip(rs, ts, means):
-                want = exact(d, r, t)
-                yield abs(mean - want) <= 1e-6 * max(1.0, abs(want))
+    # the six (r, t) of every case are drawn first, r before t, in case
+    # order; the means of each dimension are then taken in one batch whose
+    # rows carry their case's profile, each bitwise spherical_mean's
+    cases = [(f, d, exact, [(rng.choice(grid), rng.choice(grid))
+                            for _ in range(6)])
+             for f, (_, dims, exact) in zip(_exact_profiles(), _EXACT_MEANS)
+             for d in dims]
+    means = {}
+    for d in {d for _, d, _, _ in cases}:
+        f, rs, ts = zip(*((f, r, t) for f, e, _, pairs in cases if e == d
+                          for r, t in pairs))
+        means[d] = iter(_spherical_means(d, f, rs, ts, quad))
+    for f, d, exact, pairs in cases:
+        for (r, t), mean in zip(pairs, means[d]):
+            want = exact(d, r, t)
+            yield abs(mean - want) <= 1e-6 * max(1.0, abs(want))
 
 
 def _check_covering_sandwich(rng, quad):

@@ -19,8 +19,12 @@ panels of all rows are evaluated together, one integrand call per round,
 and each row refines its own worst panel in lockstep with the others, so a
 row's value is bitwise the one it gets when integrated alone.
 
-Rows may come in groups, each with its own breakpoints and skip test;
-each run of adjacent rows of one group is laid out on its own.
+Rows may be of several kinds, each with its own breakpoints and a tag
+for each interval they leave, such as the index of the profile piece the
+interval lies in; all are laid out in one pass. Every panel carries the
+tag of its interval, which the halves of a panel inherit, to the
+integrand, and a panel with a negative tag is dropped before any is
+evaluated.
 
 Rows go through in chunks of at most _CHUNK_ROWS. A chunk of at least
 _ARRAY_ROWS rows, such as a dilation sweep, is laid out, summed over its
@@ -124,37 +128,64 @@ def _meets(total: np.ndarray, live: np.ndarray,
     return (live <= budget) & np.isfinite(live)
 
 
-def _layout(los: list, his: list, start: int, cuts: list, skip) -> list:
+def _keys(kind, x):
+    """Search keys of the values x of rows or cuts of the kinds kind: x
+    itself when kind is None, else complex numbers kind + x i, which numpy
+    orders by real part first, so that the keys sort by kind and within a
+    kind by x, and one search finds each value's place among those of its
+    own kind."""
+    return x if kind is None else kind + 1j * x
+
+
+def _layout(los: list, his: list, start: int, parts: list, kind,
+            skip) -> list:
     """Initial panels of the rows of a chunk that have hi > lo, grouped by
     row and left to right within it; los and his hold the chunk's ends, and
     its first row is row start of the batch. A panel is a tuple
-    (a, b, center, half, base, sign, dlo0, dhi0, row): on u in [a, b],
+    (a, b, center, half, base, sign, dlo0, dhi0, tag, row): on u in [a, b],
     whose center and half width are 0.5 * (a + b) and 0.5 * (b - a), it
     samples s = base + sign * u**2, at distances dlo0 + sign * u**2 and
     dhi0 - sign * u**2 from the ends of its row, so u = 0 sits on the
-    nearer end. cuts is the sorted list of breakpoints; skip(a, b) maps the
-    arrays of the edges in s of the panels between a row's ends and cuts
-    to the panels to drop, as booleans, before any is bisected."""
-    rows, sa, sb = [], [], []
-    for i, (lo, hi) in enumerate(zip(los, his)):
+    nearer end. parts holds pairs (cuts, tags) of sorted breakpoints and
+    the tag of each interval they leave, and kind, a list, names the pair
+    of each row, or is None when every row takes parts[0]. A panel between
+    a row's ends and cuts lies in one interval and carries its tag; a
+    panel of one point, which a row one ulp wide can give, lies in none
+    when that point is a cut, and carries -1. skip(a, b), when given, maps
+    the arrays of the edges in s of those panels to the ones to drop, as
+    booleans. A panel that skip drops or whose tag is negative is dropped
+    before any is bisected."""
+    rows, sa, sb, tags = [], [], [], []
+    for i, (lo, hi, k) in enumerate(
+            zip(los, his, repeat(0) if kind is None else kind)):
         if not hi > lo:
             continue
-        # a row without interior cut is cut at its midpoint, so both
-        # endpoints get their own substituted panel
-        inner = cuts[bisect_right(cuts, lo):bisect_left(cuts, hi)]
-        edges = [lo, *(inner or [lo + 0.5 * (hi - lo)]), hi]
+        cuts, row_tags = parts[k]
+        first = bisect_right(cuts, lo)
+        last = bisect_left(cuts, hi)
+        if last > first:
+            edges = [lo, *cuts[first:last], hi]
+            tags += row_tags[first:last + 1]
+        else:
+            # a row without interior cut is cut at its midpoint, so both
+            # endpoints get their own substituted panel; a midpoint that
+            # rounds onto an end leaves a panel of one point, the end
+            mid = lo + 0.5 * (hi - lo)
+            edges = [lo, mid, hi]
+            tag = row_tags[first]
+            tags += [tag if bisect_left(cuts, mid) == first else -1,
+                     tag if bisect_right(cuts, mid) == first else -1]
         rows += [i] * (len(edges) - 1)
         sa += edges[:-1]
         sb += edges[1:]
-    # skip sees the panels before any is bisected, so no dropped panel is
-    # bisected; the halves of a panel between the breakpoints of a profile
-    # lie in the same piece, or gap, as the panel
-    drop = repeat(False)
+    # the halves of a panel between the breakpoints of a profile lie in
+    # the same piece, or gap, as the panel, and carry its tag
     if skip is not None and rows:
-        drop = skip(np.array(sa), np.array(sb)).tolist()
+        tags = [-1 if dead else tag for tag, dead in
+                zip(tags, skip(np.array(sa), np.array(sb)))]
     panels = []
-    for i, a, b, dead in zip(rows, sa, sb, drop):
-        if dead:
+    for i, a, b, tag in zip(rows, sa, sb, tags):
+        if tag < 0:
             continue
         lo = los[i]
         hi = his[i]
@@ -175,25 +206,37 @@ def _layout(los: list, his: list, start: int, cuts: list, skip) -> list:
                 ua = math.sqrt(a - lo)
                 ub = math.sqrt(b - lo)
                 panels.append((ua, ub, 0.5 * (ua + ub), 0.5 * (ub - ua),
-                               lo, 1.0, 0.0, hi - lo, start + i))
+                               lo, 1.0, 0.0, hi - lo, tag, start + i))
             else:
                 ua = math.sqrt(hi - b)
                 ub = math.sqrt(hi - a)
                 panels.append((ua, ub, 0.5 * (ua + ub), 0.5 * (ub - ua),
-                               hi, -1.0, hi - lo, 0.0, start + i))
+                               hi, -1.0, hi - lo, 0.0, tag, start + i))
     return panels
 
 
-def _layout_array(lo: np.ndarray, hi: np.ndarray, start: int,
-                  cuts: np.ndarray, skip) -> np.ndarray:
+def _layout_array(lo: np.ndarray, hi: np.ndarray, start: int, parts: list,
+                  kind, skip) -> np.ndarray:
     """_layout with one numpy operation per step instead of per panel: the
-    same panels, bitwise and in the same order, as an (n, 9) array whose
-    columns are the fields of _layout's tuples."""
+    same panels, bitwise and in the same order, as an (n, 10) array whose
+    columns are the fields of _layout's tuples; kind, when given, is an
+    array."""
     rows = (hi > lo).nonzero()[0]
     lo = lo[rows]
     hi = hi[rows]
-    first = cuts.searchsorted(lo, "right")
-    inner = cuts.searchsorted(hi, "left") - first
+    # the cuts of every kind joined in kind order, and so the tags, one
+    # more per kind than cuts: a row finds its inner cuts there by a search
+    # among those of its own kind, and the tag of the interval below cut
+    # j of kind k at entry j + k
+    cuts = np.concatenate([c for c, _ in parts])
+    owners = np.concatenate([t for _, t in parts]).astype(np.intp)
+    keys = cuts
+    if kind is not None:
+        kind = kind[rows]
+        keys = _keys(np.arange(len(parts)).repeat([len(c) for c, _ in parts]),
+                     cuts)
+    first = keys.searchsorted(_keys(kind, lo), "right")
+    inner = keys.searchsorted(_keys(kind, hi), "left") - first
     # a row's panels run from lo over its inner cuts, or else its midpoint,
     # to hi: panel j ends at entry j + shift[row] of the cuts followed by
     # the rows' midpoints, its row's last panel at hi instead
@@ -203,15 +246,27 @@ def _layout_array(lo: np.ndarray, hi: np.ndarray, start: int,
     row = np.arange(len(rows)).repeat(count)
     shift = np.where(inner > 0, first, np.arange(len(cuts), len(cuts) +
                                                  len(rows))) - starts
-    b = np.concatenate((cuts, lo + 0.5 * (hi - lo))).take(
-        np.arange(len(row)) + shift[row], mode="clip")
+    at = np.arange(len(row)) + shift[row]
+    b = np.concatenate((cuts, lo + 0.5 * (hi - lo))).take(at, mode="clip")
     a = np.empty_like(b)
     a[1:] = b[:-1]
     a[starts] = lo
     b[ends - 1] = hi
+    # panel j of a row lies in the interval below its row's inner cut j,
+    # or above the last for the last panel, and both halves of a midpoint
+    # in the interval holding it
+    at = np.where((inner > 0)[row], at, first[row])
+    tags = owners[at if kind is None else at + kind[row]]
+    point = (a == b).nonzero()[0]
+    if len(point):
+        # a panel of one point that is a cut lies in no interval
+        x = _keys(None if kind is None else kind[row[point]], a[point])
+        tags[point[keys.searchsorted(x, "left") <
+                   keys.searchsorted(x, "right")]] = -1
     if skip is not None:
-        keep = np.logical_not(skip(a, b))
-        a, b, row = a[keep], b[keep], row[keep]
+        tags[skip(a, b)] = -1
+    keep = tags >= 0
+    a, b, row, tags = a[keep], b[keep], row[keep], tags[keep]
     # the bisection of _layout, one level of the hugging panels per pass,
     # each split in place so that the panels stay in _layout's order; only
     # the halves a pass makes are tested in the next, and a panel whose
@@ -227,7 +282,7 @@ def _layout_array(lo: np.ndarray, hi: np.ndarray, start: int,
         mid = mid[inside]
         twice = np.arange(len(a)).repeat(hug + 1)
         left = split + np.arange(len(split))
-        a, b, row = a[twice], b[twice], row[twice]
+        a, b, row, tags = a[twice], b[twice], row[twice], tags[twice]
         b[left] = mid
         a[left + 1] = mid
         new = np.concatenate((left, left + 1))
@@ -243,7 +298,7 @@ def _layout_array(lo: np.ndarray, hi: np.ndarray, start: int,
     return np.array((ua, ub, 0.5 * (ua + ub), 0.5 * (ub - ua),
                      np.where(near, lo, hi), np.where(near, 1.0, -1.0),
                      np.where(near, 0.0, width), np.where(near, width, 0.0),
-                     rows[row] + start)).T
+                     tags, rows[row] + start), dtype=float).T
 
 
 def _pairs(f, panels) -> tuple:
@@ -255,11 +310,12 @@ def _pairs(f, panels) -> tuple:
     takes each panel's sums with the dot that np.dot takes on a lone
     panel, so no value depends on the other panels."""
     # the fields after the edges, each as a column
-    center, half, base, sign, dlo0, dhi0, rows = \
+    center, half, base, sign, dlo0, dhi0, tags, rows = \
         np.asarray(panels).T[2:, :, None]
     u = center + half * _NODES
     w = sign * (u * u)     # exact: the sign is +-1
-    vals = f(base + w, dlo0 + w, dhi0 - w, rows.astype(np.intp)) * (2.0 * u)
+    vals = f(base + w, dlo0 + w, dhi0 - w, rows.astype(np.intp),
+             tags.astype(np.intp)) * (2.0 * u)
     half = half[:, 0]
     low = half * np.vecdot(vals[:, 1::2], _WEIGHTS_G7)
     high = half * np.vecdot(vals, _WEIGHTS_K15)
@@ -435,27 +491,24 @@ def _refine(f, active: list, quad: QuadratureSpec, out) -> dict:
     return stalled
 
 
-def _runs(labels: np.ndarray) -> list[tuple[int, int]]:
-    """The (begin, end) of every run of equal adjacent entries of labels."""
-    ends = [*(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(),
-            len(labels)]
-    return [(b, e) for b, e in zip([0, *ends], ends) if b < e]
-
-
 def _integrate_rows(f, los, his, quad: QuadratureSpec = DEFAULT_QUAD,
-                    breakpoints=(), skip=None, group=None) -> np.ndarray:
+                    parts=(((), (0,)),), kind=None,
+                    skip=None) -> np.ndarray:
     """Integrate f over [los[i], his[i]] for every row i, as integrate does
-    for one. The integrand is f(s, dlo, dhi, rows): the arrays have one row
-    per panel, and rows is the column of the row indices i they belong to.
-    skip(a, b), when given, takes arrays of panel edges and returns, for
-    each panel, whether f vanishes on it.
+    for one. The integrand is f(s, dlo, dhi, rows, tags): the arrays have
+    one row per panel, rows is the column of the row indices i they belong
+    to and tags the column of the tags they carry.
 
-    group, when given, names the group of each row, and breakpoints and
-    skip then hold one entry per group: a row is cut at the breakpoints of
-    its group and skipped by its skip. Each run of adjacent rows of one
-    group is laid out on its own and the runs are joined in row order, so
-    a row gets the panels it gets alone; rows of one group kept together
-    make one run per group.
+    parts holds one pair (cuts, tags) per kind of row: sorted distinct
+    breakpoints, and the tag of each interval they leave, the first below
+    cuts[0] and the last above cuts[-1], such as the index of the piece of
+    a profile it lies in, so that one integrand call per round serves rows
+    of any number of profiles. kind names the kind of each row, or is None
+    when every row takes parts[0]. A panel carries the tag of its interval
+    and is dropped when that is negative, or when skip(a, b), given the
+    arrays of the edges of the panels between a row's ends and cuts, marks
+    it. Every row of a chunk, whatever its kind, is laid out in one pass
+    and gets the panels it gets alone.
 
     Rows are refined in chunks of at most _CHUNK_ROWS; a chunk of at least
     _ARRAY_ROWS is laid out as arrays. Raises PrecisionError for the first
@@ -463,31 +516,19 @@ def _integrate_rows(f, los, his, quad: QuadratureSpec = DEFAULT_QUAD,
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
     n = len(los)
-    if group is None:
-        runs = [(0, n, sorted({float(c) for c in breakpoints}), skip)]
-    else:
-        runs = [(b, e, sorted({float(c) for c in breakpoints[group[b]]}),
-                 skip[group[b]]) for b, e in _runs(np.asarray(group))]
     out = np.zeros(n)
     for start in range(0, n, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, n)
-        array = stop - start >= _ARRAY_ROWS
-        # the panels of the runs in the chunk, in row order: as a list of
-        # arrays joined below, or as one list of tuples
-        panels = []
-        for b, e, cuts, skip in runs:
-            b, e = max(b, start), min(e, stop)
-            if b >= e:
-                continue
-            if array:
-                panels.append(_layout_array(los[b:e], his[b:e], b,
-                                            np.array(cuts), skip))
-            else:
-                panels += _layout(los[b:e].tolist(), his[b:e].tolist(), b,
-                                  cuts, skip)
-        if array:
-            panels = np.concatenate(panels)
-        first_round = _first_round_array if array else _first_round
+        part = None if kind is None else kind[start:stop]
+        if stop - start >= _ARRAY_ROWS:
+            panels = _layout_array(los[start:stop], his[start:stop], start,
+                                   parts, part, skip)
+            first_round = _first_round_array
+        else:
+            panels = _layout(los[start:stop].tolist(),
+                             his[start:stop].tolist(), start, parts,
+                             None if part is None else part.tolist(), skip)
+            first_round = _first_round
         if not len(panels):
             continue
         stalled = _refine(f, first_round(f, panels, quad, out), quad, out)
@@ -514,8 +555,10 @@ def integrate(f, lo, hi, quad: QuadratureSpec = DEFAULT_QUAD,
     Raises PrecisionError when a panel cannot reach its error budget
     within quad.max_refinement bisections.
     """
-    def g(s, dlo, dhi, rows):
+    def g(s, dlo, dhi, rows, tags):
         return f(s, dlo, dhi)
 
-    return float(_integrate_rows(g, (lo,), (hi,), quad, breakpoints,
+    cuts = sorted({float(c) for c in breakpoints})
+    return float(_integrate_rows(g, (lo,), (hi,), quad,
+                                 ((cuts, [0] * (len(cuts) + 1)),), None,
                                  skip)[0])

@@ -9,7 +9,7 @@ never sampled.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +22,7 @@ from .errors import (ConfigError, DivergentNormError, DomainError,
 from .fractal_set import (FractalSet, _read_expression, as_rational, resolution,
                           separated_points)
 from .quadrature import (DEFAULT_QUAD, QuadratureSpec, _integrate_rows,
-                         _runs, integrate)
+                         integrate)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -57,6 +57,58 @@ def _piece_values(pc: ProfilePiece, s):
     return v
 
 
+def _constant(pc: ProfilePiece) -> bool:
+    return pc.a_pow == 0.0 and pc.b_pow == 0.0
+
+
+class _PieceTable(NamedTuple):
+    """The pieces of one or more profiles, each profile's after those of
+    the profiles before it: the coefficient of each constant piece plus
+    +0.0 (+0.0 for the others) and the index and ProfilePiece of every
+    other piece."""
+
+    consts: np.ndarray
+    smooth: tuple[tuple[int, ProfilePiece], ...]
+
+    def values(self, s, tags):
+        """The profiles at the nodes s of the panels tagged, by the column
+        tags, with their pieces: a constant piece broadcasts its
+        coefficient, one per panel, and every other piece present takes
+        _piece_values on its own panels, added to +0.0. Both are bitwise
+        RadialProfile.values wherever a node lies in its panel's piece and
+        in no other."""
+        v = self.consts[tags]
+        for j, pc in self.smooth:
+            m = tags[:, 0] == j
+            count = np.count_nonzero(m)
+            if count == len(m):
+                # every panel lies in this piece, as in most rounds of a
+                # profile of one piece: no gather and no scatter
+                return v + _piece_values(pc, s)
+            if count:
+                if v.shape != s.shape:
+                    v = v.repeat(s.shape[1], axis=1)
+                v[m] += _piece_values(pc, s[m])
+        return v
+
+
+def _batch(profiles) -> tuple[_PieceTable, list]:
+    """The piece table of a batch whose rows take their profiles from
+    profiles, and per profile its breakpoints with the index in that table
+    of the piece each interval between them lies in, -1 in a gap."""
+    if len(profiles) == 1:
+        f = profiles[0]
+        return f._pieces, [(f._breaks, f._owner)]
+    smooth, parts, base = [], [], 0
+    for f in profiles:
+        smooth += [(base + j, pc) for j, pc in f._pieces.smooth]
+        parts.append((f._breaks, [j + base if j >= 0 else j
+                                  for j in f._owner]))
+        base += len(f.pieces)
+    return _PieceTable(np.concatenate([f._pieces.consts for f in profiles]),
+                       tuple(smooth)), parts
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """Piecewise power-log radial function with rational piece endpoints.
@@ -68,14 +120,16 @@ class RadialProfile:
 
     pieces: tuple[ProfilePiece, ...]
     # derived once, so none takes part in equality or repr: per piece its
-    # float ends, the float ends again as two ascending arrays, and every
-    # breakpoint of the profile as a sorted tuple of the piece ends (a log
-    # piece stops at or before s = 1, so its kink there is a piece end)
+    # float ends, the piece table of the profile, every breakpoint of the
+    # profile as a sorted tuple of the piece ends (a log piece stops at or
+    # before s = 1, so its kink there is a piece end), and the piece each
+    # interval between breakpoints lies in, -1 in a gap, from the one below
+    # the first breakpoint to the one above the last
     _table: tuple[tuple[float, float, ProfilePiece], ...] = field(
         init=False, repr=False, compare=False)
-    _ends: tuple[np.ndarray, np.ndarray] = field(
-        init=False, repr=False, compare=False)
+    _pieces: _PieceTable = field(init=False, repr=False, compare=False)
     _breaks: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _owner: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pcs = sorted(self.pieces, key=lambda pc: (pc.lo, pc.hi))
@@ -103,10 +157,20 @@ class RadialProfile:
         bounds = tuple((float(pc.lo), float(pc.hi)) for pc in pcs)
         object.__setattr__(self, "_table", tuple(
             (lo, hi, pc) for (lo, hi), pc in zip(bounds, pcs)))
-        object.__setattr__(self, "_ends", tuple(
-            np.array([b[k] for b in bounds], dtype=float) for k in (0, 1)))
-        object.__setattr__(self, "_breaks",
-                           tuple(sorted({e for b in bounds for e in b})))
+        object.__setattr__(self, "_pieces", _PieceTable(
+            np.array([pc.coeff if _constant(pc) else 0.0 for pc in pcs],
+                     dtype=float) + 0.0,
+            tuple((j, pc) for j, pc in enumerate(pcs) if not _constant(pc))))
+        breaks = sorted({e for b in bounds for e in b})
+        owner = [-1] * (len(breaks) + 1)
+        for j, (lo, hi) in enumerate(bounds):
+            # the intervals from the one above lo up to the one below hi;
+            # none when the ends round to one float
+            for m in range(bisect_right(breaks, lo), bisect_left(breaks, hi)
+                           + 1):
+                owner[m] = j
+        object.__setattr__(self, "_breaks", tuple(breaks))
+        object.__setattr__(self, "_owner", tuple(owner))
 
     def values(self, s):
         """Vectorized evaluation; zero outside every piece."""
@@ -114,7 +178,7 @@ class RadialProfile:
         out = np.zeros(s.shape)
         for lo, hi, pc in self._table:
             m = (s >= lo) & (s <= hi)
-            if pc.a_pow == 0.0 and pc.b_pow == 0.0:
+            if _constant(pc):
                 # a constant piece adds its coefficient where m holds and
                 # +0.0 elsewhere, which leaves a sum from +0.0 bitwise as is
                 out += np.where(m, pc.coeff, 0.0)
@@ -127,13 +191,17 @@ class RadialProfile:
     def __call__(self, s) -> float:
         return float(self.values(np.array([s], dtype=float))[0])
 
-    def _misses(self, a, b):
-        """Whether each panel [a, b], given as arrays of edges, misses every
-        piece: the quadrature's skip. A panel meets piece j when lows[j] < b
-        and highs[j] > a; the pieces are sorted and disjoint, so those j run
-        from the count of highs <= a up to the count of lows < b."""
-        lows, highs = self._ends
-        return lows.searchsorted(b) <= highs.searchsorted(a, "right")
+    def _gaps(self, a, b) -> list:
+        """Whether each panel [a, b] between the ends and breakpoints of a
+        lone row lies in a gap: the tag the layouts give it from _owner,
+        found by search. The panel lies in interval m when m is both the
+        count of breakpoints at or below a and that below b; a panel of one
+        point that is a breakpoint lies in none. Meant for the few panels
+        of one row, as the skip of integrate."""
+        cuts, owner = self._breaks, self._owner
+        return [m != bisect_left(cuts, y) or owner[m] < 0
+                for x, y in zip(a.tolist(), b.tolist())
+                for m in (bisect_right(cuts, x),)]
 
     def __add__(self, other: "RadialProfile") -> "RadialProfile":
         if not isinstance(other, RadialProfile):
@@ -285,40 +353,44 @@ def _profile_integrals(f, los, his, weight, quad,
     """Integral of weight(s, dlo, dhi, rows) * f(s), or * |f(s)| when
     absolute, over [los[i], his[i]] for every row i; rows indexes los.
 
-    f is one profile, or a sequence of one profile per row. The rows of
-    one profile object form a group of the quadrature, cut at that
-    profile's breakpoints, and each profile is evaluated on the whole
-    panels of its rows, so every row is bitwise its integral alone. Panels
-    off the support of their row's profile are skipped, so a row whose
-    window misses it is exactly 0.0. A lone row goes to integrate, the
-    batch of one."""
-    group = None
-    if not isinstance(f, RadialProfile):
+    f is one profile, or a sequence of one profile per row. A batch lays
+    out every row at once, each cut at its own profile's breakpoints, and
+    every panel between them carries the index of the piece it lies in,
+    from one piece table of all the batch's profiles; a panel in a gap of
+    its row's profile is dropped, so a row whose window misses the support
+    is exactly 0.0. One integrand call per round then evaluates the tagged
+    piece of every panel, however many profiles the batch holds. A lone
+    row goes to integrate, the batch of one, which takes values at every
+    node and drops the panels that _gaps finds in a gap from the same
+    table. Every row is bitwise its integral alone, but for a node that
+    rounds onto or past the edge of a panel a few ulp wide: values adds
+    every closed piece that holds such a node, a tag only the panel's."""
+    kind = None
+    if isinstance(f, RadialProfile):
+        profiles = [f]
+    else:
         profiles = list({id(p): p for p in f}.values())
         if len(profiles) > 1:
             index = {id(p): k for k, p in enumerate(profiles)}
-            group = np.array([index[id(p)] for p in f])
+            kind = np.array([index[id(p)] for p in f])
+
+    if len(los) == 1:
         f = profiles[0]
 
-    def g(s, dlo, dhi, rows=_LONE_ROW):
-        if group is None:
+        def lone(s, dlo, dhi):
             v = f.values(s)
-        else:
-            # the panels of a round come in row order, so those of one
-            # profile's rows follow each other when its rows do
-            at = group[rows[:, 0]]
-            v = np.concatenate([profiles[at[b]].values(s[b:e])
-                                for b, e in _runs(at)])
+            return weight(s, dlo, dhi, _LONE_ROW) * (np.abs(v) if absolute
+                                                     else v)
+
+        return np.array([integrate(lone, los[0], his[0], quad, f._breaks,
+                                   f._gaps)])
+    table, parts = _batch(profiles)
+
+    def g(s, dlo, dhi, rows, tags):
+        v = table.values(s, tags)
         return weight(s, dlo, dhi, rows) * (np.abs(v) if absolute else v)
 
-    if group is not None:
-        return _integrate_rows(g, los, his, quad,
-                               [p._breaks for p in profiles],
-                               [p._misses for p in profiles], group)
-    if len(los) == 1:
-        return np.array([integrate(g, los[0], his[0], quad, f._breaks,
-                                   f._misses)])
-    return _integrate_rows(g, los, his, quad, f._breaks, f._misses)
+    return _integrate_rows(g, los, his, quad, parts, kind)
 
 
 def _spherical_means(d: int, f, r, ts,

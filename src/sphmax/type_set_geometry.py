@@ -204,14 +204,15 @@ class CharacteristicFlags:
 def _statused_region(points, vstat_map, estat_map, provenance, exterior,
                      default=UNKNOWN) -> TypeSetRegion:
     verts = _dedupe(points)
-    vstat = tuple(vstat_map.get(v, default) for v in verts)
-    estat = []
     n = len(verts)
-    for i in range(n):
-        pair = (verts[i], verts[(i + 1) % n])
-        estat.append(estat_map.get(pair, default))
-    return TypeSetRegion(tuple(verts), vstat, tuple(estat), provenance,
-                         exterior)
+    # an empty status map gives every vertex, or edge, the default without
+    # hashing it
+    vstat = (tuple(vstat_map.get(v, default) for v in verts) if vstat_map
+             else (default,) * n)
+    estat = ((default,) * n if not estat_map else
+             tuple(estat_map.get((verts[i], verts[(i + 1) % n]), default)
+                   for i in range(n)))
+    return TypeSetRegion(tuple(verts), vstat, estat, provenance, exterior)
 
 
 # d >= 3: the status of the critical segment [Q2, Q1] for each value of the

@@ -142,7 +142,7 @@ def _bumpy(s, dlo, dhi, rows):
 def test_rows_match_lone_integrals_bitwise(monkeypatch):
     calls = []
 
-    def f(s, dlo, dhi, rows):
+    def f(s, dlo, dhi, rows, tags):
         calls.append(s.shape[0])
         return _bumpy(s, dlo, dhi, rows)
 
@@ -162,7 +162,7 @@ def test_rows_match_lone_integrals_bitwise(monkeypatch):
     his = los + np.linspace(0.05, 2.0, n)
     his[7] = los[7]     # an empty row
     cuts = (0.25, 0.5, 1.0)
-    batch = _integrate_rows(f, los, his, DEFAULT_QUAD, cuts)
+    batch = _integrate_rows(f, los, his, DEFAULT_QUAD, ((cuts, [0] * 4),))
     assert len(calls) > 3     # odd rows refine beyond the first round
     for i in range(n):
         lone = integrate(
@@ -177,7 +177,7 @@ def test_rows_raise_for_first_stalled_row_in_order():
     # the error still names row 3, the first stalled row in order
     tight = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16, max_refinement=2)
 
-    def f(s, dlo, dhi, rows):
+    def f(s, dlo, dhi, rows, tags):
         rough = np.abs(np.sin(40 / (s + 0.01)))
         return np.where((rows == 3) | (rows == 5) | (rows == 300), rough, 1.0)
 
@@ -188,7 +188,7 @@ def test_rows_raise_for_first_stalled_row_in_order():
     cuts = [k / 10 for k in range(1, 10)]
     with pytest.raises(PrecisionError,
                        match=r"on \[0, 0\.96875\] stalled"):
-        _integrate_rows(f, los, his, tight, cuts)
+        _integrate_rows(f, los, his, tight, ((cuts, [0] * 10),))
 
 
 _ULP_ROWS = """
@@ -197,7 +197,7 @@ import numpy as np
 from sphmax.quadrature import _integrate_rows, integrate
 hi = math.nextafter(1.0, 2.0)
 print(integrate(lambda s, dlo, dhi: s, 1.0, hi))
-print(*set(_integrate_rows(lambda s, dlo, dhi, rows: s, np.ones(40),
+print(*set(_integrate_rows(lambda s, dlo, dhi, rows, tags: s, np.ones(40),
                            np.full(40, hi)).tolist()))
 """
 
@@ -246,52 +246,56 @@ def _random_layout_case(rng):
 
 def test_array_layout_matches_panel_layout_bitwise():
     # _layout_array against _layout over random rows and cuts, with and
-    # without skip: the same panels, field by field and in the same order
+    # without skip and with tags of which some drop their intervals: the
+    # same panels, field by field and in the same order
     rng = np.random.default_rng(20261019)
     bisected = 0
     for _ in range(1500):
         lo, hi, cuts = _random_layout_case(rng)
         start = int(rng.integers(0, 1000))
         live = np.sort(rng.uniform(0.0, 6.0, 4))
-        for skip in (None, lambda a, b: (b <= live[0]) | (a >= live[3]) | (
-                (a >= live[1]) & (b <= live[2]))):
-            want = quadrature._layout(lo.tolist(), hi.tolist(), start, cuts,
-                                      skip)
-            got = quadrature._layout_array(lo, hi, start, np.array(cuts),
-                                           skip)
-            want = np.array(want, dtype=float).reshape(-1, 9)
-            assert got.shape == want.shape
+        tags = rng.integers(-1, 3, len(cuts) + 1).tolist()
+        for part in ((cuts, [0] * (len(cuts) + 1)), (cuts, tags)):
+            for skip in (None, lambda a, b: (b <= live[0]) | (a >= live[3]) | (
+                    (a >= live[1]) & (b <= live[2]))):
+                want = quadrature._layout(lo.tolist(), hi.tolist(), start,
+                                          [part], None, skip)
+                got = quadrature._layout_array(lo, hi, start, [part], None,
+                                               skip)
+                want = np.array(want, dtype=float).reshape(-1, 10)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        # rows of three kinds, each with its own cuts and tags, interleaved
+        # at random and laid out in one pass: in either layout every row
+        # gets the panels, and tags, it gets laid out alone
+        parts = []
+        for _ in range(3):
+            cuts_k = _random_layout_case(rng)[2]
+            parts.append((cuts_k, rng.integers(-1, 3, len(cuts_k) + 1)
+                          .tolist()))
+        kind = rng.integers(0, 3, len(lo))
+        want = []
+        for i in range(len(lo)):
+            want += quadrature._layout([lo[i]], [hi[i]], start + i,
+                                       [parts[kind[i]]], None, None)
+        want = np.array(want, dtype=float).reshape(-1, 10)
+        for got in (quadrature._layout(lo.tolist(), hi.tolist(), start,
+                                       parts, kind.tolist(), None),
+                    quadrature._layout_array(lo, hi, start, parts, kind,
+                                             None)):
+            got = np.array(got, dtype=float).reshape(-1, 10)
             assert got.tobytes() == want.tobytes()
-        # rows in runs of groups, each run laid out alone with its group's
-        # cuts and skip as _integrate_rows lays out a chunk: in either
-        # layout every row gets the panels it gets laid out on its own
-        ends = sorted({*rng.integers(1, len(lo) + 1, 3).tolist(), len(lo)})
-        want, got = [], []
-        for b, e in zip([0, *ends], ends):
-            _, _, cuts_g = _random_layout_case(rng)
-            ends_g = np.sort(rng.uniform(0.0, 6.0, 2))
-            skip_g = rng.choice([None, lambda a, b, ends_g=ends_g: (
-                b <= ends_g[0]) | (a >= ends_g[1])])
-            for i in range(b, e):
-                want += quadrature._layout([lo[i]], [hi[i]], start + i, cuts_g,
-                                           skip_g)
-            got.append(quadrature._layout_array(lo[b:e], hi[b:e], start + b,
-                                                np.array(cuts_g), skip_g))
-            assert quadrature._layout(lo[b:e].tolist(), hi[b:e].tolist(),
-                                      start + b, cuts_g, skip_g) == \
-                want[len(want) - len(got[-1]):]
-        want = np.array(want, dtype=float).reshape(-1, 9)
-        assert np.concatenate(got).tobytes() == want.tobytes()
         # without bisection a row gets one panel more than its inner cuts,
         # and two without any
         unsplit = sum(max(sum(a < c < b for c in cuts), 1) + 1
                       for a, b in zip(lo, hi) if b > a)
-        bisected += len(quadrature._layout(lo.tolist(), hi.tolist(), 0, cuts,
-                                           None)) > unsplit
+        bisected += len(quadrature._layout(
+            lo.tolist(), hi.tolist(), 0, [(cuts, [0] * (len(cuts) + 1))],
+            None, None)) > unsplit
     assert bisected > 100
 
 
-def _split_kinds(s, dlo, dhi, rows):
+def _split_kinds(s, dlo, dhi, rows, tags):
     # the integrand of row i by i % 4: 0 a polynomial, which the first round
     # meets;
     # 1 symmetric about the row midpoint, so that its two first panels get
@@ -310,7 +314,8 @@ def _lone(f, i, lo, hi, quad=DEFAULT_QUAD):
 
     def g(s, dlo, dhi):
         calls.append(len(s))
-        return f(s, dlo, dhi, np.full((len(s), 1), i))
+        return f(s, dlo, dhi, np.full((len(s), 1), i),
+                 np.zeros((len(s), 1), dtype=np.intp))
 
     return integrate(g, lo, hi, quad), calls
 
@@ -331,7 +336,8 @@ def test_array_first_split_matches_the_heap_bitwise():
     # the two first panels of a symmetric row tie in error, bitwise, and
     # those of an antisymmetric one have opposite values besides
     for i in (1, 2):
-        panels = quadrature._layout([los[i]], [his[i]], i, [], None)
+        panels = quadrature._layout([los[i]], [his[i]], i, [((), (0,))], None,
+                                    None)
         value, err = quadrature._pairs(_split_kinds, panels)
         assert err[0] == err[1] and value[0] == (-1) ** (i + 1) * value[1]
 
@@ -344,7 +350,7 @@ def test_array_first_split_keeps_the_error_of_a_nan_row(where):
     quad = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9, max_refinement=3)
     n = 2 * quadrature._ARRAY_ROWS
 
-    def f(s, dlo, dhi, rows):
+    def f(s, dlo, dhi, rows, tags):
         width = np.abs(s[:, -1:] - s[:, :1])
         nan = (rows == 20) & ((where == "first-round") | (width < 0.2))
         rough = np.where(rows > 20, dlo ** -0.45, np.cos(3.0 * s))
@@ -379,7 +385,7 @@ def test_nan_row_stalls_at_once():
     calls.clear()
     n = 2 * quadrature._ARRAY_ROWS
     with pytest.raises(PrecisionError) as batch:
-        _integrate_rows(lambda s, dlo, dhi, rows: f(s, dlo, dhi),
+        _integrate_rows(lambda s, dlo, dhi, rows, tags: f(s, dlo, dhi),
                         np.zeros(n), np.ones(n))
     assert str(batch.value) == str(alone.value)
     assert len(calls) <= 2
@@ -393,7 +399,7 @@ def test_infinite_node_raises_precision_error(node, rows):
     # the Gauss node 1, where both are inf and their gap is inf - inf; an
     # infinite error never meets a budget, so the row stalls instead of
     # returning inf, and no warning escapes
-    def f(s, dlo, dhi, rows=None):
+    def f(s, dlo, dhi, *rows_and_tags):
         v = np.ones(s.shape)
         v[0, node] = np.inf
         return v
@@ -407,31 +413,36 @@ def test_infinite_node_raises_precision_error(node, rows):
                 _integrate_rows(f, np.zeros(rows), np.ones(rows))
 
 
-def test_groups_match_their_rows_alone_bitwise():
-    # rows of three groups, each with its own breakpoints, skip and
+def test_kinds_match_their_rows_alone_bitwise():
+    # rows of three kinds, each with its own breakpoints, gaps and
     # integrand, kept together or interleaved, laid out per panel (12
-    # rows) and as arrays (40 rows): every row is bitwise its lone
-    # integral with its group's breakpoints and skip
-    breaks = [(0.25, 0.5, 1.0), (0.3,), ()]
+    # rows) and as arrays (40 rows). The tag of an interval between a
+    # kind's breakpoints is the kind, or -1 in a gap, and the batch
+    # integrand follows the tags where the lone one follows the row's
+    # kind, so every panel and half of a panel must carry its tag: every
+    # row is bitwise its lone integral with its kind's breakpoints and
+    # skip
+    breaks = [(0.25, 0.5, 1.0), (0.3,), (1.5,)]
+    parts = [(breaks[0], [0] * 4), (breaks[1], [-1, 1]), (breaks[2], [2, -1])]
     skips = [None, lambda a, b: b <= 0.3, lambda a, b: a >= 1.5]
 
-    def f(s, dlo, dhi, rows, group):
-        g = group[rows]
-        return np.select([g == 0, g == 1],
+    def f(s, dlo, dhi, kinds):
+        return np.select([kinds == 0, kinds == 1],
                          [np.cos(3.0 * s), dlo ** -0.45], s * s)
 
     for n in (12, 40):
         los = np.linspace(0.0, 1.9, n)
         his = los + np.linspace(0.05, 1.2, n)
         his[4] = los[4]     # an empty row
-        for group in (np.arange(n) * 3 // n, np.arange(n) % 3):
+        for kind in (np.arange(n) * 3 // n, np.arange(n) % 3):
             batch = _integrate_rows(
-                lambda s, dlo, dhi, rows: f(s, dlo, dhi, rows, group),
-                los, his, DEFAULT_QUAD, breaks, skips, group)
+                lambda s, dlo, dhi, rows, tags: f(s, dlo, dhi, tags),
+                los, his, DEFAULT_QUAD, parts, kind)
             for i in range(n):
-                g = group[i]
+                k = kind[i]
                 lone = integrate(
-                    lambda s, dlo, dhi: f(s, dlo, dhi, np.array([[i]]), group),
-                    los[i], his[i], DEFAULT_QUAD, breaks[g], skips[g])
+                    lambda s, dlo, dhi: f(s, dlo, dhi,
+                                          np.full((len(s), 1), k)),
+                    los[i], his[i], DEFAULT_QUAD, breaks[k], skips[k])
                 assert batch[i] == lone, (n, i)
             assert batch[4] == 0.0

@@ -863,7 +863,13 @@ def test_spherical_means_match_spherical_mean_bitwise(d, kind, monkeypatch):
 _MIXED_PROFILES = (indicator(F(1, 2), F(3, 2)),
                    power_profile(1.0, -0.5, 0.0, F(1, 4), F(5, 2)),
                    power_profile(0.8, 0.5, 1.0, F(1, 16), F(3, 4)),
-                   _BATCH_PROFILES["mixed"])
+                   _BATCH_PROFILES["mixed"],
+                   # touching power, log, constant and power pieces, two
+                   # with negative coefficients
+                   power_profile(2.0, 1.0, 0.0, 0, F(1, 4))
+                   + power_profile(-0.5, 0.0, 1.0, F(1, 4), F(1, 2))
+                   + indicator(F(1, 2), 1)
+                   + power_profile(-1.0, -1.0, 0.0, 1, 3))
 
 
 @pytest.mark.parametrize("n", [12, 44])
@@ -887,20 +893,209 @@ def test_mixed_profile_rows_match_their_profiles_alone_bitwise(n, order):
     def weight(s, dlo, dhi, rows):
         return np.sqrt(s) / np.sqrt(dlo)
 
-    batch = radial_operator._profile_integrals(profiles, los, his, weight,
-                                               quadrature.DEFAULT_QUAD)
-    for i in range(n):
-        alone = radial_operator._profile_integrals(
-            profiles[i], [los[i]], [his[i]], weight, quadrature.DEFAULT_QUAD)
-        assert batch[i] == alone[0], (i, which[i])
-    assert batch[3] == batch[miss] == 0.0
-    assert (batch != 0.0).sum() > n // 2
+    for absolute in (False, True):
+        batch = radial_operator._profile_integrals(
+            profiles, los, his, weight, quadrature.DEFAULT_QUAD, absolute)
+        for i in range(n):
+            alone = radial_operator._profile_integrals(
+                profiles[i], [los[i]], [his[i]], weight,
+                quadrature.DEFAULT_QUAD, absolute)
+            assert batch[i] == alone[0], (i, which[i], absolute)
+        assert batch[3] == batch[miss] == 0.0
+        assert (batch != 0.0).sum() > n // 2
+        assert (batch < 0.0).any() != absolute
 
     d = 3
     ts = rng.uniform(1.0, 2.0, n)
     means = _spherical_means(d, profiles, 1.25, ts)
     for i in range(n):
         assert means[i] == spherical_mean(d, profiles[i], 1.25, ts[i]), i
+
+
+def _random_profile(rng):
+    # pieces between sorted ends on a grid of 1/64: touching where no gap
+    # is drawn between them, constant, log (up to s = 1) and power pieces,
+    # some coefficients negative
+    ends = sorted({F(int(x), 64) for x in rng.integers(0, 200, 8)})
+    pieces = []
+    for lo, hi in zip(ends, ends[1:]):
+        draw = rng.random()
+        coeff = float(rng.choice([1.0, -1.5, 0.75, 2.0]))
+        if draw < 0.2:
+            continue
+        if draw < 0.5:
+            pieces.append(ProfilePiece(lo, hi, coeff))
+        elif draw < 0.75 and hi <= 1:
+            pieces.append(ProfilePiece(lo, hi, coeff,
+                                       float(rng.choice([0.0, 0.5, -0.5])),
+                                       float(rng.choice([0.5, 1.0, 2.0]))))
+        else:
+            pieces.append(ProfilePiece(lo, hi, coeff,
+                                       float(rng.choice([-0.5, 0.5, 2.0])),
+                                       0.0))
+    return RadialProfile(tuple(pieces))
+
+
+def _ulps(x, k):
+    # x moved by k ulp, up for k > 0
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return x
+
+
+def _rows_near(rng, breaks, n):
+    # windows across the pieces, half of them with an end a few ulp from a
+    # breakpoint and some of those only a few ulp wide
+    lo = rng.uniform(0.0, 3.5, n)
+    hi = lo + rng.uniform(0.0, 2.0, n) * 2.0 ** rng.integers(-6, 1, n)
+    for i in rng.choice(n, n // 2, replace=False):
+        c = _ulps(float(rng.choice(breaks)), int(rng.integers(-3, 4)))
+        if rng.random() < 0.4:
+            lo[i] = c
+            hi[i] = _ulps(c, int(rng.integers(1, 5)))
+        elif rng.random() < 0.5:
+            lo[i] = c
+        else:
+            hi[i] = c
+    return lo, hi
+
+
+def _misses(f, a, b):
+    # the panels [a, b] that meet no piece of f: a panel meets piece j when
+    # lows[j] < b and highs[j] > a, and the pieces are sorted and disjoint
+    lows, highs = (np.array([end[k] for end in f._table]) for k in (0, 1))
+    return lows.searchsorted(b) <= highs.searchsorted(a, "right")
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_piece_tags_reproduce_values_and_drop_the_gaps(k):
+    # batches of rows of k random profiles, in both layouts, against the
+    # inline reference _misses: each interval between a profile's
+    # breakpoints is owned by the one piece it meets, or by none; the
+    # layouts drop just the panels that meet no piece, as a lone row's
+    # _gaps does, and otherwise lay out every row as it is laid out alone;
+    # and the tagged piece reproduces the profile's values bitwise at every
+    # node strictly inside the piece. A node off that, which only a panel
+    # a few ulp wide can have, lies within a few ulp of an end of the piece
+    rng = np.random.default_rng(31 + k)
+    checked = edge = dropped = named = 0
+    for _ in range(60):
+        profiles = [_random_profile(rng) for _ in range(k)]
+        for f in profiles:
+            cuts = [-math.inf, *f._breaks, math.inf]
+            for m, owner in enumerate(f._owner):
+                meet = [j for j, (lo_j, hi_j, _) in enumerate(f._table)
+                        if lo_j < cuts[m + 1] and hi_j > cuts[m]]
+                assert meet == ([] if owner < 0 else [owner])
+        table, parts = radial_operator._batch(profiles)
+        base = np.cumsum([0] + [len(f.pieces) for f in profiles])
+        breaks = sorted({b for f in profiles for b in f._breaks} or {1.0})
+        n = int(rng.choice([12, 40]))
+        lo, hi = _rows_near(rng, breaks, n)
+        kind = rng.integers(0, k, n) if k > 1 else None
+        row_kind = np.zeros(n, dtype=np.intp) if kind is None else kind
+
+        def checked_misses(f):
+            def skip(a, b):
+                want = _misses(f, a, b)
+                assert f._gaps(a, b) == want.tolist()
+                return want
+            return skip
+
+        alone = []
+        for i in range(n):
+            f = profiles[row_kind[i]]
+            alone += quadrature._layout(
+                [lo[i]], [hi[i]], i, [(f._breaks, [0] * len(f._owner))],
+                None, checked_misses(f))
+        alone = np.array(alone, dtype=float).reshape(-1, 10)
+        for panels in (quadrature._layout(lo.tolist(), hi.tolist(), 0, parts,
+                                          None if kind is None
+                                          else kind.tolist(), None),
+                       quadrature._layout_array(lo, hi, 0, parts, kind,
+                                                None)):
+            panels = np.array(panels, dtype=float).reshape(-1, 10)
+            tags = panels[:, 8].astype(np.intp)
+            untagged = panels.copy()
+            untagged[:, 8] = 0.0
+            assert untagged.tobytes() == alone.tobytes()
+            dropped += len(quadrature._layout(
+                lo.tolist(), hi.tolist(), 0,
+                [(f._breaks, [0] * len(f._owner)) for f in profiles],
+                None if kind is None else kind.tolist(), None)) - len(panels)
+            # the nodes of each panel, as _pairs computes them
+            u = panels[:, 2:3] + panels[:, 3:4] * quadrature._NODES
+            s = panels[:, 4:5] + panels[:, 5:6] * (u * u)
+            got = np.broadcast_to(table.values(s, tags[:, None]), s.shape)
+            for row, tag, x, v in zip(panels[:, -1].astype(int), tags, s,
+                                      got):
+                f = profiles[row_kind[row]]
+                j = tag - base[row_kind[row]]
+                lo_j, hi_j, _ = f._table[j]
+                inside = (x > lo_j) & (x < hi_j)
+                assert v[inside].tobytes() == f.values(x[inside]).tobytes()
+                checked += inside.sum()
+                for y in x[~inside]:
+                    edge += 1
+                    assert min(abs(y - lo_j), abs(y - hi_j)) <= 4 * max(
+                        np.spacing(lo_j), np.spacing(hi_j))
+                # the one piece the nodes' span meets, when just one does
+                meet = [i for i, (lo_i, hi_i, _) in enumerate(f._table)
+                        if lo_i < x.max() and hi_i > x.min()]
+                if len(meet) == 1:
+                    assert j == meet[0]
+                    named += 1
+    assert checked > 10000 and dropped > 50 and edge > 0
+    assert named > 600
+
+
+@pytest.mark.parametrize("n", [12, 40])
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_a_batch_of_k_profiles_costs_one_pass(k, n, monkeypatch):
+    # a chunk of rows of k profiles, one per scale as in the Lorentz
+    # probes, with a power piece singular at 0 below the indicator of each,
+    # makes one layout pass, evaluates its pieces once per round, in the
+    # round's one integrand call, and never calls RadialProfile.values;
+    # laid out per panel it takes as many rounds as its slowest row alone
+    scales = [indicator(1 - F(1, 2 ** (j + 3)), 1)
+              + power_profile(1.0, -0.5, 0.0, 0, 1 - F(1, 2 ** (j + 3)))
+              for j in range(k)]
+    profiles = [scales[j % k] for j in range(n)]
+    ts = np.random.default_rng(k * n).uniform(1.0, 2.0, n)
+    calls = {"layout": 0, "pairs": 0, "pieces": 0, "values": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    lone_rounds = []
+    alone = []
+    for i in range(n):
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_pairs",
+                      counting("pairs", quadrature._pairs))
+            calls["pairs"] = 0
+            alone.append(spherical_mean(2, profiles[i], 1.5, ts[i]))
+            lone_rounds.append(calls["pairs"])
+    calls["pairs"] = 0
+    layout = "_layout" if n < quadrature._ARRAY_ROWS else "_layout_array"
+    monkeypatch.setattr(quadrature, layout,
+                        counting("layout", getattr(quadrature, layout)))
+    monkeypatch.setattr(quadrature, "_pairs",
+                        counting("pairs", quadrature._pairs))
+    monkeypatch.setattr(radial_operator._PieceTable, "values",
+                        counting("pieces",
+                                 radial_operator._PieceTable.values))
+    monkeypatch.setattr(RadialProfile, "values",
+                        counting("values", RadialProfile.values))
+    batch = _spherical_means(2, profiles, 1.5, ts)
+    assert batch.tolist() == alone
+    assert calls["layout"] == 1 and calls["values"] == 0
+    assert calls["pieces"] == calls["pairs"] > 1
+    if n < quadrature._ARRAY_ROWS:
+        assert calls["pairs"] == max(lone_rounds)
 
 
 def test_maximal_value_default_grid_matches_closed_form_d3():
