@@ -3,7 +3,9 @@
 For radial data the spherical mean in R^d collapses to a one-dimensional
 integral of the profile against a distance-distribution kernel supported on
 [|r - t|, r + t]. Everything here is built on that reduction; spheres are
-never sampled.
+never sampled. At d = 2 the mean of a profile whose pieces are all constant
+is an arc length on the circle, taken in closed form, exact up to rounding;
+every other mean is computed by quadrature.
 """
 
 from __future__ import annotations
@@ -341,8 +343,73 @@ def _window_drift(near, far, a, b):
 def _window_error(d: int, r, t, drift, quad) -> PrecisionError:
     return PrecisionError(
         f"the kernel window of r = {float(r)!r}, t = {float(t)!r} rounds to "
-        f"a width off by {drift:.3e} relative, which d = {d} magnifies past "
-        f"rel_tol = {quad.rel_tol:.3e}")
+        f"a width off by {drift:.3e} relative, which takes a d = {d} mean "
+        f"past rel_tol = {quad.rel_tol:.3e}")
+
+
+# The d = 2 mean of a profile whose pieces are all constant, in closed form.
+# A point at distance p from the origin sits on the circle at the half angle
+# phi(p) in [0, pi/2], sin^2 phi = (p - |r - t|)(p + |r - t|) / (4rt) and
+# cos^2 phi = (r + t - p)(r + t + p) / (4rt), and the angle is uniform, so
+# the piece [lo, hi] takes the share (2/pi)(phi(hi) - phi(lo)), each end
+# clipped to the window. The difference is one atan2 of sin(phi_h - phi_l)
+# = (sin^2 phi_h - sin^2 phi_l) / (sin phi_h cos phi_l + sin phi_l cos phi_h)
+# and cos(phi_h - phi_l), with sin^2 phi_h - sin^2 phi_l = (hi - lo)(hi +
+# lo) / (4rt), sin^2 phi_h or cos^2 phi_l when one end is clipped, and 1
+# when both are: no term cancels, even on shells 2^-40 wide. p - |r - t|
+# and r + t - p come from the rounded window ends and their exact rounding
+# errors (Fast2Sum), so they round once near their end: a window narrower
+# than an ulp of t resolves, and so does an end next to |r - t| when r and
+# t are close, where (p - max(r, t)) + min(r, t) loses every digit.
+
+
+def _arc_sum(f: RadialProfile, r: float, t: float) -> float:
+    """Sum over the pieces of f, in order from 0.0, of coeff * (phi(hi) -
+    phi(lo)) at (r, t): the d = 2 mean of a profile with only constant
+    pieces, before the factor 2/pi.
+
+    Only d = 2 takes this route. For odd d one Kronrod round already
+    integrates a constant piece exactly, the kernel being a polynomial in
+    s; for even d >= 4 the difference of two incomplete beta values cancels
+    on narrow windows and needs a series there; and at d = 3 the
+    benchmark's tracer test pins an indicator mean to the quadrature. This
+    one function serves every row, alone or in a batch, so a row has the
+    same bits in any batch: at about 1 us per row on a shared 2-CPU host it
+    beats numpy's fixed cost per call below some 80 rows, which is more
+    than a probe's lockstep polish step or verify's batch holds. The angle
+    comes from math.atan2, since numpy's arctan2 changes its last bits with
+    the SIMD loop it dispatches to."""
+    far = max(r, t)
+    near = min(r, t)
+    a = far - near
+    b = far + near
+    # the rounding errors of a and b, exactly (Fast2Sum)
+    ea = (far - a) - near
+    eb = near - (b - far)
+    four = 4.0 * r * t
+    total = 0.0
+    for lo, hi, pc in f._table:
+        up_hi = (hi - a) - ea
+        down_lo = (b - lo) + eb
+        if not (up_hi > 0.0 and down_lo > 0.0):
+            continue                    # the piece misses the window
+        up_lo = (lo - a) - ea
+        down_hi = (b - hi) + eb
+        s2h = up_hi * (hi + a) / four
+        c2l = down_lo * (lo + b) / four
+        if up_lo > 0.0:
+            sl, cl = math.sqrt(up_lo * (lo + a) / four), math.sqrt(c2l)
+        else:
+            sl, cl = 0.0, 1.0
+        if down_hi > 0.0:
+            sh, ch = math.sqrt(s2h), math.sqrt(down_hi * (hi + b) / four)
+            gap = (hi - lo) * (hi + lo) / four if up_lo > 0.0 else s2h
+        else:
+            sh, ch = 1.0, 0.0
+            gap = c2l if up_lo > 0.0 else 1.0
+        total += pc.coeff * math.atan2(gap / (sh * cl + sl * ch),
+                                       ch * cl + sh * sl)
+    return total
 
 
 _LONE_ROW = np.zeros((1, 1), dtype=np.intp)
@@ -398,44 +465,72 @@ def _spherical_means(d: int, f, r, ts,
     """Averages of the radial profile f (one for all, or one per radius)
     over the spheres of radii ts whose centers lie at distance r (one for
     all, or one per radius) from the origin, integrated together; each is
-    bitwise its spherical_mean."""
+    bitwise its spherical_mean. At d = 2 the rows whose profile has only
+    constant pieces take the closed form and the others the quadrature."""
     _check_dim(d)
     ts = np.array(ts, dtype=float).ravel()
     rs = np.full(ts.shape, r, dtype=float)
     if not ((ts > 0.0) & (ts < math.inf) & (rs > 0.0) & (rs < math.inf)).all():
         raise DomainError("spherical mean radii must be positive and finite")
 
+    one = isinstance(f, RadialProfile)
+    if d == 2 and not (one and f._pieces.smooth):
+        # the rows of profiles with only constant pieces in closed form, the
+        # others (None here) by quadrature, which gives a row the same bits
+        # in any batch
+        profiles = [f] * len(ts) if one else f
+        raw = [None if p._pieces.smooth else _arc_sum(p, r_i, t_i)
+               for p, r_i, t_i in zip(profiles, rs.tolist(), ts.tolist())]
+        rest = [i for i, v in enumerate(raw) if v is None]
+        if len(rest) < len(raw):
+            raw = np.array(raw, dtype=float)
+            if rest:
+                raw[rest] = _quad_sums([profiles[i] for i in rest], rs[rest],
+                                       ts[rest], d, quad)
+            return _norm_const(2) * raw
+    return _norm_const(d) * _quad_sums(f, rs, ts, d, quad)
+
+
+def _quad_sums(f, rs: np.ndarray, ts: np.ndarray, d: int,
+               quad: QuadratureSpec) -> np.ndarray:
+    """The means of _spherical_means by quadrature, before _norm_const.
+    Raises _window_error for the first row whose rounded window drifts too
+    far: for d >= 3 the kernel scales the drift up about d - 2 times; at
+    d = 2 it keeps its mass on any window, but a piece end inside the
+    window takes a share off by about the drift, and a window collapsed to
+    one float, or to two adjacent ones, is off by much of its width."""
     los = np.abs(rs - ts)
     his = rs + ts
-    if d > 2:
-        drift = _window_drift(np.minimum(rs, ts), np.maximum(rs, ts), los, his)
-        wide = (d - 2) * drift > quad.rel_tol
-        if wide.any():
-            i = int(wide.argmax())
-            raise _window_error(d, rs[i], ts[i], drift[i], quad)
+    drift = _window_drift(np.minimum(rs, ts), np.maximum(rs, ts), los, his)
+    wide = max(d - 2, 1) * drift > quad.rel_tol
+    if wide.any():
+        i = int(wide.argmax())
+        raise _window_error(d, rs[i], ts[i], drift[i], quad)
 
     def kern(s, dlo, dhi, rows):
         return _kernel_factor(d, rs[rows], ts[rows], s, dlo, dhi)
 
-    raw = _profile_integrals(f, los, his, kern, quad)
-    return _norm_const(d) * raw
+    return _profile_integrals(f, los, his, kern, quad)
 
 
 def spherical_mean(d: int, f: RadialProfile, r, t,
                    quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Average of the radial profile f over the sphere of radius t whose
     center lies at distance r from the origin: a batch of one, with the
-    kernel of the batch taken at the scalar t."""
+    kernel of the batch taken at the scalar t. At d = 2 a profile with only
+    constant pieces takes the closed form of _arc_sum, exact up to
+    rounding; every other mean is a quadrature."""
     _check_dim(d)
     r = _radius(r)
     t = _radius(t)
+    if d == 2 and not f._pieces.smooth:
+        return _norm_const(2) * _arc_sum(f, r, t)
 
     lo = abs(r - t)
     hi = r + t
-    if d > 2:
-        drift = _window_drift(min(r, t), max(r, t), lo, hi)
-        if (d - 2) * drift > quad.rel_tol:
-            raise _window_error(d, r, t, drift, quad)
+    drift = _window_drift(min(r, t), max(r, t), lo, hi)
+    if max(d - 2, 1) * drift > quad.rel_tol:
+        raise _window_error(d, r, t, drift, quad)
 
     def kern(s, dlo, dhi, rows):
         return _kernel_factor(d, r, t, s, dlo, dhi)
@@ -703,9 +798,10 @@ def maximal_value(d: int, f: RadialProfile, r, E: FractalSet,
     grid point. Returns the supremum value and the dilation attaining it.
 
     Every grid point must lie in E; the polish step then cannot leave E, so
-    the result is a lower bound for the supremum, up to the quadrature
-    error, which is the |K15 - G7| estimate and not a bound. It is the
-    batch of one of _maximal_values."""
+    the result is a lower bound for the supremum: up to rounding for a
+    profile with only constant pieces at d = 2, whose means are in closed
+    form, and otherwise up to the quadrature error, which is the |K15 - G7|
+    estimate and not a bound. It is the batch of one of _maximal_values."""
     return _maximal_values(d, f, (r,), E, (grid,), quad)[0]
 
 

@@ -47,8 +47,17 @@ class RegionPoint:
 _ORIGIN = RegionPoint(Fraction(0), Fraction(0))
 
 
-def _cross(o: RegionPoint, a: RegionPoint, b: RegionPoint) -> Fraction:
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+def _on_grid(points) -> list[tuple[int, int]]:
+    """The points as integer pairs (x M, y M), M the lcm of the
+    denominators of their coordinates: exact, so every sign, equality and
+    order of the Fractions holds for the integers, which are cheaper."""
+    m = math.lcm(*(c.denominator for p in points for c in (p.x, p.y)))
+    return [(p.x.numerator * (m // p.x.denominator),
+             p.y.numerator * (m // p.y.denominator)) for p in points]
+
+
+def _cross(o, a, b) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 @dataclass(frozen=True)
@@ -83,16 +92,17 @@ class TypeSetRegion:
             raise ParameterError(f"unrecognized statuses {sorted(bad)}")
         if self.exterior_status not in (EXCLUDED, UNKNOWN):
             raise ParameterError(f"bad exterior status {self.exterior_status!r}")
-        area2 = Fraction(0)
+        grid = _on_grid(self.vertices)
+        area2 = 0
         for i in range(n):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % n]
-            c = self.vertices[(i + 2) % n]
+            a = grid[i]
+            b = grid[(i + 1) % n]
+            c = grid[(i + 2) % n]
             if a == b:
                 raise ConsistencyError("duplicate consecutive vertices survive the merge")
             if _cross(a, b, c) < 0:
                 raise ConsistencyError("vertices must run counterclockwise and convex")
-            area2 += a.x * b.y - b.x * a.y
+            area2 += a[0] * b[1] - b[0] * a[1]
         if area2 <= 0:
             raise ConsistencyError("region is degenerate")
 
@@ -302,7 +312,7 @@ def classify_point(reg: TypeSetRegion, x, y) -> str:
         pt = RegionPoint(x, y)
     except ParameterError:
         return "outside"
-    verts = reg.vertices
+    *verts, pt = _on_grid((*reg.vertices, pt))
     n = len(verts)
     on_edge = None
     for i in range(n):
@@ -315,8 +325,8 @@ def classify_point(reg: TypeSetRegion, x, y) -> str:
                 return _boundary(reg.vertex_status[i])
             if pt == bb:
                 return _boundary(reg.vertex_status[(i + 1) % n])
-            if min(a.x, bb.x) <= pt.x <= max(a.x, bb.x) and \
-               min(a.y, bb.y) <= pt.y <= max(a.y, bb.y):
+            if min(a[0], bb[0]) <= pt[0] <= max(a[0], bb[0]) and \
+               min(a[1], bb[1]) <= pt[1] <= max(a[1], bb[1]):
                 on_edge = i
     if on_edge is not None:
         return _boundary(reg.edge_status[on_edge])

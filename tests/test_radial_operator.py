@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -342,8 +343,120 @@ def test_window_rounded_below_resolution_raises():
         _spherical_means(3, f, 1.234e-9, [1e-9, 0.7501, 0.5])
     assert spherical_mean(3, f, 1.234e-7, 0.7501) == pytest.approx(1.0,
                                                                    rel=1e-9)
-    # d = 2 has no such factor and stays exact
+    # at d = 2 a profile with only constant pieces takes the closed form,
+    # which needs no rounded window and stays exact
     assert spherical_mean(2, indicator(0, 2), 6e-17, 0.75) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# d = 2 means of piecewise-constant profiles, in closed form
+
+
+def _shell_share_mp(mpmath, r, t, lo, hi):
+    # the share of the circle of radius t about a point at distance r from
+    # the origin that lies in the shell lo <= |y| <= hi, at 40 digits: the
+    # angle theta at the circle's center has |y|^2 = r^2 + t^2 + 2rt cos
+    # theta and is uniform on [0, pi]
+    with mpmath.workdps(40):
+        r, t, lo, hi = map(mpmath.mpf, (r, t, lo, hi))
+
+        def theta(s):
+            c = (s * s - r * r - t * t) / (2 * r * t)
+            return mpmath.acos(min(max(c, -1), 1))
+
+        return float((theta(lo) - theta(hi)) / mpmath.pi)
+
+
+def _random_shell(rng):
+    # (r, t, lo, hi): r << t, t << r or both alike, and a shell 2^-40 to 2
+    # wide with an end within 1e-15 of |r - t| or of r + t, or anywhere
+    base = rng.uniform(0.25, 4.0)
+    small = base * 2.0 ** -rng.uniform(1.0, 50.0)
+    r, t = rng.choice([(small, base), (base, small),
+                       (base, base * rng.uniform(0.5, 2.0))])
+    a, b = abs(r - t), r + t
+    width = 2.0 ** -rng.uniform(-1.0, 40.0)
+    where = rng.randrange(3)
+    if where == 0:
+        lo = a * (1.0 + rng.uniform(-1e-15, 1e-15))
+        hi = lo + width
+    elif where == 1:
+        hi = b * (1.0 + rng.uniform(-1e-15, 1e-15))
+        lo = max(hi - width, 0.0)
+    else:
+        lo = rng.uniform(a, b)
+        hi = lo + width
+    return r, t, lo, hi
+
+
+def test_d2_constant_means_match_mpmath():
+    # the shell ends are floats, so the profile holds them exactly
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261020)
+    seen = 0
+    for _ in range(400):
+        r, t, lo, hi = _random_shell(rng)
+        want = _shell_share_mp(mpmath, r, t, lo, hi)
+        got = spherical_mean(2, indicator(F(lo), F(hi)), r, t)
+        assert abs(got - want) <= 1e-12 * want, (r, t, lo, hi, got, want)
+        seen += want > 0.0
+    assert seen > 300
+
+
+def test_d2_constant_means_without_a_referee():
+    rng = random.Random(578)
+    # a circle wholly inside its shell has mean exactly 1, alone and in a
+    # batch
+    for _ in range(578):
+        r, t = rng.uniform(0.01, 4.0), rng.uniform(0.01, 4.0)
+        f = indicator(F(abs(r - t) * rng.uniform(0.0, 1.0)),
+                      F((r + t) * rng.uniform(1.0, 2.0)))
+        assert spherical_mean(2, f, r, t) == 1.0
+        assert _spherical_means(2, f, r, [t, t])[1] == 1.0
+    # adjacent shells add up to their union
+    for _ in range(300):
+        r, t, lo, hi = _random_shell(rng)
+        mid = rng.uniform(lo, hi)
+        parts = (spherical_mean(2, indicator(F(lo), F(mid)), r, t)
+                 + spherical_mean(2, indicator(F(mid), F(hi)), r, t))
+        whole = spherical_mean(2, indicator(F(lo), F(hi)), r, t)
+        assert abs(parts - whole) <= 4 * np.finfo(float).eps, (r, t, lo, hi)
+    # the quadrature of the kernel, which a piece that is not constant
+    # forces, agrees within its budget: a zero power piece beyond the
+    # window leaves the profile as it is
+    quad = quadrature.DEFAULT_QUAD
+    for _ in range(200):
+        r, t = rng.uniform(0.25, 4.0), rng.uniform(0.25, 4.0)
+        lo = rng.uniform(0.0, r + t)
+        hi = lo + 2.0 ** -rng.uniform(0.0, 20.0)
+        coeff = rng.choice([1.0, -1.5, 0.75])
+        f = (RadialProfile((ProfilePiece(F(lo), F(hi), coeff),))
+             + indicator(F(hi), F(hi) + 1))
+        forced = f + power_profile(0.0, 1.0, 0.0, F(hi) + 1, 16)
+        closed = spherical_mean(2, f, r, t)
+        quadrature_mean = spherical_mean(2, forced, r, t)
+        budget = max(quad.abs_tol, quad.rel_tol * abs(quadrature_mean))
+        assert abs(closed - quadrature_mean) <= budget, (r, t, lo, hi)
+
+
+def test_d2_means_on_windows_narrower_than_an_ulp():
+    # r below an ulp of t: the window [|r - t|, r + t] rounds to one float
+    # (r = 2^-60) or to two adjacent ones (r = 2^-53)
+    shell = parse_profile("chi(1/2,3)")
+    power = parse_profile("pow(1,1,0,0,4)")
+    for r in (2.0 ** -60, 2.0 ** -53):
+        assert spherical_mean(2, indicator(F(1, 2), 1), r, 1.0) == \
+            pytest.approx(0.5, abs=1e-15)
+        assert spherical_mean(2, shell, r, 1.0) == 1.0
+        assert maximal_value(2, shell, r, full_interval()).value == 1.0
+        # a quadrature row refuses, naming r and t, instead of returning
+        # 0.0 or a nan error after a divide-by-zero warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionError, match=f"r = {r!r}, t = 1.0 "):
+                spherical_mean(2, power, r, 1.0)
+            with pytest.raises(PrecisionError, match=f"r = {r!r}, t = 1.0 "):
+                _spherical_means(2, [shell, power], r, [1.5, 1.0])
 
 
 def test_mean_linear_profile_closed_form_d3():
@@ -516,13 +629,14 @@ _PIN_PROFILES = {
 }
 # (set, profile, d, r, where the best grid point sits in its polish
 # bracket, value.hex(), t.hex()) of maximal_value on the Gauss-Kronrod
-# 7/15 rule; a polish of lone rows gives the same bits
+# 7/15 rule, or in closed form for the d = 2 indicators, whose sup of 1 is
+# met from t = 1 on at r = 1.3; a polish of lone rows gives the same bits
 _MAXVAL_PINS = [
-    ("full", "chi", 2, 1.3, "left", "0x1.0000000000001p+0", "0x1.01e376637ed9fp+0"),
+    ("full", "chi", 2, 1.3, "left", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
     ("full", "pow", 3, 1.3, "left", "0x1.47445d2232fdap+0", "0x1.0000000000000p+0"),
     ("full", "log", 4, 0.3, "left", "0x1.5c76f72e25901p-5", "0x1.0000000000000p+0"),
     ("full", "chi-shell", 5, 2.9, "right", "0x1.6b0ceb8902ccep-7", "0x1.0000000000000p+1"),
-    ("full", "chi", 2, 2.9, "interior", "0x1.52c5841901f9ep-2", "0x1.783dda85043c3p+0"),
+    ("full", "chi", 2, 2.9, "interior", "0x1.52c5841901f9cp-2", "0x1.783dda7cf9dbdp+0"),
     ("full", "pow-sq", 3, 1.3, "interior", "0x1.251eb8516fac1p+1", "0x1.b3333333ea188p+0"),
     ("full", "log-inv", 2, 0.9, "interior", "0x1.cbc4878f577abp+0", "0x1.d95da6571cb5bp+0"),
     ("sub", "chi", 5, 1.3, "left", "0x1.ffff85a29e791p-1", "0x1.1000000000000p+0"),
@@ -534,7 +648,7 @@ _MAXVAL_PINS = [
     ("sub", "chi", 3, 2.9, "interior", "0x1.f90bc8f63a5c8p-3", "0x1.783ddae7ed70bp+0"),
     ("sub", "pow-sq", 4, 1.7, "interior", "0x1.27bb496611251p+1", "0x1.59dbc22f50eb0p+0"),
     ("sub", "log-sq", 2, 0.6, "interior", "0x1.b436ecfa519c9p-4", "0x1.1999999a5ae94p+0"),
-    ("cantor", "chi", 2, 1.3, "right", "0x1.0000000000001p+0", "0x1.097b425ed097bp+0"),
+    ("cantor", "chi", 2, 1.3, "left", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
     ("cantor", "pow", 3, 1.3, "left", "0x1.47445d2232fdap+0", "0x1.0000000000000p+0"),
     ("cantor", "log", 4, 0.3, "left", "0x1.5c76f72e25901p-5", "0x1.0000000000000p+0"),
     ("cantor", "chi", 5, 1.3, "right", "0x1.0000000000004p+0", "0x1.073e19c1fdce2p+0"),
@@ -546,7 +660,7 @@ _MAXVAL_PINS = [
     ("cantor-fine", "chi", 3, 2.9, "right", "0x1.f6957aff6957bp-3", "0x1.5555555555555p+0"),
     ("cantor-fine", "pow-sq", 4, 1.3, "right", "0x1.2b108d6e832e6p+1", "0x1.c71c71c71c71cp+0"),
     ("cantor-fine", "log-inv", 2, 0.9, "right", "0x1.a3df0134cd8fcp+0", "0x1.c71c71c71c71cp+0"),
-    ("cantor-fine", "chi", 2, 1.3, "interior", "0x1.0000000000001p+0", "0x1.025ed097b425fp+0"),
+    ("cantor-fine", "chi", 2, 1.3, "left", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
     ("cantor-fine", "pow-sq", 5, 1.3, "interior", "0x1.391c830d903bcp+1", "0x1.e88250a7ebc82p+0"),
     ("cantor-fine", "log-sq", 2, 0.6, "interior", "0x1.b436ecff60a09p-4", "0x1.19999999cefd4p+0"),
 ]
@@ -870,6 +984,15 @@ _MIXED_PROFILES = (indicator(F(1, 2), F(3, 2)),
                    + power_profile(-0.5, 0.0, 1.0, F(1, 4), F(1, 2))
                    + indicator(F(1, 2), 1)
                    + power_profile(-1.0, -1.0, 0.0, 1, 3))
+# profiles with only constant pieces: touching, apart, of either sign, and
+# beyond every window of r = 1.25, t in [1, 2]
+_CONSTANT_PROFILES = (indicator(F(1, 2), F(3, 2)),
+                      indicator(0, F(1, 4)) + indicator(F(1, 4), F(3, 4))
+                      + indicator(2, 3),
+                      RadialProfile((ProfilePiece(F(1, 8), F(1, 2), -1.5),
+                                     ProfilePiece(F(1, 2), F(5, 4), 0.75),
+                                     ProfilePiece(F(2), F(9, 4), 2.0))),
+                      indicator(4, 5))
 
 
 @pytest.mark.parametrize("n", [12, 44])
@@ -905,11 +1028,17 @@ def test_mixed_profile_rows_match_their_profiles_alone_bitwise(n, order):
         assert (batch != 0.0).sum() > n // 2
         assert (batch < 0.0).any() != absolute
 
-    d = 3
+    # means: by quadrature at d = 3; at d = 2 the rows of the indicator in
+    # closed form and the others by quadrature in one batch, and batches
+    # of profiles with only constant pieces, one profile or several
     ts = rng.uniform(1.0, 2.0, n)
-    means = _spherical_means(d, profiles, 1.25, ts)
-    for i in range(n):
-        assert means[i] == spherical_mean(d, profiles[i], 1.25, ts[i]), i
+    flat = [_CONSTANT_PROFILES[k % len(_CONSTANT_PROFILES)] for k in which]
+    for d, rows in [(3, profiles), (2, profiles), (2, flat),
+                    *((2, f) for f in _CONSTANT_PROFILES)]:
+        means = _spherical_means(d, rows, 1.25, ts)
+        for i in range(n):
+            f = rows if isinstance(rows, RadialProfile) else rows[i]
+            assert means[i] == spherical_mean(d, f, 1.25, ts[i]), (d, i)
 
 
 def _random_profile(rng):
