@@ -24,7 +24,7 @@ for each interval they leave, such as the index of the profile piece the
 interval lies in; all are laid out in one pass. Every panel carries the
 tag of its interval, which the halves of a panel inherit, to the
 integrand, and a panel with a negative tag is dropped before any is
-evaluated.
+evaluated; that is the only way a panel is dropped, for a lone row too.
 
 Rows go through in chunks of at most _CHUNK_ROWS. A chunk of at least
 _ARRAY_ROWS rows, such as a dilation sweep, is laid out, summed over its
@@ -51,7 +51,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import PrecisionError
+from .errors import DomainError, PrecisionError
 
 # QUADPACK's qk15 (Piessens et al. 1983): the abscissae of the 15-point
 # Kronrod rule from the outside in, its weights, and the weights of the
@@ -137,8 +137,7 @@ def _keys(kind, x):
     return x if kind is None else kind + 1j * x
 
 
-def _layout(los: list, his: list, start: int, parts: list, kind,
-            skip) -> list:
+def _layout(los: list, his: list, start: int, parts: list, kind) -> list:
     """Initial panels of the rows of a chunk that have hi > lo, grouped by
     row and left to right within it; los and his hold the chunk's ends, and
     its first row is row start of the batch. A panel is a tuple
@@ -151,10 +150,8 @@ def _layout(los: list, his: list, start: int, parts: list, kind,
     of each row, or is None when every row takes parts[0]. A panel between
     a row's ends and cuts lies in one interval and carries its tag; a
     panel of one point, which a row one ulp wide can give, lies in none
-    when that point is a cut, and carries -1. skip(a, b), when given, maps
-    the arrays of the edges in s of those panels to the ones to drop, as
-    booleans. A panel that skip drops or whose tag is negative is dropped
-    before any is bisected."""
+    when that point is a cut, and carries -1. A panel whose tag is
+    negative is dropped before any is bisected."""
     rows, sa, sb, tags = [], [], [], []
     for i, (lo, hi, k) in enumerate(
             zip(los, his, repeat(0) if kind is None else kind)):
@@ -180,9 +177,6 @@ def _layout(los: list, his: list, start: int, parts: list, kind,
         sb += edges[1:]
     # the halves of a panel between the breakpoints of a profile lie in
     # the same piece, or gap, as the panel, and carry its tag
-    if skip is not None and rows:
-        tags = [-1 if dead else tag for tag, dead in
-                zip(tags, skip(np.array(sa), np.array(sb)))]
     panels = []
     for i, a, b, tag in zip(rows, sa, sb, tags):
         if tag < 0:
@@ -216,7 +210,7 @@ def _layout(los: list, his: list, start: int, parts: list, kind,
 
 
 def _layout_array(lo: np.ndarray, hi: np.ndarray, start: int, parts: list,
-                  kind, skip) -> np.ndarray:
+                  kind) -> np.ndarray:
     """_layout with one numpy operation per step instead of per panel: the
     same panels, bitwise and in the same order, as an (n, 10) array whose
     columns are the fields of _layout's tuples; kind, when given, is an
@@ -263,8 +257,6 @@ def _layout_array(lo: np.ndarray, hi: np.ndarray, start: int, parts: list,
         x = _keys(None if kind is None else kind[row[point]], a[point])
         tags[point[keys.searchsorted(x, "left") <
                    keys.searchsorted(x, "right")]] = -1
-    if skip is not None:
-        tags[skip(a, b)] = -1
     keep = tags >= 0
     a, b, row, tags = a[keep], b[keep], row[keep], tags[keep]
     # the bisection of _layout, one level of the hugging panels per pass,
@@ -492,8 +484,7 @@ def _refine(f, active: list, quad: QuadratureSpec, out) -> dict:
 
 
 def _integrate_rows(f, los, his, quad: QuadratureSpec = DEFAULT_QUAD,
-                    parts=(((), (0,)),), kind=None,
-                    skip=None) -> np.ndarray:
+                    parts=(((), (0,)),), kind=None) -> np.ndarray:
     """Integrate f over [los[i], his[i]] for every row i, as integrate does
     for one. The integrand is f(s, dlo, dhi, rows, tags): the arrays have
     one row per panel, rows is the column of the row indices i they belong
@@ -505,10 +496,9 @@ def _integrate_rows(f, los, his, quad: QuadratureSpec = DEFAULT_QUAD,
     a profile it lies in, so that one integrand call per round serves rows
     of any number of profiles. kind names the kind of each row, or is None
     when every row takes parts[0]. A panel carries the tag of its interval
-    and is dropped when that is negative, or when skip(a, b), given the
-    arrays of the edges of the panels between a row's ends and cuts, marks
-    it. Every row of a chunk, whatever its kind, is laid out in one pass
-    and gets the panels it gets alone.
+    and is dropped unevaluated when that is negative. Every row of a chunk,
+    whatever its kind, is laid out in one pass and gets the panels it gets
+    alone.
 
     Rows are refined in chunks of at most _CHUNK_ROWS; a chunk of at least
     _ARRAY_ROWS is laid out as arrays. Raises PrecisionError for the first
@@ -522,12 +512,12 @@ def _integrate_rows(f, los, his, quad: QuadratureSpec = DEFAULT_QUAD,
         part = None if kind is None else kind[start:stop]
         if stop - start >= _ARRAY_ROWS:
             panels = _layout_array(los[start:stop], his[start:stop], start,
-                                   parts, part, skip)
+                                   parts, part)
             first_round = _first_round_array
         else:
             panels = _layout(los[start:stop].tolist(),
                              his[start:stop].tolist(), start, parts,
-                             None if part is None else part.tolist(), skip)
+                             None if part is None else part.tolist())
             first_round = _first_round
         if not len(panels):
             continue
@@ -543,22 +533,29 @@ def _integrate_rows(f, los, his, quad: QuadratureSpec = DEFAULT_QUAD,
 
 
 def integrate(f, lo, hi, quad: QuadratureSpec = DEFAULT_QUAD,
-              breakpoints=(), skip=None) -> float:
-    """Integrate f over [lo, hi] to the accuracy demanded by quad.
+              breakpoints=(), tags=None) -> float:
+    """Integrate f over [lo, hi] to the accuracy demanded by quad; 0.0
+    when lo >= hi.
 
     breakpoints lists interior abscissae where f is allowed to be merely
-    continuous (piece boundaries); panels never straddle them. skip, when
-    given, takes the arrays a, b of the initial panels' edges and returns a
-    boolean array marking the panels on which f vanishes identically, so
-    they are dropped without evaluation.
+    continuous (piece boundaries); panels never straddle them. tags, when
+    given, holds one integer per interval the sorted distinct breakpoints
+    leave, from below the first to above the last; a panel in an interval
+    with a negative tag, where f vanishes, is dropped unevaluated.
 
-    Raises PrecisionError when a panel cannot reach its error budget
-    within quad.max_refinement bisections.
+    Raises DomainError for a bound or breakpoint that is not finite or
+    tags that do not fit the breakpoints, and PrecisionError when a panel
+    cannot reach its error budget within quad.max_refinement bisections.
     """
-    def g(s, dlo, dhi, rows, tags):
+    def g(s, dlo, dhi, *_):
         return f(s, dlo, dhi)
 
     cuts = sorted({float(c) for c in breakpoints})
-    return float(_integrate_rows(g, (lo,), (hi,), quad,
-                                 ((cuts, [0] * (len(cuts) + 1)),), None,
-                                 skip)[0])
+    tags = [0] * (len(cuts) + 1) if tags is None else tags
+    if not (all(map(math.isfinite, (lo, hi, *cuts)))
+            and len(tags) == len(cuts) + 1):
+        raise DomainError(
+            f"integrate takes finite bounds and breakpoints and one tag per "
+            f"interval they leave, got [{lo!r}, {hi!r}], {cuts!r} and "
+            f"{len(tags)} tags")
+    return float(_integrate_rows(g, (lo,), (hi,), quad, ((cuts, tags),))[0])

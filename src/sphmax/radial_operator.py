@@ -193,18 +193,6 @@ class RadialProfile:
     def __call__(self, s) -> float:
         return float(self.values(np.array([s], dtype=float))[0])
 
-    def _gaps(self, a, b) -> list:
-        """Whether each panel [a, b] between the ends and breakpoints of a
-        lone row lies in a gap: the tag the layouts give it from _owner,
-        found by search. The panel lies in interval m when m is both the
-        count of breakpoints at or below a and that below b; a panel of one
-        point that is a breakpoint lies in none. Meant for the few panels
-        of one row, as the skip of integrate."""
-        cuts, owner = self._breaks, self._owner
-        return [m != bisect_left(cuts, y) or owner[m] < 0
-                for x, y in zip(a.tolist(), b.tolist())
-                for m in (bisect_right(cuts, x),)]
-
     def __add__(self, other: "RadialProfile") -> "RadialProfile":
         if not isinstance(other, RadialProfile):
             return NotImplemented
@@ -312,7 +300,7 @@ def kernel(d: int, t, r, s) -> float:
     s = float(s)
     a = abs(r - t)
     b = r + t
-    if s < a or s > b:
+    if not a <= s <= b:
         raise DomainError(f"s = {s:g} outside the kernel support [{a:g}, {b:g}]")
     if d == 2 and (s == a or s == b):
         raise SingularityError(
@@ -427,11 +415,12 @@ def _profile_integrals(f, los, his, weight, quad,
     its row's profile is dropped, so a row whose window misses the support
     is exactly 0.0. One integrand call per round then evaluates the tagged
     piece of every panel, however many profiles the batch holds. A lone
-    row goes to integrate, the batch of one, which takes values at every
-    node and drops the panels that _gaps finds in a gap from the same
-    table. Every row is bitwise its integral alone, but for a node that
-    rounds onto or past the edge of a panel a few ulp wide: values adds
-    every closed piece that holds such a node, a tag only the panel's."""
+    row goes to integrate, the batch of one, with the profile's
+    breakpoints and _owner as its tags, so it drops the panels a batch
+    drops, from the same table, and takes values at every other node.
+    Every row is bitwise its integral alone, but for a node that rounds
+    onto or past the edge of a panel a few ulp wide: values adds every
+    closed piece that holds such a node, a tag only the panel's."""
     kind = None
     if isinstance(f, RadialProfile):
         profiles = [f]
@@ -450,7 +439,7 @@ def _profile_integrals(f, los, his, weight, quad,
                                                      else v)
 
         return np.array([integrate(lone, los[0], his[0], quad, f._breaks,
-                                   f._gaps)])
+                                   f._owner)])
     table, parts = _batch(profiles)
 
     def g(s, dlo, dhi, rows, tags):

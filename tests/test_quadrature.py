@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sphmax import quadrature
-from sphmax.errors import PrecisionError
+from sphmax.errors import DomainError, PrecisionError
 from sphmax.quadrature import (_CHUNK_ROWS, _NOISE, DEFAULT_QUAD,
                                QuadratureSpec, _integrate_rows, integrate)
 
@@ -75,15 +75,35 @@ def test_breakpoints_for_piecewise_integrand():
     assert val == pytest.approx(5 / 3, abs=1e-10)
 
 
-def test_skip_predicate_drops_dead_panels():
+def test_negative_tags_drop_dead_panels():
+    # the integrand is nan below the breakpoint, where its tag is negative:
+    # a panel there is never evaluated, so the integral stays finite
     def f(s, dlo, dhi):
-        return np.where(s >= 0.5, s, 0.0)
+        return np.where(s >= 0.5, s, np.nan)
 
-    full = integrate(f, 0, 1, breakpoints=(0.5,))
-    skipped = integrate(f, 0, 1, breakpoints=(0.5,),
-                        skip=lambda a, b: b <= 0.5)
-    assert full == pytest.approx(3 / 8, abs=1e-10)
-    assert skipped == pytest.approx(full, abs=1e-12)
+    dropped = integrate(f, 0, 1, breakpoints=(0.5,), tags=(-1, 0))
+    assert dropped == pytest.approx(3 / 8, abs=1e-12)
+    with pytest.raises(PrecisionError, match="error nan"):
+        integrate(f, 0, 1, breakpoints=(0.5,))
+    # one tag for the two intervals that 0.5 leaves does not fit
+    with pytest.raises(DomainError, match="1 tags"):
+        integrate(f, 0, 1, breakpoints=(0.5,), tags=[0])
+
+
+@pytest.mark.parametrize("bounds, breakpoints", [
+    ((0.0, math.nan), ()),
+    ((0.0, 1.0), (math.nan,)),
+    ((0.0, math.inf), ()),
+], ids=["nan-bound", "nan-breakpoint", "infinite-bound"])
+def test_non_finite_bounds_and_breakpoints_raise(bounds, breakpoints):
+    # none of these has an integral to return: each raises, where a silent
+    # 0.0, a wrong 0.5 (the integral is 1) or a PrecisionError "error nan"
+    # would hide the bad input
+    with pytest.raises(DomainError) as info:
+        integrate(lambda s, dlo, dhi: np.ones(s.shape), *bounds,
+                  breakpoints=breakpoints)
+    assert f"[{bounds[0]!r}, {bounds[1]!r}]" in str(info.value)
+    assert repr(list(breakpoints)) in str(info.value)
 
 
 def test_empty_interval_is_zero():
@@ -245,26 +265,22 @@ def _random_layout_case(rng):
 
 
 def test_array_layout_matches_panel_layout_bitwise():
-    # _layout_array against _layout over random rows and cuts, with and
-    # without skip and with tags of which some drop their intervals: the
-    # same panels, field by field and in the same order
+    # _layout_array against _layout over random rows and cuts, with tags
+    # of which some drop their intervals and without: the same panels,
+    # field by field and in the same order
     rng = np.random.default_rng(20261019)
     bisected = 0
     for _ in range(1500):
         lo, hi, cuts = _random_layout_case(rng)
         start = int(rng.integers(0, 1000))
-        live = np.sort(rng.uniform(0.0, 6.0, 4))
         tags = rng.integers(-1, 3, len(cuts) + 1).tolist()
         for part in ((cuts, [0] * (len(cuts) + 1)), (cuts, tags)):
-            for skip in (None, lambda a, b: (b <= live[0]) | (a >= live[3]) | (
-                    (a >= live[1]) & (b <= live[2]))):
-                want = quadrature._layout(lo.tolist(), hi.tolist(), start,
-                                          [part], None, skip)
-                got = quadrature._layout_array(lo, hi, start, [part], None,
-                                               skip)
-                want = np.array(want, dtype=float).reshape(-1, 10)
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+            want = quadrature._layout(lo.tolist(), hi.tolist(), start, [part],
+                                      None)
+            got = quadrature._layout_array(lo, hi, start, [part], None)
+            want = np.array(want, dtype=float).reshape(-1, 10)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
         # rows of three kinds, each with its own cuts and tags, interleaved
         # at random and laid out in one pass: in either layout every row
         # gets the panels, and tags, it gets laid out alone
@@ -277,12 +293,11 @@ def test_array_layout_matches_panel_layout_bitwise():
         want = []
         for i in range(len(lo)):
             want += quadrature._layout([lo[i]], [hi[i]], start + i,
-                                       [parts[kind[i]]], None, None)
+                                       [parts[kind[i]]], None)
         want = np.array(want, dtype=float).reshape(-1, 10)
         for got in (quadrature._layout(lo.tolist(), hi.tolist(), start,
-                                       parts, kind.tolist(), None),
-                    quadrature._layout_array(lo, hi, start, parts, kind,
-                                             None)):
+                                       parts, kind.tolist()),
+                    quadrature._layout_array(lo, hi, start, parts, kind)):
             got = np.array(got, dtype=float).reshape(-1, 10)
             assert got.tobytes() == want.tobytes()
         # without bisection a row gets one panel more than its inner cuts,
@@ -291,7 +306,7 @@ def test_array_layout_matches_panel_layout_bitwise():
                       for a, b in zip(lo, hi) if b > a)
         bisected += len(quadrature._layout(
             lo.tolist(), hi.tolist(), 0, [(cuts, [0] * (len(cuts) + 1))],
-            None, None)) > unsplit
+            None)) > unsplit
     assert bisected > 100
 
 
@@ -336,8 +351,7 @@ def test_array_first_split_matches_the_heap_bitwise():
     # the two first panels of a symmetric row tie in error, bitwise, and
     # those of an antisymmetric one have opposite values besides
     for i in (1, 2):
-        panels = quadrature._layout([los[i]], [his[i]], i, [((), (0,))], None,
-                                    None)
+        panels = quadrature._layout([los[i]], [his[i]], i, [((), (0,))], None)
         value, err = quadrature._pairs(_split_kinds, panels)
         assert err[0] == err[1] and value[0] == (-1) ** (i + 1) * value[1]
 
@@ -421,10 +435,9 @@ def test_kinds_match_their_rows_alone_bitwise():
     # integrand follows the tags where the lone one follows the row's
     # kind, so every panel and half of a panel must carry its tag: every
     # row is bitwise its lone integral with its kind's breakpoints and
-    # skip
+    # tags
     breaks = [(0.25, 0.5, 1.0), (0.3,), (1.5,)]
     parts = [(breaks[0], [0] * 4), (breaks[1], [-1, 1]), (breaks[2], [2, -1])]
-    skips = [None, lambda a, b: b <= 0.3, lambda a, b: a >= 1.5]
 
     def f(s, dlo, dhi, kinds):
         return np.select([kinds == 0, kinds == 1],
@@ -443,6 +456,6 @@ def test_kinds_match_their_rows_alone_bitwise():
                 lone = integrate(
                     lambda s, dlo, dhi: f(s, dlo, dhi,
                                           np.full((len(s), 1), k)),
-                    los[i], his[i], DEFAULT_QUAD, breaks[k], skips[k])
+                    los[i], his[i], DEFAULT_QUAD, *parts[k])
                 assert batch[i] == lone, (n, i)
             assert batch[4] == 0.0

@@ -212,6 +212,9 @@ def test_kernel_domain_errors():
         kernel(3, 1, 1, -0.1)
     with pytest.raises(DomainError):
         kernel(3, 1, 0, 1)
+    for d in (2, 3):
+        with pytest.raises(DomainError):
+            kernel(d, 1, 1, math.nan)
     with pytest.raises(ParameterError):
         kernel(1, 1, 1, 1)
 
@@ -483,9 +486,21 @@ def test_mean_symmetric_in_r_t():
                 spherical_mean(d, f, t, r), rel=1e-8, abs=1e-10)
 
 
-def test_mean_zero_when_support_missed():
-    f = indicator(F(10), F(11))
-    assert spherical_mean(3, f, 1.0, 2.0) == 0.0
+def test_mean_zero_when_support_missed(monkeypatch):
+    # the window [3.5, 6.5] lies in a gap of each profile, below an
+    # indicator, between two power pieces, and above a log piece: every
+    # panel of a lone row is dropped unevaluated, so the mean is +0.0
+    def unreachable(f, panels):
+        raise AssertionError("a panel in a gap was evaluated")
+
+    monkeypatch.setattr(quadrature, "_pairs", unreachable)
+    profiles = [indicator(F(10), F(11)),
+                power_profile(2, 0.5, 0, 0, 1) + power_profile(3, -1, 0, 10, 11),
+                power_profile(1, 0.5, 1, 0, F(1, 2))]
+    for d in (3, 4, 5, 8):
+        for f in profiles:
+            mean = spherical_mean(d, f, 5.0, 1.5)
+            assert mean == 0.0 and math.copysign(1.0, mean) == 1.0, (d, f)
 
 
 def test_mean_is_linear():
@@ -1100,9 +1115,9 @@ def _misses(f, a, b):
 def test_piece_tags_reproduce_values_and_drop_the_gaps(k):
     # batches of rows of k random profiles, in both layouts, against the
     # inline reference _misses: each interval between a profile's
-    # breakpoints is owned by the one piece it meets, or by none; the
-    # layouts drop just the panels that meet no piece, as a lone row's
-    # _gaps does, and otherwise lay out every row as it is laid out alone;
+    # breakpoints is owned by the one piece it meets, or by none; a lone
+    # row, tagged by _owner, drops just the panels that meet no piece; and
+    # a batch lays out every row, and tags it, as it is laid out alone;
     # and the tagged piece reproduces the profile's values bitwise at every
     # node strictly inside the piece. A node off that, which only a panel
     # a few ulp wide can have, lies within a few ulp of an end of the piece
@@ -1124,34 +1139,42 @@ def test_piece_tags_reproduce_values_and_drop_the_gaps(k):
         kind = rng.integers(0, k, n) if k > 1 else None
         row_kind = np.zeros(n, dtype=np.intp) if kind is None else kind
 
-        def checked_misses(f):
-            def skip(a, b):
-                want = _misses(f, a, b)
-                assert f._gaps(a, b) == want.tolist()
-                return want
-            return skip
-
         alone = []
         for i in range(n):
             f = profiles[row_kind[i]]
-            alone += quadrature._layout(
-                [lo[i]], [hi[i]], i, [(f._breaks, [0] * len(f._owner))],
-                None, checked_misses(f))
+            # every panel tagged with the index m of its interval, which
+            # lies between the padded cuts m and m + 1, and kept: it
+            # misses every piece just where _owner is negative, and the
+            # lone row drops just those panels
+            every = quadrature._layout([lo[i]], [hi[i]], i, [(
+                f._breaks, list(range(len(f._owner))))], None)
+            m = np.array([pn[8] for pn in every], dtype=np.intp)
+            cuts = np.array([-math.inf, *f._breaks, math.inf])
+            miss = _misses(f, np.maximum(lo[i], cuts[m]),
+                           np.minimum(hi[i], cuts[m + 1]))
+            assert miss.tolist() == [f._owner[j] < 0 for j in m]
+            lone = quadrature._layout([lo[i]], [hi[i]], i,
+                                      [(f._breaks, f._owner)], None)
+            want = np.array([pn for pn, x in zip(every, miss) if not x],
+                            dtype=float).reshape(-1, 10)
+            want[:, 8] = [f._owner[j] for j in m[~miss]]
+            assert np.array(lone, dtype=float).reshape(-1, 10).tobytes() \
+                == want.tobytes()
+            alone += lone
         alone = np.array(alone, dtype=float).reshape(-1, 10)
+        # the batch tags a panel with its piece's index in the batch table
+        alone[:, 8] += base[row_kind[alone[:, -1].astype(np.intp)]]
         for panels in (quadrature._layout(lo.tolist(), hi.tolist(), 0, parts,
                                           None if kind is None
-                                          else kind.tolist(), None),
-                       quadrature._layout_array(lo, hi, 0, parts, kind,
-                                                None)):
+                                          else kind.tolist()),
+                       quadrature._layout_array(lo, hi, 0, parts, kind)):
             panels = np.array(panels, dtype=float).reshape(-1, 10)
             tags = panels[:, 8].astype(np.intp)
-            untagged = panels.copy()
-            untagged[:, 8] = 0.0
-            assert untagged.tobytes() == alone.tobytes()
+            assert panels.tobytes() == alone.tobytes()
             dropped += len(quadrature._layout(
                 lo.tolist(), hi.tolist(), 0,
                 [(f._breaks, [0] * len(f._owner)) for f in profiles],
-                None if kind is None else kind.tolist(), None)) - len(panels)
+                None if kind is None else kind.tolist())) - len(panels)
             # the nodes of each panel, as _pairs computes them
             u = panels[:, 2:3] + panels[:, 3:4] * quadrature._NODES
             s = panels[:, 4:5] + panels[:, 5:6] * (u * u)
