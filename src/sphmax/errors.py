@@ -52,4 +52,5 @@ class DivergentNormError(DomainError):
 
 
 class PrecisionError(SphmaxError):
-    """Adaptive quadrature exhausted its refinement budget short of tolerance."""
+    """Adaptive quadrature exhausted its refinement budget short of
+    tolerance, or a mean has no finite value in floating point."""

@@ -3,9 +3,10 @@
 Each family packages the radial profile of a scaling test function together
 with the witness radii where its lower bound is realized. A probe run sweeps
 the scale, computes a lower-bound functional at the witnesses (a grid and
-golden-polish lower bound on the maximal value, up to rounding for the d = 2
-indicator witnesses, whose means are in closed form, and otherwise up to
-the quadrature's |K15 - G7| error estimate), and fits the log-log slope of
+golden-polish lower bound on the maximal value, up to rounding for the
+witnesses whose means are in closed form, indicators at d = 2 and d >= 4
+and power pieces at d = 3, and otherwise up to the quadrature's |K15 - G7|
+error estimate), and fits the log-log slope of
 functional over input norm; the sign of the fitted gap mirrors the
 necessary condition at the chosen exponent pair. Witness evaluation anchors
 the dilation search at one known-good point per radius, which keeps every

@@ -3,9 +3,12 @@
 For radial data the spherical mean in R^d collapses to a one-dimensional
 integral of the profile against a distance-distribution kernel supported on
 [|r - t|, r + t]. Everything here is built on that reduction; spheres are
-never sampled. At d = 2 the mean of a profile whose pieces are all constant
-is an arc length on the circle, taken in closed form, exact up to rounding;
-every other mean is computed by quadrature.
+never sampled. A routing table keyed by d and the kind of a profile's
+pieces sends a mean to a closed form, exact up to rounding, where one
+exists: a profile whose pieces are all constant at d = 2 (an arc length on
+the circle) and from d = 4 on (an incomplete beta function), and one with a
+power piece and no log piece at d = 3 (a power of the window ends). Every
+other mean is computed by quadrature.
 """
 
 from __future__ import annotations
@@ -126,12 +129,15 @@ class RadialProfile:
     # profile as a sorted tuple of the piece ends (a log piece stops at or
     # before s = 1, so its kink there is a piece end), and the piece each
     # interval between breakpoints lies in, -1 in a gap, from the one below
-    # the first breakpoint to the one above the last
+    # the first breakpoint to the one above the last; and the kind of its
+    # pieces, "log" if one has a log power, else "power" if one has a
+    # power, else "constant", which routes its means
     _table: tuple[tuple[float, float, ProfilePiece], ...] = field(
         init=False, repr=False, compare=False)
     _pieces: _PieceTable = field(init=False, repr=False, compare=False)
     _breaks: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _owner: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _kind: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pcs = sorted(self.pieces, key=lambda pc: (pc.lo, pc.hi))
@@ -173,6 +179,9 @@ class RadialProfile:
                 owner[m] = j
         object.__setattr__(self, "_breaks", tuple(breaks))
         object.__setattr__(self, "_owner", tuple(owner))
+        object.__setattr__(self, "_kind", "log" if any(
+            pc.b_pow != 0.0 for pc in pcs) else "power" if any(
+            pc.a_pow != 0.0 for pc in pcs) else "constant")
 
     def values(self, s):
         """Vectorized evaluation; zero outside every piece."""
@@ -335,69 +344,267 @@ def _window_error(d: int, r, t, drift, quad) -> PrecisionError:
         f"past rel_tol = {quad.rel_tol:.3e}")
 
 
-# The d = 2 mean of a profile whose pieces are all constant, in closed form.
-# A point at distance p from the origin sits on the circle at the half angle
-# phi(p) in [0, pi/2], sin^2 phi = (p - |r - t|)(p + |r - t|) / (4rt) and
-# cos^2 phi = (r + t - p)(r + t + p) / (4rt), and the angle is uniform, so
-# the piece [lo, hi] takes the share (2/pi)(phi(hi) - phi(lo)), each end
-# clipped to the window. The difference is one atan2 of sin(phi_h - phi_l)
-# = (sin^2 phi_h - sin^2 phi_l) / (sin phi_h cos phi_l + sin phi_l cos phi_h)
-# and cos(phi_h - phi_l), with sin^2 phi_h - sin^2 phi_l = (hi - lo)(hi +
-# lo) / (4rt), sin^2 phi_h or cos^2 phi_l when one end is clipped, and 1
-# when both are: no term cancels, even on shells 2^-40 wide. p - |r - t|
-# and r + t - p come from the rounded window ends and their exact rounding
-# errors (Fast2Sum), so they round once near their end: a window narrower
-# than an ulp of t resolves, and so does an end next to |r - t| when r and
-# t are close, where (p - max(r, t)) + min(r, t) loses every digit.
+# Closed-form means. A point at distance p from the origin sits on the
+# sphere at the half angle phi(p) in [0, pi/2] from the sphere's nearest
+# point, sin^2 phi = (p - |r - t|)(p + |r - t|) / (4rt) and cos^2 phi = (r
+# + t - p)(r + t + p) / (4rt), with p - |r - t| and r + t - p from the
+# rounded window ends and their exact rounding errors (Fast2Sum): they
+# round once near their end, so a window narrower than an ulp of t
+# resolves and no closed form needs the quadrature's window refusal.
+# - (2, constant): the angle is uniform, so the piece [lo, hi], each end
+#   clipped to the window, takes the share (2/pi)(phi_h - phi_l): one atan2
+#   of sin(phi_h - phi_l) = (sin^2 phi_h - sin^2 phi_l) / (sin phi_h cos
+#   phi_l + sin phi_l cos phi_h) and cos(phi_h - phi_l), with sin^2 phi_h -
+#   sin^2 phi_l = (hi - lo)(hi + lo) / (4rt), sin^2 phi_h or cos^2 phi_l
+#   when one end is clipped, and 1 when both are: no term cancels.
+# - (d >= 4, constant): x = cos^2 phi has the law of the regularized
+#   incomplete beta I_x(m, m), m = (d - 1)/2, so the piece takes I_x(lo)(m,
+#   m) - I_x(hi)(m, m) (Stein and Weiss 1971; DLMF 8.17), from I_x(1/2,
+#   1/2) = 1 - 2 phi/pi (even d), whose difference is the d = 2 share, or
+#   I_x(1, 1) = x (odd d), whose difference is sin^2 phi_h - sin^2 phi_l,
+#   by steps I_x(k + 1, k + 1) = I_x(k, k) - (1 - 2x) y^k / C_k, y = 4x(1 -
+#   x) <= 1 and C_k = k 4^k B(k, k), which neither under- nor overflow. The
+#   steps cancel between the ends to some ulp of 1: within 9e-15 absolute
+#   of 40-digit mpmath up to d = 600, and 1.3e-14 at d = 2000, so a share
+#   far below 1 keeps only that absolute accuracy.
+# - (3, power, no log piece): the normalized kernel is s / (2rt), so the
+#   piece c s^a on [y0, y1], cut to the window, takes c (y1^k - y0^k) / (k
+#   2rt), k = a + 2, or c log(y1 / y0) / (2rt) at k = 0, and a constant
+#   piece is the case k = 2. A narrow difference is y0^k expm1(k log1p(w /
+#   y0)), w = y1 - y0 from the Fast2Sum ends: within 7e-16 of 40-digit
+#   mpmath, relative to the larger of the mean and 1.
+# Each closed form takes (r, t) as floats for a row alone and as arrays for
+# a batch, through the same IEEE operations, so a row has the same bits
+# alone and in any batch. Transcendentals go through math, a row at a time:
+# numpy's atan2, log, exp, expm1, log1p and power change their last bits
+# with the SIMD loop they dispatch to; its sqrt does not.
 
 
-def _arc_sum(f: RadialProfile, r: float, t: float) -> float:
-    """Sum over the pieces of f, in order from 0.0, of coeff * (phi(hi) -
-    phi(lo)) at (r, t): the d = 2 mean of a profile with only constant
-    pieces, before the factor 2/pi.
+def _each(fn, x, y):
+    """fn(x[i], y[i]) at each index i of the arrays x and y, as an array."""
+    return np.fromiter(map(fn, x.tolist(), y.tolist()), float, len(x))
 
-    Only d = 2 takes this route. For odd d one Kronrod round already
-    integrates a constant piece exactly, the kernel being a polynomial in
-    s; for even d >= 4 the difference of two incomplete beta values cancels
-    on narrow windows and needs a series there; and at d = 3 the
-    benchmark's tracer test pins an indicator mean to the quadrature. This
-    one function serves every row, alone or in a batch, so a row has the
-    same bits in any batch: at about 1 us per row on a shared 2-CPU host it
-    beats numpy's fixed cost per call below some 80 rows, which is more
-    than a probe's lockstep polish step or verify's batch holds. The angle
-    comes from math.atan2, since numpy's arctan2 changes its last bits with
-    the SIMD loop it dispatches to."""
-    far = max(r, t)
-    near = min(r, t)
+
+def _closed_sum(d: int, f: RadialProfile, r, t):
+    """Sum over the pieces of f, in order from 0.0, of coeff times the
+    piece's closed form at d, at each row (r, t) whose window it meets, for
+    one row (floats) or several (arrays): the angle phi_h - phi_l at d = 2,
+    the share I_x(lo)(m, m) - I_x(hi)(m, m) from d = 4 on, and the integral
+    of s^(a+1) over the piece cut to the window at d = 3. up_* and down_*
+    are the distances of the piece's ends up from |r - t| and down from r +
+    t, from the exact window ends, positive when the end lies inside the
+    window. Rows select the values at clipped ends by np.where, and a row
+    alone by branches, which cost it less than calls; both take the same
+    values."""
+    many = isinstance(t, np.ndarray)
+    far = np.maximum(r, t) if many else max(r, t)
+    near = np.minimum(r, t) if many else min(r, t)
     a = far - near
     b = far + near
     # the rounding errors of a and b, exactly (Fast2Sum)
     ea = (far - a) - near
     eb = near - (b - far)
-    four = 4.0 * r * t
-    total = 0.0
+    window = a, ea, b, eb, near, 4.0 * r * t
+    total = np.zeros(t.shape) if many else 0.0
     for lo, hi, pc in f._table:
+        a, ea, b, eb, near, four = window
         up_hi = (hi - a) - ea
         down_lo = (b - lo) + eb
-        if not (up_hi > 0.0 and down_lo > 0.0):
+        hit = None
+        if many:
+            hit = np.flatnonzero((up_hi > 0.0) & (down_lo > 0.0))
+            if len(hit) == len(t):
+                hit = None
+            elif not len(hit):
+                continue
+            else:
+                a, ea, b, eb, near, four = (x[hit] for x in window)
+                up_hi, down_lo = up_hi[hit], down_lo[hit]
+        elif not (up_hi > 0.0 and down_lo > 0.0):
             continue                    # the piece misses the window
         up_lo = (lo - a) - ea
         down_hi = (b - hi) + eb
-        s2h = up_hi * (hi + a) / four
-        c2l = down_lo * (lo + b) / four
-        if up_lo > 0.0:
-            sl, cl = math.sqrt(up_lo * (lo + a) / four), math.sqrt(c2l)
+        if d == 3:
+            # the piece cut to the window, [y0, y0 + w]
+            if many:
+                inner_lo = up_lo > 0.0
+                inner_hi = down_hi > 0.0
+                y0 = np.where(inner_lo, lo, a)
+                w = np.where(inner_lo, np.where(inner_hi, hi - lo, down_lo),
+                             np.where(inner_hi, up_hi, 2.0 * near))
+            else:
+                y0 = lo if up_lo > 0.0 else a
+                w = ((hi - lo if down_hi > 0.0 else down_lo) if up_lo > 0.0
+                     else up_hi if down_hi > 0.0 else 2.0 * near)
+            v = _power_moment(pc, many, y0, w)
         else:
-            sl, cl = 0.0, 1.0
-        if down_hi > 0.0:
-            sh, ch = math.sqrt(s2h), math.sqrt(down_hi * (hi + b) / four)
-            gap = (hi - lo) * (hi + lo) / four if up_lo > 0.0 else s2h
+            # sin^2 and cos^2 of the half angle at each end, and sin^2
+            # phi_h - sin^2 phi_l
+            if many:
+                inner_lo = up_lo > 0.0
+                inner_hi = down_hi > 0.0
+                s2l = np.where(inner_lo, up_lo * (lo + a) / four, 0.0)
+                c2l = np.where(inner_lo, down_lo * (lo + b) / four, 1.0)
+                s2h = np.where(inner_hi, up_hi * (hi + a) / four, 1.0)
+                c2h = np.where(inner_hi, down_hi * (hi + b) / four, 0.0)
+                gap = np.where(inner_lo, np.where(
+                    inner_hi, (hi - lo) * (hi + lo) / four, c2l), s2h)
+            else:
+                s2l, c2l = ((up_lo * (lo + a) / four,
+                             down_lo * (lo + b) / four)
+                            if up_lo > 0.0 else (0.0, 1.0))
+                s2h, c2h = ((up_hi * (hi + a) / four,
+                             down_hi * (hi + b) / four)
+                            if down_hi > 0.0 else (1.0, 0.0))
+                gap = (((hi - lo) * (hi + lo) / four if down_hi > 0.0
+                        else c2l) if up_lo > 0.0 else s2h)
+            if d % 2:
+                v = _beta_share(d, many, s2l, c2l, s2h, c2h, gap, None)
+            else:
+                sqrt = np.sqrt if many else math.sqrt
+                sl, cl, sh, ch = sqrt(s2l), sqrt(c2l), sqrt(s2h), sqrt(c2h)
+                x, y = gap / (sh * cl + sl * ch), ch * cl + sh * sl
+                v = _each(math.atan2, x, y) if many else math.atan2(x, y)
+                if d > 2:
+                    v = _beta_share(d, many, s2l, c2l, s2h, c2h, v,
+                                    (sl, cl, sh, ch))
+        if hit is None:
+            total += pc.coeff * v
         else:
-            sh, ch = 1.0, 0.0
-            gap = c2l if up_lo > 0.0 else 1.0
-        total += pc.coeff * math.atan2(gap / (sh * cl + sl * ch),
-                                       ch * cl + sh * sl)
+            total[hit] += pc.coeff * v
     return total
+
+
+@lru_cache(maxsize=64)
+def _beta_steps(d: int) -> tuple[float, ...]:
+    # 1 / C_k for the steps k = 1/2 or 1, ..., (d - 3)/2 from I_x(1/2, 1/2)
+    # (even d) or I_x(1, 1) (odd d) to I_x((d - 1)/2, (d - 1)/2): C_{1/2} =
+    # pi and C_1 = 4, and C_{k+1} = C_k 2(k + 1) / (2k + 1), with pi entering
+    # once as its nearest double
+    k = Fraction(1, 2) if d % 2 == 0 else Fraction(1)
+    inv = 1 / Fraction(math.pi) if d % 2 == 0 else Fraction(1, 4)
+    steps = []
+    while k < Fraction(d - 1, 2):
+        steps.append(float(inv))
+        inv *= (2 * k + 1) / (2 * (k + 1))
+        k += 1
+    return tuple(steps)
+
+
+def _horner(steps, y):
+    # sum_j steps[j] y^j
+    h = steps[-1]
+    for inv in steps[-2::-1]:
+        h = inv + y * h
+    return h
+
+
+def _beta_share(d: int, many: bool, s2l, c2l, s2h, c2h, first, roots):
+    """I_x(lo)(m, m) - I_x(hi)(m, m), m = (d - 1)/2, for d >= 4, stepped up
+    from first: sin^2 phi_h - sin^2 phi_l for odd d, and phi_h - phi_l for
+    even d, with the roots (sl, cl, sh, ch) of s2l, c2l, s2h and c2h."""
+    yl = 4.0 * s2l * c2l
+    yh = 4.0 * s2h * c2h
+    if roots is None:
+        start, pl, ph = first, yl, yh
+    else:
+        sl, cl, sh, ch = roots
+        start, pl, ph = _norm_const(2) * first, 2.0 * sl * cl, 2.0 * sh * ch
+    # the steps at each end, y^k / C_k summed by Horner's rule; rows take
+    # both ends in one array
+    steps = _beta_steps(d)
+    if many and len(steps) > 1:
+        hl, hh = np.split(_horner(steps, np.concatenate((yl, yh))), 2)
+    else:
+        hl, hh = _horner(steps, yl), _horner(steps, yh)
+    return start - ((s2l - c2l) * pl * hl - (s2h - c2h) * ph * hh)
+
+
+def _power_gain(k: float, y0: float, w: float) -> float:
+    """The integral of s^(k-1) over [y0, y0 + w], w > 0, for y0 > 0 or, when
+    k > 0, y0 = 0: log1p(w / y0) at k = 0; else y0^k expm1(k log1p(w /
+    y0)) / k while |k log1p(w / y0)| <= 1, where the powers would cancel
+    and no factor under- or overflows alone, and the difference of the
+    powers over k beyond."""
+    grow = math.log1p(w / y0) if y0 > 0.0 else math.inf
+    if k == 0.0:
+        return grow
+    if abs(k * grow) <= 1.0:
+        return math.pow(y0, k) * math.expm1(k * grow) / k
+    return (math.pow(y0 + w, k) - math.pow(y0, k)) / k
+
+
+def _power_moment(pc: ProfilePiece, many: bool, y0, w):
+    """The integral of s^(a+1), a the power of the piece, over [y0, y0 +
+    w], the piece cut to the window, at d = 3."""
+    k = pc.a_pow + 2.0
+    if k <= 0.0 and pc.lo == 0 and np.any(y0 == 0.0):
+        # the window reaches s = 0 just when r = t, and the integral of
+        # s^(k-1) diverges there
+        raise PrecisionError(
+            f"diverges at s = 0 in the piece {pc.coeff!r} * s^{pc.a_pow!r} "
+            f"on [{pc.lo}, {pc.hi}]")
+    if many:
+        return _each(lambda y, x: _power_gain(k, y, x), y0, w)
+    return _power_gain(k, y0, w)
+
+
+# (min(d, 4), the kind of the profile's pieces) -> its closed form, as the
+# map finish(total, r, t) from the sum _closed_sum takes at d to the mean,
+# elementwise over arrays. Every other row takes the quadrature: d = 3
+# profiles of constant pieces too, which one Kronrod round already
+# integrates exactly, and log pieces.
+_CLOSED_FORMS = {(2, "constant"): lambda total, r, t: _norm_const(2) * total,
+                 (3, "power"): lambda total, r, t: total / (2.0 * r * t),
+                 (4, "constant"): lambda total, r, t: total}
+# from this many rows of one profile on, a batch takes them at once; below
+# it, row by row is cheaper than numpy's fixed cost per call
+_ROWS_AT_ONCE = 24
+
+
+def _closed_form(d: int, f: RadialProfile):
+    """The closed form of the means of f at d, or None for the
+    quadrature."""
+    return _CLOSED_FORMS.get((d if d < 4 else 4, f._kind))
+
+
+def _closed_row(finish, d: int, f: RadialProfile, r: float,
+                t: float) -> float:
+    """The closed form's mean of f at one row (r, t), finish(total, r, t)
+    taken of _closed_sum's total; raises PrecisionError where it diverges
+    or over- or underflows to no finite value."""
+    why = "has no finite value in floating point"
+    try:
+        v = finish(_closed_sum(d, f, r, t), r, t)
+    except ArithmeticError:
+        v = math.nan
+    except PrecisionError as exc:
+        v, why = math.nan, str(exc)
+    if not math.isfinite(v):
+        raise PrecisionError(
+            f"the closed-form d = {d} mean of {profile_expression(f)} at "
+            f"r = {r!r}, t = {t!r} {why}")
+    return v
+
+
+def _closed_rows(finish, d: int, f, rs: np.ndarray,
+                 ts: np.ndarray) -> np.ndarray:
+    """The closed form's means at the rows (rs, ts) of the profile f, or of
+    f[i] when f is a sequence, each bitwise _closed_row's: the rows of one
+    profile at once when they are _ROWS_AT_ONCE or more, and one by one
+    otherwise or when one of them fails, so the first failing row is
+    named."""
+    one = isinstance(f, RadialProfile)
+    if one and len(ts) >= _ROWS_AT_ONCE:
+        with np.errstate(all="ignore"):
+            try:
+                v = finish(_closed_sum(d, f, rs, ts), rs, ts)
+            except (ArithmeticError, PrecisionError):
+                v = None
+        if v is not None and np.isfinite(v).all():
+            return v
+    return np.array([_closed_row(finish, d, p, r, t) for p, r, t in zip(
+        [f] * len(ts) if one else f, rs.tolist(), ts.tolist())])
 
 
 _LONE_ROW = np.zeros((1, 1), dtype=np.intp)
@@ -453,31 +660,46 @@ def _spherical_means(d: int, f, r, ts,
                      quad: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
     """Averages of the radial profile f (one for all, or one per radius)
     over the spheres of radii ts whose centers lie at distance r (one for
-    all, or one per radius) from the origin, integrated together; each is
-    bitwise its spherical_mean. At d = 2 the rows whose profile has only
-    constant pieces take the closed form and the others the quadrature."""
+    all, or one per radius) from the origin; each is bitwise its
+    spherical_mean. The rows of each profile that the routing table takes
+    go to its closed form, and every other row to one quadrature batch."""
     _check_dim(d)
     ts = np.array(ts, dtype=float).ravel()
     rs = np.full(ts.shape, r, dtype=float)
     if not ((ts > 0.0) & (ts < math.inf) & (rs > 0.0) & (rs < math.inf)).all():
         raise DomainError("spherical mean radii must be positive and finite")
 
-    one = isinstance(f, RadialProfile)
-    if d == 2 and not (one and f._pieces.smooth):
-        # the rows of profiles with only constant pieces in closed form, the
-        # others (None here) by quadrature, which gives a row the same bits
-        # in any batch
-        profiles = [f] * len(ts) if one else f
-        raw = [None if p._pieces.smooth else _arc_sum(p, r_i, t_i)
-               for p, r_i, t_i in zip(profiles, rs.tolist(), ts.tolist())]
-        rest = [i for i, v in enumerate(raw) if v is None]
-        if len(rest) < len(raw):
-            raw = np.array(raw, dtype=float)
-            if rest:
-                raw[rest] = _quad_sums([profiles[i] for i in rest], rs[rest],
-                                       ts[rest], d, quad)
-            return _norm_const(2) * raw
-    return _norm_const(d) * _quad_sums(f, rs, ts, d, quad)
+    if isinstance(f, RadialProfile):
+        form = _closed_form(d, f)
+        if form is not None:
+            return _closed_rows(form, d, f, rs, ts)
+        return _norm_const(d) * _quad_sums(f, rs, ts, d, quad)
+    # each row's profile, as an index into the distinct ones, and their
+    # closed forms; at one d, every profile that has one has the same one
+    distinct = {}
+    owner = [distinct.setdefault(id(p), (len(distinct), p))[0] for p in f]
+    forms = [_closed_form(d, p) for _, p in distinct.values()]
+    if not any(forms):
+        return _norm_const(d) * _quad_sums(f, rs, ts, d, quad)
+    out = np.empty(ts.shape)
+    if len(ts) < _ROWS_AT_ONCE:
+        closed = [i for i, k in enumerate(owner) if forms[k]]
+        form = forms[owner[closed[0]]]
+        if len(closed) == len(ts):
+            return _closed_rows(form, d, f, rs, ts)
+        out[closed] = _closed_rows(form, d, [f[i] for i in closed],
+                                   rs[closed], ts[closed])
+    else:
+        owner = np.array(owner)
+        for (k, p), form in zip(distinct.values(), forms):
+            if form is not None:
+                rows = np.flatnonzero(owner == k)
+                out[rows] = _closed_rows(form, d, p, rs[rows], ts[rows])
+    rest = [i for i, k in enumerate(owner) if forms[k] is None]
+    if rest:
+        out[rest] = _norm_const(d) * _quad_sums([f[i] for i in rest], rs[rest],
+                                                ts[rest], d, quad)
+    return out
 
 
 def _quad_sums(f, rs: np.ndarray, ts: np.ndarray, d: int,
@@ -505,15 +727,17 @@ def _quad_sums(f, rs: np.ndarray, ts: np.ndarray, d: int,
 def spherical_mean(d: int, f: RadialProfile, r, t,
                    quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Average of the radial profile f over the sphere of radius t whose
-    center lies at distance r from the origin: a batch of one, with the
-    kernel of the batch taken at the scalar t. At d = 2 a profile with only
-    constant pieces takes the closed form of _arc_sum, exact up to
-    rounding; every other mean is a quadrature."""
+    center lies at distance r from the origin. The routing table, keyed by
+    d and the kind of f's pieces, sends a profile of constant pieces at d =
+    2 or d >= 4, and one with a power piece and no log piece at d = 3, to a
+    closed form, exact up to rounding; every other mean is a quadrature, a
+    batch of one with the kernel taken at the scalar t."""
     _check_dim(d)
     r = _radius(r)
     t = _radius(t)
-    if d == 2 and not f._pieces.smooth:
-        return _norm_const(2) * _arc_sum(f, r, t)
+    form = _closed_form(d, f)
+    if form is not None:
+        return _closed_row(form, d, f, r, t)
 
     lo = abs(r - t)
     hi = r + t
@@ -787,10 +1011,10 @@ def maximal_value(d: int, f: RadialProfile, r, E: FractalSet,
     grid point. Returns the supremum value and the dilation attaining it.
 
     Every grid point must lie in E; the polish step then cannot leave E, so
-    the result is a lower bound for the supremum: up to rounding for a
-    profile with only constant pieces at d = 2, whose means are in closed
-    form, and otherwise up to the quadrature error, which is the |K15 - G7|
-    estimate and not a bound. It is the batch of one of _maximal_values."""
+    the result is a lower bound for the supremum: up to rounding where the
+    routing table of spherical_mean takes the means to a closed form, and
+    otherwise up to the quadrature error, which is the |K15 - G7| estimate
+    and not a bound. It is the batch of one of _maximal_values."""
     return _maximal_values(d, f, (r,), E, (grid,), quad)[0]
 
 

@@ -108,6 +108,12 @@ def test_mean_reference_values(capsys):
     assert capsys.readouterr().out.strip() == "1.000000"
     assert main(["mean", "3", "pow(1,1,0,0,8)", "1", "1"]) == 0
     assert capsys.readouterr().out.strip() == "1.333333"
+    # r below an ulp of t: a closed form needs no rounded window, so the
+    # d = 4 mean of a constant profile is exact where a quadrature refuses
+    assert main(["mean", "4", "one", "1e-300", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "1.000000"
+    assert main(["mean", "4", "pow(1,2,0,0,8)", "1e-300", "1"]) == 4
+    assert "rounds to a width off" in capsys.readouterr().err
 
 
 STALLING_QUAD_CFG = """
@@ -129,10 +135,13 @@ def test_mean_precision_exit(tmp_path, capsys):
 def test_mean_domain_exit(capsys):
     assert main(["mean", "1", "one", "1", "1"]) == 3
     assert "domain error" in capsys.readouterr().err
-    # the kernel is scaled so that its normalization constant stays near
-    # sqrt(d), far from overflow at every d
+    # the closed form of a constant profile holds at d = 2000, and so does
+    # the quadrature, whose kernel is scaled so that its normalization
+    # constant stays near sqrt(d), far from overflow at every d
     assert main(["mean", "2000", "one", "1", "1"]) == 0
     assert capsys.readouterr().out.strip() == "1.000000"
+    assert main(["mean", "2000", "pow(1,2,0,0,8)", "1", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "2.000000"
 
 
 @pytest.mark.parametrize("value", ["1e500", "inf"])

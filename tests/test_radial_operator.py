@@ -349,6 +349,12 @@ def test_window_rounded_below_resolution_raises():
     # at d = 2 a profile with only constant pieces takes the closed form,
     # which needs no rounded window and stays exact
     assert spherical_mean(2, indicator(0, 2), 6e-17, 0.75) == 1.0
+    # and so it does from d = 4 on, alone and in a batch
+    for d in (4, 5, 8):
+        assert spherical_mean(d, indicator(0, 2), 6e-17, 0.75) == 1.0
+        assert spherical_mean(d, parse_profile("one"), 1e-300, 1.0) == 1.0
+        assert _spherical_means(d, f, 1.234e-9, [1e-9, 0.7501, 0.5]).tolist() \
+            == [1.0, 1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +466,182 @@ def test_d2_means_on_windows_narrower_than_an_ulp():
                 spherical_mean(2, power, r, 1.0)
             with pytest.raises(PrecisionError, match=f"r = {r!r}, t = 1.0 "):
                 _spherical_means(2, [shell, power], r, [1.5, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# closed forms from d = 4 on, and of power pieces at d = 3
+
+
+def _closed_case(rng):
+    # (r, t, lo, hi) as _random_shell draws them, and in one case of four r
+    # far below an ulp of t, with a shell end at t or an ulp off it
+    r, t, lo, hi = _random_shell(rng)
+    if rng.random() < 0.25:
+        r = t * 2.0 ** -rng.uniform(60.0, 300.0)
+        end = float(_ulps(t, rng.randint(-1, 1)))
+        width = 2.0 ** -rng.uniform(-1.0, 40.0)
+        lo, hi = ((end, end + width) if rng.random() < 0.5
+                  else (max(end - width, 0.0), end))
+    return r, t, lo, hi
+
+
+def _mp(mpmath, x):
+    # a Fraction at the working precision
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _beta_share_mp(mpmath, d, r, t, lo, hi):
+    # I_x(lo)(m, m) - I_x(hi)(m, m), m = (d - 1)/2, at 40 digits, with x(s)
+    # = ((r + t)^2 - s^2) / (4rt) clipped to [0, 1] exact in Fractions
+    r, t = F(r), F(t)
+
+    def x(s):
+        s = F(s)
+        return _mp(mpmath, min(max(((r + t) ** 2 - s * s) / (4 * r * t),
+                                   F(0)), F(1)))
+
+    m = mpmath.mpf(d - 1) / 2
+    return mpmath.betainc(m, m, x(hi), x(lo), regularized=True)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 8, 20, 64, 200, 600])
+def test_beta_means_match_mpmath(d):
+    # shells 2^-40 to 2 wide with an end next to a window end, and r far
+    # below an ulp of t; a shell alone and two shells, touching or apart,
+    # of other coefficients
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(8000 + d)
+    seen = 0
+    with mpmath.workdps(40):
+        for _ in range(30):
+            r, t, lo, hi = _closed_case(rng)
+            gap = rng.choice([0.0, 2.0 ** -rng.uniform(0.0, 40.0)])
+            lo2 = hi + gap
+            hi2 = lo2 + 2.0 ** -rng.uniform(-1.0, 40.0)
+            c = rng.choice([-1.5, 0.75, 2.0])
+            one = _beta_share_mp(mpmath, d, r, t, lo, hi)
+            two = one + c * _beta_share_mp(mpmath, d, r, t, lo2, hi2)
+            for f, want, size in (
+                    (indicator(F(lo), F(hi)), one, 1.0),
+                    (indicator(F(lo), F(hi)) + RadialProfile((ProfilePiece(
+                        F(lo2), F(hi2), c),)), two, 1.0 + abs(c))):
+                got = spherical_mean(d, f, r, t)
+                want = float(want)
+                assert abs(got - want) <= max(1e-12 * abs(want),
+                                              1e-13 * size), \
+                    (r, t, lo, hi, lo2, hi2, got, want)
+                seen += want > 1e-3
+    assert seen > 15
+
+
+def _power_mean_mp(mpmath, r, t, pieces):
+    # the d = 3 mean of the pieces (lo, hi, coeff, a) at 40 digits: the
+    # integral of coeff s^(a+1) over [lo, hi] cut to the window, exact in
+    # Fractions, over 2rt, with y1^k - y0^k = y0^k expm1(k log1p(w / y0))
+    r, t = F(r), F(t)
+    total = 0
+    for lo, hi, c, a in pieces:
+        y0, y1 = max(F(lo), abs(r - t)), min(F(hi), r + t)
+        if y1 <= y0:
+            continue
+        y, k = _mp(mpmath, y0), mpmath.mpf(a) + 2
+        grow = mpmath.log1p(_mp(mpmath, y1 - y0) / y)
+        total += c * (grow if k == 0 else y ** k * mpmath.expm1(k * grow) / k)
+    return total / (2 * _mp(mpmath, r * t))
+
+
+@pytest.mark.parametrize("a", [-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 2.0, 3.7])
+def test_d3_power_means_match_mpmath(a):
+    # a power piece alone, and between two constant pieces, each touching
+    # it or apart
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(int(1000 * a) + 3)
+    with mpmath.workdps(40):
+        for _ in range(40):
+            r, t, lo, hi = _closed_case(rng)
+            c = rng.choice([1.0, -1.5, 0.75])
+            power = [(lo, hi, c, a)]
+            lo0 = max(lo - rng.choice([0.0, 0.5]) - 0.25, 0.0)
+            mixed = [(lo0, min(lo0 + 0.25, lo), 1.0, 0.0), *power,
+                     (hi, hi + rng.uniform(0.0, 2.0) + 1e-3, -0.5, 0.0)]
+            for pieces in (power, mixed):
+                f = RadialProfile(tuple(
+                    ProfilePiece(F(p), F(q), cp, ap)
+                    for p, q, cp, ap in pieces if q > p))
+                assert radial_operator._closed_form(3, f) is not None
+                got = spherical_mean(3, f, r, t)
+                want = float(_power_mean_mp(mpmath, r, t, pieces))
+                size = sum(abs(cp) for _, _, cp, _ in pieces)
+                assert abs(got - want) <= max(1e-12 * abs(want),
+                                              1e-13 * size), \
+                    (r, t, pieces, got, want)
+
+
+def test_closed_forms_without_a_referee():
+    rng = random.Random(2026)
+    quad = quadrature.DEFAULT_QUAD
+    for d in (4, 5, 8, 64):
+        # a sphere wholly inside its shell has mean exactly 1, alone and in
+        # a batch, and adjacent shells add up to their union
+        for _ in range(100):
+            r, t = rng.uniform(0.01, 4.0), rng.uniform(0.01, 4.0)
+            f = indicator(F(abs(r - t) * rng.uniform(0.0, 1.0)),
+                          F((r + t) * rng.uniform(1.0, 2.0)))
+            assert spherical_mean(d, f, r, t) == 1.0
+            assert _spherical_means(d, f, r, [t] * 30)[7] == 1.0
+        for _ in range(100):
+            r, t, lo, hi = _closed_case(rng)
+            mid = rng.uniform(lo, hi)
+            parts = (spherical_mean(d, indicator(F(lo), F(mid)), r, t)
+                     + spherical_mean(d, indicator(F(mid), F(hi)), r, t))
+            whole = spherical_mean(d, indicator(F(lo), F(hi)), r, t)
+            assert abs(parts - whole) <= 1e-14, (d, r, t, lo, hi)
+    # the quadrature, which a zero log piece below every other forces,
+    # agrees within its budget, for constant pieces from d = 4 on and for
+    # power pieces at d = 3
+    for d in (3, 4, 5, 8):
+        for _ in range(100):
+            r, t = rng.uniform(0.25, 4.0), rng.uniform(0.25, 4.0)
+            lo = rng.uniform(0.5, r + t)
+            hi = lo + 2.0 ** -rng.uniform(0.0, 20.0)
+            a_pow = rng.choice([-1.5, -1.0, 0.5, 2.0]) if d == 3 else 0.0
+            f = (RadialProfile((ProfilePiece(F(lo), F(hi),
+                                             rng.choice([1.0, -1.5]),
+                                             a_pow),))
+                 + indicator(F(hi), F(hi) + 1))
+            forced = f + power_profile(0.0, 0.0, 1.0, 0, F(1, 4))
+            assert radial_operator._closed_form(d, forced) is None
+            closed = spherical_mean(d, f, r, t)
+            quadrature_mean = spherical_mean(d, forced, r, t)
+            raw = abs(quadrature_mean) / _norm_const(d)
+            budget = _norm_const(d) * max(quad.abs_tol, quad.rel_tol * raw)
+            assert abs(closed - quadrature_mean) <= budget, (d, r, t, lo, hi)
+
+
+def test_d3_power_mean_that_diverges_raises():
+    # the window of r = t reaches s = 0, where s^(a+1) is not integrable
+    # for a <= -2: a PrecisionError that names the piece, alone and in a
+    # batch, never an inf, a nan or a numpy warning
+    f = parse_profile("pow(1,-3,0,0,1)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError, match=(
+                r"at r = 1\.5, t = 1\.5 diverges at s = 0 in the piece "
+                r"1\.0 \* s\^-3\.0 on \[0, 1\]")):
+            spherical_mean(3, f, 1.5, 1.5)
+        with pytest.raises(PrecisionError, match=r"r = 1\.5, t = 1\.5 "):
+            _spherical_means(3, f, 1.5, np.linspace(1.0, 2.0, 41))
+        with pytest.raises(PrecisionError, match=r"s\^-2\.0 on \[0, 1\]"):
+            spherical_mean(3, parse_profile("pow(1,-2,0,0,1)"), 0.5, 0.5)
+        # off r = t the mean is finite
+        assert 0.0 < spherical_mean(3, f, 1.5, 1.25) < math.inf
+        # a mean past the float range raises, alone and in a batch
+        g = parse_profile("pow(1,-400,0,0,1)")
+        t = float(np.nextafter(0.75, 1.0))
+        with pytest.raises(PrecisionError, match="no finite value"):
+            spherical_mean(3, g, 0.75, t)
+        with pytest.raises(PrecisionError, match=f"t = {t!r} has no finite"):
+            _spherical_means(3, g, 0.75, [0.5] * 30 + [t])
 
 
 def test_mean_linear_profile_closed_form_d3():
@@ -643,33 +825,35 @@ _PIN_PROFILES = {
     "log-sq": power_profile(2.0, 0.5, 2.0, F(1, 2), F(63, 64)),
 }
 # (set, profile, d, r, where the best grid point sits in its polish
-# bracket, value.hex(), t.hex()) of maximal_value on the Gauss-Kronrod
-# 7/15 rule, or in closed form for the d = 2 indicators, whose sup of 1 is
-# met from t = 1 on at r = 1.3; a polish of lone rows gives the same bits
+# bracket, value.hex(), t.hex()) of maximal_value: in closed form for the
+# indicators at d = 2, 4 and 5 and the power pieces at d = 3, and otherwise
+# on the Gauss-Kronrod 7/15 rule. The indicators' sup of 1 at r = 1.3 is
+# met from t = 1 on at d = 2, and at d = 5 on the cantor grid; a polish of
+# lone rows gives the same bits
 _MAXVAL_PINS = [
     ("full", "chi", 2, 1.3, "left", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
-    ("full", "pow", 3, 1.3, "left", "0x1.47445d2232fdap+0", "0x1.0000000000000p+0"),
+    ("full", "pow", 3, 1.3, "left", "0x1.47445d2232fdbp+0", "0x1.0000000000000p+0"),
     ("full", "log", 4, 0.3, "left", "0x1.5c76f72e25901p-5", "0x1.0000000000000p+0"),
-    ("full", "chi-shell", 5, 2.9, "right", "0x1.6b0ceb8902ccep-7", "0x1.0000000000000p+1"),
+    ("full", "chi-shell", 5, 2.9, "right", "0x1.6b0ceb8902cc8p-7", "0x1.0000000000000p+1"),
     ("full", "chi", 2, 2.9, "interior", "0x1.52c5841901f9cp-2", "0x1.783dda7cf9dbdp+0"),
     ("full", "pow-sq", 3, 1.3, "interior", "0x1.251eb8516fac1p+1", "0x1.b3333333ea188p+0"),
     ("full", "log-inv", 2, 0.9, "interior", "0x1.cbc4878f577abp+0", "0x1.d95da6571cb5bp+0"),
-    ("sub", "chi", 5, 1.3, "left", "0x1.ffff85a29e791p-1", "0x1.1000000000000p+0"),
+    ("sub", "chi", 5, 1.3, "left", "0x1.ffff85a29e790p-1", "0x1.1000000000000p+0"),
     ("sub", "pow", 2, 2.9, "left", "0x1.3b26b6c44fed8p-1", "0x1.1000000000000p+0"),
     ("sub", "log", 3, 0.3, "left", "0x1.0d6fc1ade3860p-5", "0x1.1000000000000p+0"),
-    ("sub", "chi-shell", 4, 2.9, "right", "0x1.0be30b953fb1ap-6", "0x1.c000000000000p+0"),
+    ("sub", "chi-shell", 4, 2.9, "right", "0x1.0be30b953fb10p-6", "0x1.c000000000000p+0"),
     ("sub", "pow-sq", 5, 1.3, "right", "0x1.2e459590b2f1ep+1", "0x1.c000000000000p+0"),
     ("sub", "log-inv", 2, 0.8, "right", "0x1.f59f3d778d1d5p+0", "0x1.bfb5c51215618p+0"),
     ("sub", "chi", 3, 2.9, "interior", "0x1.f90bc8f63a5c8p-3", "0x1.783ddae7ed70bp+0"),
     ("sub", "pow-sq", 4, 1.7, "interior", "0x1.27bb496611251p+1", "0x1.59dbc22f50eb0p+0"),
     ("sub", "log-sq", 2, 0.6, "interior", "0x1.b436ecfa519c9p-4", "0x1.1999999a5ae94p+0"),
     ("cantor", "chi", 2, 1.3, "left", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
-    ("cantor", "pow", 3, 1.3, "left", "0x1.47445d2232fdap+0", "0x1.0000000000000p+0"),
+    ("cantor", "pow", 3, 1.3, "left", "0x1.47445d2232fdbp+0", "0x1.0000000000000p+0"),
     ("cantor", "log", 4, 0.3, "left", "0x1.5c76f72e25901p-5", "0x1.0000000000000p+0"),
-    ("cantor", "chi", 5, 1.3, "right", "0x1.0000000000004p+0", "0x1.073e19c1fdce2p+0"),
+    ("cantor", "chi", 5, 1.3, "left", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
     ("cantor", "pow", 2, 1.7, "right", "0x1.5ba05404dee0ap+0", "0x1.b33333325c0a1p+0"),
     ("cantor", "log-inv", 2, 0.9, "right", "0x1.a3df0134cd8fcp+0", "0x1.c71c71c71c71cp+0"),
-    ("cantor-fine", "chi", 4, 1.7, "left", "0x1.ce77672c29fbep-1", "0x1.0000000000000p+0"),
+    ("cantor-fine", "chi", 4, 1.7, "left", "0x1.ce77672c29fbdp-1", "0x1.0000000000000p+0"),
     ("cantor-fine", "pow", 5, 1.3, "left", "0x1.389898e214914p+0", "0x1.0000000000000p+0"),
     ("cantor-fine", "log", 2, 0.3, "left", "0x1.6023ffa7cd744p-4", "0x1.0000000000000p+0"),
     ("cantor-fine", "chi", 3, 2.9, "right", "0x1.f6957aff6957bp-3", "0x1.5555555555555p+0"),
@@ -942,28 +1126,39 @@ _BATCH_PROFILES = {
 
 
 @pytest.mark.parametrize("kind", sorted(_BATCH_PROFILES))
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
 def test_spherical_means_match_spherical_mean_bitwise(d, kind, monkeypatch):
     f = _BATCH_PROFILES[kind]
     r = 1.5
     rounds = []
     pairs = quadrature._pairs
+    # the routing table sends the indicator at d = 2, 4, 5 and 8 and the power
+    # and mixed profiles at d = 3 to a closed form, and the rest to the
+    # quadrature
+    closed = (d, kind) in {(2, "indicator"), (4, "indicator"),
+                           (5, "indicator"), (8, "indicator"), (3, "power"),
+                           (3, "mixed")}
+    assert (radial_operator._closed_form(d, f) is not None) == closed
 
     def counted(*args):
         rounds.append(len(args[1]))
         return pairs(*args)
 
-    # small batches, and both sides of the switch from the per-panel to the
-    # array layout
+    # small batches, both sides of the switch from the per-panel to the
+    # array layout, and both sides of the switch from closed-form rows one
+    # by one to rows at once
     k = quadrature._ARRAY_ROWS
+    j = radial_operator._ROWS_AT_ONCE
     lone_rounds = []
-    for n in (1, 2, 3, k - 1, k, k + 1, 255, 256, 257, 4097):
+    for n in (1, 2, 3, j - 1, j, k - 1, k, k + 1, 255, 256, 257, 4097):
         ts = np.linspace(1.0, 2.0, n)
         monkeypatch.setattr(quadrature, "_pairs", counted)
         rounds.clear()
         batch = _spherical_means(d, f, r, ts)
         chunks = -(-n // quadrature._CHUNK_ROWS)
-        if kind in ("power", "log") and d < 5 and n > 3:
+        if closed:
+            assert not rounds                # no row reached the quadrature
+        elif kind in ("power", "log") and d < 5 and n > 3:
             assert len(rounds) > chunks      # some rows refined
         if n == 4097:
             # every boundary of the 256-row chunks, and a stride through
@@ -976,6 +1171,7 @@ def test_spherical_means_match_spherical_mean_bitwise(d, kind, monkeypatch):
             rounds.clear()
             assert batch[i] == spherical_mean(d, f, r, ts[i]), (n, i)
             lone_rounds.append(len(rounds))
+            assert not (closed and rounds)
         monkeypatch.undo()
         if kind == "indicator":
             miss = np.abs(r - ts) >= 0.3
@@ -1043,15 +1239,25 @@ def test_mixed_profile_rows_match_their_profiles_alone_bitwise(n, order):
         assert (batch != 0.0).sum() > n // 2
         assert (batch < 0.0).any() != absolute
 
-    # means: by quadrature at d = 3; at d = 2 the rows of the indicator in
-    # closed form and the others by quadrature in one batch, and batches
-    # of profiles with only constant pieces, one profile or several
-    ts = rng.uniform(1.0, 2.0, n)
-    flat = [_CONSTANT_PROFILES[k % len(_CONSTANT_PROFILES)] for k in which]
-    for d, rows in [(3, profiles), (2, profiles), (2, flat),
-                    *((2, f) for f in _CONSTANT_PROFILES)]:
+    # means, in batches of five times as many rows, so that a profile has
+    # rows enough to take its closed form at once in the larger batch: in
+    # one batch the rows that the routing table sends to a closed form (the
+    # indicator at d = 2, 4, 5 and 8, the power and mixed profiles at d =
+    # 3) and the others by quadrature; and batches of profiles with only
+    # constant pieces, one profile or several, all in closed form
+    ts = rng.uniform(1.0, 2.0, 5 * n)
+    profiles *= 5
+    flat = [_CONSTANT_PROFILES[k % len(_CONSTANT_PROFILES)]
+            for k in which] * 5
+    for d, rows in [*((d, profiles) for d in (2, 3, 4, 5, 8)),
+                    *((d, flat) for d in (2, 4, 5, 8)),
+                    *((d, f) for d in (2, 5) for f in _CONSTANT_PROFILES)]:
+        if rows is profiles:
+            routes = [radial_operator._closed_form(d, f) is not None
+                      for f in rows]
+            assert 0 < sum(routes) < len(rows)
         means = _spherical_means(d, rows, 1.25, ts)
-        for i in range(n):
+        for i in range(len(ts)):
             f = rows if isinstance(rows, RadialProfile) else rows[i]
             assert means[i] == spherical_mean(d, f, 1.25, ts[i]), (d, i)
 
