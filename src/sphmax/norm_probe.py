@@ -418,8 +418,8 @@ def run_probe(kind: str, E: FractalSet, d: int, pq, scales,
 # log-refinement probes
 
 
-def lorentz_log_probe(scales, s=4, quad: QuadratureSpec = DEFAULT_QUAD,
-                      E: FractalSet | None = None) -> list[dict]:
+def lorentz_log_probe(scales, s=4,
+                      quad: QuadratureSpec = DEFAULT_QUAD) -> list[dict]:
     """Lower bound for the Lorentz L^{4,s} quasinorm of the shell family on
     the full interval, sampled over the level range [c sqrt(delta), c].
 
@@ -431,7 +431,7 @@ def lorentz_log_probe(scales, s=4, quad: QuadratureSpec = DEFAULT_QUAD,
         sf = float(s)
         if not sf >= 1:
             raise ParameterError(f"Lorentz exponent s must be >= 1, got {s!r}")
-    E = E if E is not None else full_interval()
+    E = full_interval()
     family = ProbeFamily("Lorentz2D", 2)
     rows: list[dict] = []
     for raw in scales:

@@ -27,18 +27,19 @@ integrand, and a panel with a negative tag is dropped before any is
 evaluated; that is the only way a panel is dropped, for a lone row too.
 
 Rows go through in chunks of at most _CHUNK_ROWS. A chunk of at least
-_ARRAY_ROWS rows, such as a dilation sweep, is laid out, summed over its
-first round and split once as numpy columns, with no Python per panel:
-the rows that miss their budget take their first split together, which
-finishes most of them, and every row still short after it enters the
-lockstep refinement as in the per-panel layout, with its sums and panels
-from before that split. Smaller batches and lone rows keep the per-panel
-layout: below about 32 rows the array steps cost more than they save. A
-lone row costs mostly the fixed cost of some twenty numpy calls, so
-panels carry the center and half width their nodes are computed from.
-Both layouts produce the same panels in the same order, sum them in the
-same order and split the same panel first, so every value is bitwise
-that of the point by point computation.
+_ARRAY_ROWS rows of one kind, such as a dilation sweep, is laid out,
+summed over its first round and split once as numpy columns, with no
+Python per panel: the rows that miss their budget take their first split
+together, which finishes most of them, and every row still short after it
+enters the lockstep refinement as in the per-panel layout, with its sums
+and panels from before that split. Smaller batches, lone rows and chunks
+of several kinds keep the per-panel layout: below about 32 rows the array
+steps cost more than they save, and no benchmark workload batches 32 rows
+or more of several profiles. A lone row costs mostly the fixed cost of
+some twenty numpy calls, so panels carry the center and half width their
+nodes are computed from. Both layouts produce the same panels in the same
+order, sum them in the same order and split the same panel first, so
+every value is bitwise that of the point by point computation.
 """
 
 from __future__ import annotations
@@ -128,15 +129,6 @@ def _meets(total: np.ndarray, live: np.ndarray,
     return (live <= budget) & np.isfinite(live)
 
 
-def _keys(kind, x):
-    """Search keys of the values x of rows or cuts of the kinds kind: x
-    itself when kind is None, else complex numbers kind + x i, which numpy
-    orders by real part first, so that the keys sort by kind and within a
-    kind by x, and one search finds each value's place among those of its
-    own kind."""
-    return x if kind is None else kind + 1j * x
-
-
 def _layout(los: list, his: list, start: int, parts: list, kind) -> list:
     """Initial panels of the rows of a chunk that have hi > lo, grouped by
     row and left to right within it; los and his hold the chunk's ends, and
@@ -146,7 +138,7 @@ def _layout(los: list, his: list, start: int, parts: list, kind) -> list:
     samples s = base + sign * u**2, at distances dlo0 + sign * u**2 and
     dhi0 - sign * u**2 from the ends of its row, so u = 0 sits on the
     nearer end. parts holds pairs (cuts, tags) of sorted breakpoints and
-    the tag of each interval they leave, and kind, a list, names the pair
+    the tag of each interval they leave, and kind, a sequence, names the pair
     of each row, or is None when every row takes parts[0]. A panel between
     a row's ends and cuts lies in one interval and carries its tag; a
     panel of one point, which a row one ulp wide can give, lies in none
@@ -209,28 +201,18 @@ def _layout(los: list, his: list, start: int, parts: list, kind) -> list:
     return panels
 
 
-def _layout_array(lo: np.ndarray, hi: np.ndarray, start: int, parts: list,
-                  kind) -> np.ndarray:
-    """_layout with one numpy operation per step instead of per panel: the
-    same panels, bitwise and in the same order, as an (n, 10) array whose
-    columns are the fields of _layout's tuples; kind, when given, is an
-    array."""
+def _layout_array(lo: np.ndarray, hi: np.ndarray, start: int,
+                  part: tuple) -> np.ndarray:
+    """_layout for rows that all take the pair part = (cuts, tags), with
+    one numpy operation per step instead of per panel: the same panels,
+    bitwise and in the same order, as an (n, 10) array whose columns are
+    the fields of _layout's tuples."""
     rows = (hi > lo).nonzero()[0]
     lo = lo[rows]
     hi = hi[rows]
-    # the cuts of every kind joined in kind order, and so the tags, one
-    # more per kind than cuts: a row finds its inner cuts there by a search
-    # among those of its own kind, and the tag of the interval below cut
-    # j of kind k at entry j + k
-    cuts = np.concatenate([c for c, _ in parts])
-    owners = np.concatenate([t for _, t in parts]).astype(np.intp)
-    keys = cuts
-    if kind is not None:
-        kind = kind[rows]
-        keys = _keys(np.arange(len(parts)).repeat([len(c) for c, _ in parts]),
-                     cuts)
-    first = keys.searchsorted(_keys(kind, lo), "right")
-    inner = keys.searchsorted(_keys(kind, hi), "left") - first
+    cuts = np.asarray(part[0], dtype=float)
+    first = cuts.searchsorted(lo, "right")
+    inner = cuts.searchsorted(hi, "left") - first
     # a row's panels run from lo over its inner cuts, or else its midpoint,
     # to hi: panel j ends at entry j + shift[row] of the cuts followed by
     # the rows' midpoints, its row's last panel at hi instead
@@ -249,14 +231,14 @@ def _layout_array(lo: np.ndarray, hi: np.ndarray, start: int, parts: list,
     # panel j of a row lies in the interval below its row's inner cut j,
     # or above the last for the last panel, and both halves of a midpoint
     # in the interval holding it
-    at = np.where((inner > 0)[row], at, first[row])
-    tags = owners[at if kind is None else at + kind[row]]
+    tags = np.asarray(part[1], dtype=np.intp)[
+        np.where((inner > 0)[row], at, first[row])]
     point = (a == b).nonzero()[0]
     if len(point):
         # a panel of one point that is a cut lies in no interval
-        x = _keys(None if kind is None else kind[row[point]], a[point])
-        tags[point[keys.searchsorted(x, "left") <
-                   keys.searchsorted(x, "right")]] = -1
+        x = a[point]
+        tags[point[cuts.searchsorted(x, "left") <
+                   cuts.searchsorted(x, "right")]] = -1
     keep = tags >= 0
     a, b, row, tags = a[keep], b[keep], row[keep], tags[keep]
     # the bisection of _layout, one level of the hugging panels per pass,
@@ -501,7 +483,8 @@ def _integrate_rows(f, los, his, quad: QuadratureSpec = DEFAULT_QUAD,
     alone.
 
     Rows are refined in chunks of at most _CHUNK_ROWS; a chunk of at least
-    _ARRAY_ROWS is laid out as arrays. Raises PrecisionError for the first
+    _ARRAY_ROWS rows of one kind is laid out as arrays, and a chunk of
+    several kinds per panel at any size. Raises PrecisionError for the first
     row, in order, that cannot reach its error budget."""
     los = np.asarray(los, dtype=float)
     his = np.asarray(his, dtype=float)
@@ -509,15 +492,14 @@ def _integrate_rows(f, los, his, quad: QuadratureSpec = DEFAULT_QUAD,
     out = np.zeros(n)
     for start in range(0, n, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, n)
-        part = None if kind is None else kind[start:stop]
-        if stop - start >= _ARRAY_ROWS:
+        if kind is None and stop - start >= _ARRAY_ROWS:
             panels = _layout_array(los[start:stop], his[start:stop], start,
-                                   parts, part)
+                                   parts[0])
             first_round = _first_round_array
         else:
             panels = _layout(los[start:stop].tolist(),
                              his[start:stop].tolist(), start, parts,
-                             None if part is None else part.tolist())
+                             None if kind is None else kind[start:stop])
             first_round = _first_round
         if not len(panels):
             continue

@@ -3,8 +3,8 @@
 For radial data the spherical mean in R^d collapses to a one-dimensional
 integral of the profile against a distance-distribution kernel supported on
 [|r - t|, r + t]. Everything here is built on that reduction; spheres are
-never sampled. A routing table keyed by d and the kind of a profile's
-pieces sends a mean to a closed form, exact up to rounding, where one
+never sampled. One predicate of d and the kind of a profile's pieces,
+_closed, sends a mean to a closed form, exact up to rounding, where one
 exists: a profile whose pieces are all constant at d = 2 (an arc length on
 the circle) and from d = 4 on (an incomplete beta function), and one with a
 power piece and no log piece at d = 3 (a power of the window ends). Every
@@ -30,6 +30,9 @@ from .quadrature import (DEFAULT_QUAD, QuadratureSpec, _integrate_rows,
                          integrate)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# the least normal double, and why a d = 3 closed-form mean raises for it
+_TINY = float(np.finfo(float).tiny)
+_UNDERFLOW = "underflows below the normal floating-point range"
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +134,7 @@ class RadialProfile:
     # interval between breakpoints lies in, -1 in a gap, from the one below
     # the first breakpoint to the one above the last; and the kind of its
     # pieces, "log" if one has a log power, else "power" if one has a
-    # power, else "constant", which routes its means
+    # power, else "constant", which _closed routes its means by
     _table: tuple[tuple[float, float, ProfilePiece], ...] = field(
         init=False, repr=False, compare=False)
     _pieces: _PieceTable = field(init=False, repr=False, compare=False)
@@ -344,35 +347,41 @@ def _window_error(d: int, r, t, drift, quad) -> PrecisionError:
         f"past rel_tol = {quad.rel_tol:.3e}")
 
 
-# Closed-form means. A point at distance p from the origin sits on the
-# sphere at the half angle phi(p) in [0, pi/2] from the sphere's nearest
-# point, sin^2 phi = (p - |r - t|)(p + |r - t|) / (4rt) and cos^2 phi = (r
-# + t - p)(r + t + p) / (4rt), with p - |r - t| and r + t - p from the
-# rounded window ends and their exact rounding errors (Fast2Sum): they
-# round once near their end, so a window narrower than an ulp of t
+# Closed-form means, which _closed routes the rows of every profile to that has
+# constant pieces only at d = 2 and from d = 4 on, or a power piece and no log
+# piece at d = 3; d = 3 profiles of constant pieces, which one Kronrod round
+# integrates exactly, and log pieces take the quadrature. A point at distance p
+# from the origin sits on the sphere at the half angle phi(p) in [0, pi/2] from
+# the sphere's nearest point, sin^2 phi = (p - |r - t|)(p + |r - t|) / (4rt)
+# and cos^2 phi = (r + t - p)(r + t + p) / (4rt), with p - |r - t| and r + t -
+# p from the rounded window ends and their exact rounding errors (Fast2Sum):
+# they round once near their end, so a window narrower than an ulp of t
 # resolves and no closed form needs the quadrature's window refusal.
-# - (2, constant): the angle is uniform, so the piece [lo, hi], each end
-#   clipped to the window, takes the share (2/pi)(phi_h - phi_l): one atan2
-#   of sin(phi_h - phi_l) = (sin^2 phi_h - sin^2 phi_l) / (sin phi_h cos
-#   phi_l + sin phi_l cos phi_h) and cos(phi_h - phi_l), with sin^2 phi_h -
-#   sin^2 phi_l = (hi - lo)(hi + lo) / (4rt), sin^2 phi_h or cos^2 phi_l
-#   when one end is clipped, and 1 when both are: no term cancels.
-# - (d >= 4, constant): x = cos^2 phi has the law of the regularized
-#   incomplete beta I_x(m, m), m = (d - 1)/2, so the piece takes I_x(lo)(m,
-#   m) - I_x(hi)(m, m) (Stein and Weiss 1971; DLMF 8.17), from I_x(1/2,
-#   1/2) = 1 - 2 phi/pi (even d), whose difference is the d = 2 share, or
-#   I_x(1, 1) = x (odd d), whose difference is sin^2 phi_h - sin^2 phi_l,
-#   by steps I_x(k + 1, k + 1) = I_x(k, k) - (1 - 2x) y^k / C_k, y = 4x(1 -
-#   x) <= 1 and C_k = k 4^k B(k, k), which neither under- nor overflow. The
-#   steps cancel between the ends to some ulp of 1: within 9e-15 absolute
-#   of 40-digit mpmath up to d = 600, and 1.3e-14 at d = 2000, so a share
-#   far below 1 keeps only that absolute accuracy.
-# - (3, power, no log piece): the normalized kernel is s / (2rt), so the
-#   piece c s^a on [y0, y1], cut to the window, takes c (y1^k - y0^k) / (k
-#   2rt), k = a + 2, or c log(y1 / y0) / (2rt) at k = 0, and a constant
-#   piece is the case k = 2. A narrow difference is y0^k expm1(k log1p(w /
-#   y0)), w = y1 - y0 from the Fast2Sum ends: within 7e-16 of 40-digit
-#   mpmath, relative to the larger of the mean and 1.
+# - d = 2: the angle is uniform, so the piece [lo, hi], each end clipped
+#   to the window, takes the share (2/pi)(phi_h - phi_l): one atan2 of
+#   sin(phi_h - phi_l) = (sin^2 phi_h - sin^2 phi_l) / (sin phi_h cos phi_l
+#   + sin phi_l cos phi_h) and cos(phi_h - phi_l), with sin^2 phi_h - sin^2
+#   phi_l = (hi - lo)(hi + lo) / (4rt), sin^2 phi_h or cos^2 phi_l when one
+#   end is clipped, and 1 when both are: no term cancels.
+# - d >= 4: x = cos^2 phi has the law of the regularized incomplete beta
+#   I_x(m, m), m = (d - 1)/2, so the piece takes I_x(lo)(m, m) - I_x(hi)(m,
+#   m) (Stein and Weiss 1971; DLMF 8.17), from I_x(1/2, 1/2) = 1 - 2 phi/pi
+#   (even d), whose difference is the d = 2 share, or I_x(1, 1) = x (odd
+#   d), whose difference is sin^2 phi_h - sin^2 phi_l, by steps I_x(k + 1,
+#   k + 1) = I_x(k, k) - (1 - 2x) y^k / C_k, y = 4x(1 - x) <= 1 and C_k = k
+#   4^k B(k, k), which neither under- nor overflow. The steps cancel between
+#   the ends to some ulp of 1: within 9e-15 absolute of 40-digit mpmath up
+#   to d = 600, and 1.3e-14 at d = 2000, so a share far below 1 keeps only
+#   that absolute accuracy.
+# - d = 3: the normalized kernel is s / (2rt), so the piece c s^a on [y0,
+#   y1], cut to the window, takes c (y1^k - y0^k) / (k 2rt), k = a + 2, or
+#   c log(y1 / y0) / (2rt) at k = 0, and a constant piece is the case k =
+#   2. A narrow difference is y0^k expm1(k log1p(w / y0)), w = y1 - y0 from
+#   the Fast2Sum ends: within 7e-16 of 40-digit mpmath, relative to the
+#   larger of the mean and 1. At tiny radii the powers underflow, so a row
+#   raises unless underflow can have taken at most 2^-43 of its sum and 2rt
+#   and the mean are normal; a piece integral below 8 tiny / min(|k|, 1),
+#   tiny the least normal double, may have lost all its digits.
 # Each closed form takes (r, t) as floats for a row alone and as arrays for
 # a batch, through the same IEEE operations, so a row has the same bits
 # alone and in any batch. Transcendentals go through math, a row at a time:
@@ -386,16 +395,18 @@ def _each(fn, x, y):
 
 
 def _closed_sum(d: int, f: RadialProfile, r, t):
-    """Sum over the pieces of f, in order from 0.0, of coeff times the
-    piece's closed form at d, at each row (r, t) whose window it meets, for
-    one row (floats) or several (arrays): the angle phi_h - phi_l at d = 2,
-    the share I_x(lo)(m, m) - I_x(hi)(m, m) from d = 4 on, and the integral
-    of s^(a+1) over the piece cut to the window at d = 3. up_* and down_*
-    are the distances of the piece's ends up from |r - t| and down from r +
-    t, from the exact window ends, positive when the end lies inside the
-    window. Rows select the values at clipped ends by np.where, and a row
-    alone by branches, which cost it less than calls; both take the same
-    values."""
+    """The closed form's means of f at d, for one row (r, t) (floats) or
+    several (arrays): the sum over the pieces of f, in order from 0.0, of
+    coeff times the piece's closed form at each row whose window it meets
+    (the angle phi_h - phi_l at d = 2, times 2/pi, the share I_x(lo)(m, m)
+    - I_x(hi)(m, m) from d = 4 on, and the integral of s^(a+1) over the
+    piece cut to the window at d = 3, over 2rt), but a d = 3 row that
+    underflow may have taken digits from: it raises PrecisionError alone,
+    and is nan in an array. up_* and down_* are the distances of the
+    piece's ends up from |r - t| and down from r + t, from the exact window
+    ends, positive when the end lies inside the window. Rows select the
+    values at clipped ends by np.where, and a row alone by branches, which
+    cost it less than calls; both take the same values."""
     many = isinstance(t, np.ndarray)
     far = np.maximum(r, t) if many else max(r, t)
     near = np.minimum(r, t) if many else min(r, t)
@@ -406,6 +417,7 @@ def _closed_sum(d: int, f: RadialProfile, r, t):
     eb = near - (b - far)
     window = a, ea, b, eb, near, 4.0 * r * t
     total = np.zeros(t.shape) if many else 0.0
+    lost = np.zeros(t.shape) if many and d == 3 else 0.0  # to underflow
     for lo, hi, pc in f._table:
         a, ea, b, eb, near, four = window
         up_hi = (hi - a) - ea
@@ -437,6 +449,15 @@ def _closed_sum(d: int, f: RadialProfile, r, t):
                 w = ((hi - lo if down_hi > 0.0 else down_lo) if up_lo > 0.0
                      else up_hi if down_hi > 0.0 else 2.0 * near)
             v = _power_moment(pc, many, y0, w)
+            # an integral that comes out at most small may have lost all of
+            # it to underflow, and its product with coeff a subnormal
+            small = 8.0 * _TINY / (min(abs(pc.a_pow + 2.0), 1.0) or 1.0)
+            slack = ((abs(v) <= small) * 2.0 * small * abs(pc.coeff)
+                     + math.ulp(0.0))
+            if hit is None:
+                lost += slack
+            else:
+                lost[hit] += slack
         else:
             # sin^2 and cos^2 of the half angle at each end, and sin^2
             # phi_h - sin^2 phi_l
@@ -472,7 +493,17 @@ def _closed_sum(d: int, f: RadialProfile, r, t):
             total += pc.coeff * v
         else:
             total[hit] += pc.coeff * v
-    return total
+    if d != 3:
+        return _norm_const(2) * total if d == 2 else total
+    two = 2.0 * r * t
+    # bad refuses a 2rt below the normal range, kept off 0 for a lone row;
+    # nan compares false, so an overflow keeps its inf or nan
+    mean = total / (np.maximum if many else max)(two, _TINY)
+    bad = ((abs(total) < 2.0 ** 43 * lost) | (two < _TINY)
+           | ((abs(mean) < _TINY) & (lost > 0.0)))
+    if not many and bad:
+        raise PrecisionError(_UNDERFLOW)
+    return np.where(bad, np.nan, mean) if many else mean
 
 
 @lru_cache(maxsize=64)
@@ -510,13 +541,9 @@ def _beta_share(d: int, many: bool, s2l, c2l, s2h, c2h, first, roots):
     else:
         sl, cl, sh, ch = roots
         start, pl, ph = _norm_const(2) * first, 2.0 * sl * cl, 2.0 * sh * ch
-    # the steps at each end, y^k / C_k summed by Horner's rule; rows take
-    # both ends in one array
+    # the steps at each end, y^k / C_k summed by Horner's rule
     steps = _beta_steps(d)
-    if many and len(steps) > 1:
-        hl, hh = np.split(_horner(steps, np.concatenate((yl, yh))), 2)
-    else:
-        hl, hh = _horner(steps, yl), _horner(steps, yh)
+    hl, hh = _horner(steps, yl), _horner(steps, yh)
     return start - ((s2l - c2l) * pl * hl - (s2h - c2h) * ph * hh)
 
 
@@ -525,13 +552,16 @@ def _power_gain(k: float, y0: float, w: float) -> float:
     k > 0, y0 = 0: log1p(w / y0) at k = 0; else y0^k expm1(k log1p(w /
     y0)) / k while |k log1p(w / y0)| <= 1, where the powers would cancel
     and no factor under- or overflows alone, and the difference of the
-    powers over k beyond."""
+    powers over k beyond. Raises PrecisionError where w / y0 or k times its
+    log1p is below the normal range."""
     grow = math.log1p(w / y0) if y0 > 0.0 else math.inf
+    if abs(k * grow) > 1.0:
+        return (math.pow(y0 + w, k) - math.pow(y0, k)) / k
+    if w > 0.0 and grow * (min(abs(k), 1.0) or 1.0) < _TINY:
+        raise PrecisionError(_UNDERFLOW)
     if k == 0.0:
         return grow
-    if abs(k * grow) <= 1.0:
-        return math.pow(y0, k) * math.expm1(k * grow) / k
-    return (math.pow(y0 + w, k) - math.pow(y0, k)) / k
+    return math.pow(y0, k) * math.expm1(k * grow) / k
 
 
 def _power_moment(pc: ProfilePiece, many: bool, y0, w):
@@ -549,33 +579,24 @@ def _power_moment(pc: ProfilePiece, many: bool, y0, w):
     return _power_gain(k, y0, w)
 
 
-# (min(d, 4), the kind of the profile's pieces) -> its closed form, as the
-# map finish(total, r, t) from the sum _closed_sum takes at d to the mean,
-# elementwise over arrays. Every other row takes the quadrature: d = 3
-# profiles of constant pieces too, which one Kronrod round already
-# integrates exactly, and log pieces.
-_CLOSED_FORMS = {(2, "constant"): lambda total, r, t: _norm_const(2) * total,
-                 (3, "power"): lambda total, r, t: total / (2.0 * r * t),
-                 (4, "constant"): lambda total, r, t: total}
 # from this many rows of one profile on, a batch takes them at once; below
 # it, row by row is cheaper than numpy's fixed cost per call
 _ROWS_AT_ONCE = 24
 
 
-def _closed_form(d: int, f: RadialProfile):
-    """The closed form of the means of f at d, or None for the
+def _closed(d: int, f: RadialProfile) -> bool:
+    """Whether the means of f at d take the closed form, not the
     quadrature."""
-    return _CLOSED_FORMS.get((d if d < 4 else 4, f._kind))
+    return f._kind == ("power" if d == 3 else "constant")
 
 
-def _closed_row(finish, d: int, f: RadialProfile, r: float,
-                t: float) -> float:
-    """The closed form's mean of f at one row (r, t), finish(total, r, t)
-    taken of _closed_sum's total; raises PrecisionError where it diverges
-    or over- or underflows to no finite value."""
+def _closed_row(d: int, f: RadialProfile, r: float, t: float) -> float:
+    """The closed form's mean of f at one row (r, t); raises PrecisionError
+    where it diverges, over- or underflows to no finite value, or at d = 3
+    loses digits to underflow."""
     why = "has no finite value in floating point"
     try:
-        v = finish(_closed_sum(d, f, r, t), r, t)
+        v = _closed_sum(d, f, r, t)
     except ArithmeticError:
         v = math.nan
     except PrecisionError as exc:
@@ -587,8 +608,7 @@ def _closed_row(finish, d: int, f: RadialProfile, r: float,
     return v
 
 
-def _closed_rows(finish, d: int, f, rs: np.ndarray,
-                 ts: np.ndarray) -> np.ndarray:
+def _closed_rows(d: int, f, rs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """The closed form's means at the rows (rs, ts) of the profile f, or of
     f[i] when f is a sequence, each bitwise _closed_row's: the rows of one
     profile at once when they are _ROWS_AT_ONCE or more, and one by one
@@ -598,12 +618,12 @@ def _closed_rows(finish, d: int, f, rs: np.ndarray,
     if one and len(ts) >= _ROWS_AT_ONCE:
         with np.errstate(all="ignore"):
             try:
-                v = finish(_closed_sum(d, f, rs, ts), rs, ts)
+                v = _closed_sum(d, f, rs, ts)
             except (ArithmeticError, PrecisionError):
                 v = None
         if v is not None and np.isfinite(v).all():
             return v
-    return np.array([_closed_row(finish, d, p, r, t) for p, r, t in zip(
+    return np.array([_closed_row(d, p, r, t) for p, r, t in zip(
         [f] * len(ts) if one else f, rs.tolist(), ts.tolist())])
 
 
@@ -661,8 +681,8 @@ def _spherical_means(d: int, f, r, ts,
     """Averages of the radial profile f (one for all, or one per radius)
     over the spheres of radii ts whose centers lie at distance r (one for
     all, or one per radius) from the origin; each is bitwise its
-    spherical_mean. The rows of each profile that the routing table takes
-    go to its closed form, and every other row to one quadrature batch."""
+    spherical_mean. The rows of each profile that _closed takes go to the
+    closed form, and every other row to one quadrature batch."""
     _check_dim(d)
     ts = np.array(ts, dtype=float).ravel()
     rs = np.full(ts.shape, r, dtype=float)
@@ -670,32 +690,29 @@ def _spherical_means(d: int, f, r, ts,
         raise DomainError("spherical mean radii must be positive and finite")
 
     if isinstance(f, RadialProfile):
-        form = _closed_form(d, f)
-        if form is not None:
-            return _closed_rows(form, d, f, rs, ts)
+        if _closed(d, f):
+            return _closed_rows(d, f, rs, ts)
         return _norm_const(d) * _quad_sums(f, rs, ts, d, quad)
-    # each row's profile, as an index into the distinct ones, and their
-    # closed forms; at one d, every profile that has one has the same one
+    # each row's profile, as an index into the distinct ones, and whether
+    # each of those takes the closed form
     distinct = {}
     owner = [distinct.setdefault(id(p), (len(distinct), p))[0] for p in f]
-    forms = [_closed_form(d, p) for _, p in distinct.values()]
-    if not any(forms):
+    closed = [_closed(d, p) for _, p in distinct.values()]
+    if not any(closed):
         return _norm_const(d) * _quad_sums(f, rs, ts, d, quad)
     out = np.empty(ts.shape)
     if len(ts) < _ROWS_AT_ONCE:
-        closed = [i for i, k in enumerate(owner) if forms[k]]
-        form = forms[owner[closed[0]]]
-        if len(closed) == len(ts):
-            return _closed_rows(form, d, f, rs, ts)
-        out[closed] = _closed_rows(form, d, [f[i] for i in closed],
-                                   rs[closed], ts[closed])
+        rows = [i for i, k in enumerate(owner) if closed[k]]
+        if len(rows) == len(ts):
+            return _closed_rows(d, f, rs, ts)
+        out[rows] = _closed_rows(d, [f[i] for i in rows], rs[rows], ts[rows])
     else:
         owner = np.array(owner)
-        for (k, p), form in zip(distinct.values(), forms):
-            if form is not None:
+        for (k, p), c in zip(distinct.values(), closed):
+            if c:
                 rows = np.flatnonzero(owner == k)
-                out[rows] = _closed_rows(form, d, p, rs[rows], ts[rows])
-    rest = [i for i, k in enumerate(owner) if forms[k] is None]
+                out[rows] = _closed_rows(d, p, rs[rows], ts[rows])
+    rest = [i for i, k in enumerate(owner) if not closed[k]]
     if rest:
         out[rest] = _norm_const(d) * _quad_sums([f[i] for i in rest], rs[rest],
                                                 ts[rest], d, quad)
@@ -727,17 +744,16 @@ def _quad_sums(f, rs: np.ndarray, ts: np.ndarray, d: int,
 def spherical_mean(d: int, f: RadialProfile, r, t,
                    quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Average of the radial profile f over the sphere of radius t whose
-    center lies at distance r from the origin. The routing table, keyed by
-    d and the kind of f's pieces, sends a profile of constant pieces at d =
-    2 or d >= 4, and one with a power piece and no log piece at d = 3, to a
-    closed form, exact up to rounding; every other mean is a quadrature, a
-    batch of one with the kernel taken at the scalar t."""
+    center lies at distance r from the origin. _closed, of d and the kind
+    of f's pieces, sends a profile of constant pieces at d = 2 or d >= 4,
+    and one with a power piece and no log piece at d = 3, to a closed form,
+    exact up to rounding; every other mean is a quadrature, a batch of one
+    with the kernel taken at the scalar t."""
     _check_dim(d)
     r = _radius(r)
     t = _radius(t)
-    form = _closed_form(d, f)
-    if form is not None:
-        return _closed_row(form, d, f, r, t)
+    if _closed(d, f):
+        return _closed_row(d, f, r, t)
 
     lo = abs(r - t)
     hi = r + t

@@ -277,13 +277,13 @@ def test_array_layout_matches_panel_layout_bitwise():
         for part in ((cuts, [0] * (len(cuts) + 1)), (cuts, tags)):
             want = quadrature._layout(lo.tolist(), hi.tolist(), start, [part],
                                       None)
-            got = quadrature._layout_array(lo, hi, start, [part], None)
+            got = quadrature._layout_array(lo, hi, start, part)
             want = np.array(want, dtype=float).reshape(-1, 10)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         # rows of three kinds, each with its own cuts and tags, interleaved
-        # at random and laid out in one pass: in either layout every row
-        # gets the panels, and tags, it gets laid out alone
+        # at random and laid out per panel in one pass: every row gets the
+        # panels, and tags, it gets laid out alone
         parts = []
         for _ in range(3):
             cuts_k = _random_layout_case(rng)[2]
@@ -295,11 +295,10 @@ def test_array_layout_matches_panel_layout_bitwise():
             want += quadrature._layout([lo[i]], [hi[i]], start + i,
                                        [parts[kind[i]]], None)
         want = np.array(want, dtype=float).reshape(-1, 10)
-        for got in (quadrature._layout(lo.tolist(), hi.tolist(), start,
-                                       parts, kind.tolist()),
-                    quadrature._layout_array(lo, hi, start, parts, kind)):
-            got = np.array(got, dtype=float).reshape(-1, 10)
-            assert got.tobytes() == want.tobytes()
+        got = quadrature._layout(lo.tolist(), hi.tolist(), start, parts,
+                                 kind.tolist())
+        assert np.array(got, dtype=float).reshape(-1, 10).tobytes() \
+            == want.tobytes()
         # without bisection a row gets one panel more than its inner cuts,
         # and two without any
         unsplit = sum(max(sum(a < c < b for c in cuts), 1) + 1

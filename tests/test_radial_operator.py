@@ -568,7 +568,7 @@ def test_d3_power_means_match_mpmath(a):
                 f = RadialProfile(tuple(
                     ProfilePiece(F(p), F(q), cp, ap)
                     for p, q, cp, ap in pieces if q > p))
-                assert radial_operator._closed_form(3, f) is not None
+                assert radial_operator._closed(3, f)
                 got = spherical_mean(3, f, r, t)
                 want = float(_power_mean_mp(mpmath, r, t, pieces))
                 size = sum(abs(cp) for _, _, cp, _ in pieces)
@@ -610,7 +610,7 @@ def test_closed_forms_without_a_referee():
                                              a_pow),))
                  + indicator(F(hi), F(hi) + 1))
             forced = f + power_profile(0.0, 0.0, 1.0, 0, F(1, 4))
-            assert radial_operator._closed_form(d, forced) is None
+            assert not radial_operator._closed(d, forced)
             closed = spherical_mean(d, f, r, t)
             quadrature_mean = spherical_mean(d, forced, r, t)
             raw = abs(quadrature_mean) / _norm_const(d)
@@ -642,6 +642,70 @@ def test_d3_power_mean_that_diverges_raises():
             spherical_mean(3, g, 0.75, t)
         with pytest.raises(PrecisionError, match=f"t = {t!r} has no finite"):
             _spherical_means(3, g, 0.75, [0.5] * 30 + [t])
+
+
+@pytest.mark.parametrize("a, r, ok", [
+    (2, 1e-50, True), (2, 1e-76, True), (2, 1e-80, False),
+    (2, 1e-100, False), (2, 1e-200, False), (1, 1e-80, True),
+    (1, 1e-102, True), (1, 1e-105, False), (1, 1e-110, False)])
+def test_d3_power_mean_at_tiny_radii_is_right_or_raises(a, r, ok):
+    # the powers of the window ends underflow at tiny radii: a row comes
+    # within 1e-12 of the exact mean, or raises a PrecisionError that
+    # names it, alone and as the last row of a batch, never a wrong finite
+    # value
+    f = parse_profile(f"pow(1,{a},0,0,1)")
+    t = 1.5 * r
+    rf, tf = F(r), F(t)
+    k = a + 2
+    want = ((rf + tf) ** k - abs(rf - tf) ** k) / (k * 2 * rf * tf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if ok:
+            for got in (spherical_mean(3, f, r, t),
+                        _spherical_means(3, f, r, [0.5] * 29 + [t])[-1]):
+                assert abs(F(got) - want) <= want / 10 ** 12
+            return
+        for call in (lambda: spherical_mean(3, f, r, t),
+                     lambda: _spherical_means(3, f, r, [0.5] * 29 + [t])):
+            with pytest.raises(PrecisionError, match=(
+                    f"at r = {r!r}, t = {t!r} underflows below the normal")):
+                call()
+
+
+def test_d3_power_mean_keeps_a_piece_that_underflows_beside_others():
+    # the power piece's integral underflows to 0 and loses all its digits,
+    # which the constant piece beside it outweighs by far
+    f = parse_profile("pow(1,2,0,0,1e-100) + chi(1e-100,2)")
+    assert spherical_mean(3, f, 1.0, 1.0) == 1.0
+    assert _spherical_means(3, f, 1.0, [1.0] * 30)[0] == 1.0
+
+
+@pytest.mark.parametrize("d", [2, 4, 5])
+def test_constant_means_at_tiny_radii(d):
+    # the sphere of radius 1e-200 at 1e-200 lies inside chi(0, 1), whose
+    # mean is exactly 1, alone and in a batch; chi(1e-200, 1) cuts it, and
+    # 4rt underflows to 0, so its mean raises
+    r = 1e-200
+    assert spherical_mean(d, indicator(0, 1), r, r) == 1.0
+    assert _spherical_means(d, indicator(0, 1), r, [r] * 30).tolist() == \
+        [1.0] * 30
+    with pytest.raises(PrecisionError, match="no finite value"):
+        spherical_mean(d, indicator(F(1, 10 ** 200), 1), r, r)
+    with pytest.raises(PrecisionError, match="no finite value"):
+        _spherical_means(d, indicator(F(1, 10 ** 200), 1), r, [r] * 30)
+
+
+def test_closed_route_table():
+    # constant pieces take the closed form at d = 2 and from d = 4 on, a
+    # power piece without a log piece at d = 3, and log pieces never
+    profiles = {"constant": indicator(0, 1),
+                "power": power_profile(1.0, 0.5, 0.0, 0, 1) + indicator(1, 2),
+                "log": power_profile(1.0, 0.0, 1.0, 0, F(1, 2))}
+    for d in range(2, 9):
+        for kind, f in profiles.items():
+            assert f._kind == kind
+            assert radial_operator._closed(d, f) == (
+                kind == ("power" if d == 3 else "constant")), (d, kind)
 
 
 def test_mean_linear_profile_closed_form_d3():
@@ -1132,13 +1196,13 @@ def test_spherical_means_match_spherical_mean_bitwise(d, kind, monkeypatch):
     r = 1.5
     rounds = []
     pairs = quadrature._pairs
-    # the routing table sends the indicator at d = 2, 4, 5 and 8 and the power
+    # _closed sends the indicator at d = 2, 4, 5 and 8 and the power
     # and mixed profiles at d = 3 to a closed form, and the rest to the
     # quadrature
     closed = (d, kind) in {(2, "indicator"), (4, "indicator"),
                            (5, "indicator"), (8, "indicator"), (3, "power"),
                            (3, "mixed")}
-    assert (radial_operator._closed_form(d, f) is not None) == closed
+    assert radial_operator._closed(d, f) == closed
 
     def counted(*args):
         rounds.append(len(args[1]))
@@ -1241,7 +1305,7 @@ def test_mixed_profile_rows_match_their_profiles_alone_bitwise(n, order):
 
     # means, in batches of five times as many rows, so that a profile has
     # rows enough to take its closed form at once in the larger batch: in
-    # one batch the rows that the routing table sends to a closed form (the
+    # one batch the rows that _closed sends to a closed form (the
     # indicator at d = 2, 4, 5 and 8, the power and mixed profiles at d =
     # 3) and the others by quadrature; and batches of profiles with only
     # constant pieces, one profile or several, all in closed form
@@ -1253,8 +1317,7 @@ def test_mixed_profile_rows_match_their_profiles_alone_bitwise(n, order):
                     *((d, flat) for d in (2, 4, 5, 8)),
                     *((d, f) for d in (2, 5) for f in _CONSTANT_PROFILES)]:
         if rows is profiles:
-            routes = [radial_operator._closed_form(d, f) is not None
-                      for f in rows]
+            routes = [radial_operator._closed(d, f) for f in rows]
             assert 0 < sum(routes) < len(rows)
         means = _spherical_means(d, rows, 1.25, ts)
         for i in range(len(ts)):
@@ -1319,7 +1382,8 @@ def _misses(f, a, b):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_piece_tags_reproduce_values_and_drop_the_gaps(k):
-    # batches of rows of k random profiles, in both layouts, against the
+    # batches of rows of k random profiles, laid out per panel and, for one
+    # profile, as arrays too, against the
     # inline reference _misses: each interval between a profile's
     # breakpoints is owned by the one piece it meets, or by none; a lone
     # row, tagged by _owner, drops just the panels that meet no piece; and
@@ -1370,10 +1434,11 @@ def test_piece_tags_reproduce_values_and_drop_the_gaps(k):
         alone = np.array(alone, dtype=float).reshape(-1, 10)
         # the batch tags a panel with its piece's index in the batch table
         alone[:, 8] += base[row_kind[alone[:, -1].astype(np.intp)]]
-        for panels in (quadrature._layout(lo.tolist(), hi.tolist(), 0, parts,
-                                          None if kind is None
-                                          else kind.tolist()),
-                       quadrature._layout_array(lo, hi, 0, parts, kind)):
+        layouts = [quadrature._layout(lo.tolist(), hi.tolist(), 0, parts,
+                                      None if kind is None else kind.tolist())]
+        if kind is None:
+            layouts.append(quadrature._layout_array(lo, hi, 0, parts[0]))
+        for panels in layouts:
             panels = np.array(panels, dtype=float).reshape(-1, 10)
             tags = panels[:, 8].astype(np.intp)
             assert panels.tobytes() == alone.tobytes()
@@ -1412,7 +1477,8 @@ def test_piece_tags_reproduce_values_and_drop_the_gaps(k):
 def test_a_batch_of_k_profiles_costs_one_pass(k, n, monkeypatch):
     # a chunk of rows of k profiles, one per scale as in the Lorentz
     # probes, with a power piece singular at 0 below the indicator of each,
-    # makes one layout pass, evaluates its pieces once per round, in the
+    # makes one layout pass, as arrays only for one profile from
+    # _ARRAY_ROWS rows on, evaluates its pieces once per round, in the
     # round's one integrand call, and never calls RadialProfile.values;
     # laid out per panel it takes as many rounds as its slowest row alone
     scales = [indicator(1 - F(1, 2 ** (j + 3)), 1)
@@ -1438,7 +1504,8 @@ def test_a_batch_of_k_profiles_costs_one_pass(k, n, monkeypatch):
             alone.append(spherical_mean(2, profiles[i], 1.5, ts[i]))
             lone_rounds.append(calls["pairs"])
     calls["pairs"] = 0
-    layout = "_layout" if n < quadrature._ARRAY_ROWS else "_layout_array"
+    layout = ("_layout_array" if k == 1 and n >= quadrature._ARRAY_ROWS
+              else "_layout")
     monkeypatch.setattr(quadrature, layout,
                         counting("layout", getattr(quadrature, layout)))
     monkeypatch.setattr(quadrature, "_pairs",
@@ -1452,7 +1519,7 @@ def test_a_batch_of_k_profiles_costs_one_pass(k, n, monkeypatch):
     assert batch.tolist() == alone
     assert calls["layout"] == 1 and calls["values"] == 0
     assert calls["pieces"] == calls["pairs"] > 1
-    if n < quadrature._ARRAY_ROWS:
+    if layout == "_layout":
         assert calls["pairs"] == max(lone_rounds)
 
 
