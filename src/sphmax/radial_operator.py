@@ -30,7 +30,8 @@ from .quadrature import (DEFAULT_QUAD, QuadratureSpec, _integrate_rows,
                          integrate)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# the least normal double, and why a d = 3 closed-form mean raises for it
+# the least normal double, and why a d = 3 closed-form mean or a quadrature
+# mean raises for it
 _TINY = float(np.finfo(float).tiny)
 _UNDERFLOW = "underflows below the normal floating-point range"
 
@@ -341,8 +342,12 @@ def _window_drift(near, far, a, b):
 
 
 def _window_error(d: int, r, t, drift, quad) -> PrecisionError:
+    r, t = float(r), float(t)
+    if 4.0 * r * t < _TINY:
+        return PrecisionError(f"the d = {d} kernel at r = {r!r}, t = {t!r} "
+                              f"{_UNDERFLOW}")
     return PrecisionError(
-        f"the kernel window of r = {float(r)!r}, t = {float(t)!r} rounds to "
+        f"the kernel window of r = {r!r}, t = {t!r} rounds to "
         f"a width off by {drift:.3e} relative, which takes a d = {d} mean "
         f"past rel_tol = {quad.rel_tol:.3e}")
 
@@ -553,7 +558,9 @@ def _power_gain(k: float, y0: float, w: float) -> float:
     y0)) / k while |k log1p(w / y0)| <= 1, where the powers would cancel
     and no factor under- or overflows alone, and the difference of the
     powers over k beyond. Raises PrecisionError where w / y0 or k times its
-    log1p is below the normal range."""
+    log1p is below the normal range. It is the package's one integral of
+    a power of s: the d = 3 means take it, through them the d >= 3
+    decomposition components, and so do lp_norm's power pieces."""
     grow = math.log1p(w / y0) if y0 > 0.0 else math.inf
     if abs(k * grow) > 1.0:
         return (math.pow(y0 + w, k) - math.pow(y0, k)) / k
@@ -630,10 +637,9 @@ def _closed_rows(d: int, f, rs: np.ndarray, ts: np.ndarray) -> np.ndarray:
 _LONE_ROW = np.zeros((1, 1), dtype=np.intp)
 
 
-def _profile_integrals(f, los, his, weight, quad,
-                       absolute: bool = False) -> np.ndarray:
-    """Integral of weight(s, dlo, dhi, rows) * f(s), or * |f(s)| when
-    absolute, over [los[i], his[i]] for every row i; rows indexes los.
+def _profile_integrals(f, los, his, weight, quad) -> np.ndarray:
+    """Integral of weight(s, dlo, dhi, rows) * f(s) over [los[i], his[i]]
+    for every row i; rows indexes los.
 
     f is one profile, or a sequence of one profile per row. A batch lays
     out every row at once, each cut at its own profile's breakpoints, and
@@ -661,17 +667,14 @@ def _profile_integrals(f, los, his, weight, quad,
         f = profiles[0]
 
         def lone(s, dlo, dhi):
-            v = f.values(s)
-            return weight(s, dlo, dhi, _LONE_ROW) * (np.abs(v) if absolute
-                                                     else v)
+            return weight(s, dlo, dhi, _LONE_ROW) * f.values(s)
 
         return np.array([integrate(lone, los[0], his[0], quad, f._breaks,
                                    f._owner)])
     table, parts = _batch(profiles)
 
     def g(s, dlo, dhi, rows, tags):
-        v = table.values(s, tags)
-        return weight(s, dlo, dhi, rows) * (np.abs(v) if absolute else v)
+        return weight(s, dlo, dhi, rows) * table.values(s, tags)
 
     return _integrate_rows(g, los, his, quad, parts, kind)
 
@@ -723,14 +726,15 @@ def _quad_sums(f, rs: np.ndarray, ts: np.ndarray, d: int,
                quad: QuadratureSpec) -> np.ndarray:
     """The means of _spherical_means by quadrature, before _norm_const.
     Raises _window_error for the first row whose rounded window drifts too
-    far: for d >= 3 the kernel scales the drift up about d - 2 times; at
+    far or whose 4rt, which the kernel divides by, is below the normal
+    range: for d >= 3 the kernel scales the drift up about d - 2 times; at
     d = 2 it keeps its mass on any window, but a piece end inside the
     window takes a share off by about the drift, and a window collapsed to
     one float, or to two adjacent ones, is off by much of its width."""
     los = np.abs(rs - ts)
     his = rs + ts
     drift = _window_drift(np.minimum(rs, ts), np.maximum(rs, ts), los, his)
-    wide = max(d - 2, 1) * drift > quad.rel_tol
+    wide = (max(d - 2, 1) * drift > quad.rel_tol) | (4.0 * rs * ts < _TINY)
     if wide.any():
         i = int(wide.argmax())
         raise _window_error(d, rs[i], ts[i], drift[i], quad)
@@ -758,7 +762,7 @@ def spherical_mean(d: int, f: RadialProfile, r, t,
     lo = abs(r - t)
     hi = r + t
     drift = _window_drift(min(r, t), max(r, t), lo, hi)
-    if max(d - 2, 1) * drift > quad.rel_tol:
+    if max(d - 2, 1) * drift > quad.rel_tol or 4.0 * r * t < _TINY:
         raise _window_error(d, r, t, drift, quad)
 
     def kern(s, dlo, dhi, rows):
@@ -947,10 +951,11 @@ def _sup_over_dilations(eval_many, sweeps, E: FractalSet, start: float = 0.0,
     guessed to run into the maximum and goes in the first call, with c and
     d; else it follows them. In the maxval-sweep benchmark (seed 1, 6
     decks) 213 of 240 polishes are marked and 208 guessed, so most polishes
-    cost one batch. In domination 31 of 365 marked polishes are guessed:
-    the candidates of decomposition_components are not grid neighbours,
-    and the side of the maximum alone guessed wrong in 157 of 359 (seed
-    3)."""
+    cost one batch. The sups of decomposition_components in domination
+    (seed 3, 30 decks) mark 443 of 536 polishes and guess 2: a bracket
+    there is cut to a component of E narrower than the grid spacing, or
+    spans more than the gap to the next of 33 candidates, so its other
+    end is seldom a swept point."""
     owner = np.repeat(np.arange(len(sweeps)), [len(sw[0]) for sw in sweeps])
     values = (eval_many(np.concatenate([sw[0] for sw in sweeps]), owner)
               if len(owner) else ())
@@ -1091,18 +1096,12 @@ def _piece_lp(pc: ProfilePiece, p: float, d: int, quad: QuadratureSpec) -> float
     k = pc.a_pow * p + (d - 1)
     bp = pc.b_pow * p
     if bp == 0.0:
-        if k == -1.0:
-            if lo == 0.0:
-                raise DivergentNormError(
-                    f"power {pc.a_pow:g} diverges at the origin for p = {p:g}")
-            return cp * math.log(hi / lo)
-        kp1 = k + 1.0
-        if lo == 0.0:
-            if kp1 < 0.0:
-                raise DivergentNormError(
-                    f"power {pc.a_pow:g} diverges at the origin for p = {p:g}")
-            return cp * hi ** kp1 / kp1
-        return cp * (hi ** kp1 - lo ** kp1) / kp1
+        if lo == 0.0 and k <= -1.0:
+            raise DivergentNormError(
+                f"power {pc.a_pow:g} diverges at the origin for p = {p:g}")
+        # the width from the exact ends: a narrow piece's integral is about
+        # its width, which the rounded ends would take digits from
+        return cp * _power_gain(k + 1.0, lo, float(pc.hi - pc.lo))
     if lo == 0.0:
         if k < -1.0:
             raise DivergentNormError(
@@ -1127,7 +1126,9 @@ def lp_norm(f: RadialProfile, p, d: int,
     """L^p norm of the profile on R^d with respect to s**(d-1) ds (surface
     constant omitted). Pure power pieces use closed forms, including the
     dichotomy for log-tempered pieces reaching the origin; anything else
-    integrates numerically. Raises DivergentNormError when infinite."""
+    integrates numerically. Raises DivergentNormError when infinite, and
+    PrecisionError when a power piece is so narrow that its relative width
+    underflows below the normal floating-point range."""
     _check_dim(d)
     if p == math.inf:
         return _ess_sup(f)
@@ -1142,6 +1143,14 @@ def lp_norm(f: RadialProfile, p, d: int,
 # pointwise decomposition of the maximal operator
 
 
+def _weighted_abs(f: RadialProfile, w: float) -> RadialProfile:
+    """The profile s^(w-1) |f|: the pieces of f with |coeff| and a_pow +
+    w - 1."""
+    return RadialProfile(tuple(ProfilePiece(
+        pc.lo, pc.hi, abs(pc.coeff), pc.a_pow + (w - 1.0), pc.b_pow)
+        for pc in f.pieces))
+
+
 def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
                              quad: QuadratureSpec = DEFAULT_QUAD,
                              grid: DilationGrid | None = None) -> dict[str, float]:
@@ -1153,7 +1162,16 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
 
     p must be at least 1 but changes no sup: for d >= 3 the main part's
     power of s is (d-1)(1-1/p) - 1 + (d-1)/p = d - 2, and for d = 2 the
-    g-weight s**(1/p) cancels against the s**(1/2 - 1/p) in front."""
+    g-weight s**(1/p) cancels against the s**(1/2 - 1/p) in front.
+
+    For d >= 3 every component is a sup over t of the integral of
+    s^w |f(s)| over the window [|r - t|, r + t], w = d - 2 for the main
+    part and 0 for the remainders, remainder2's divided by r. The
+    normalized d = 3 kernel is s / (2rt) (Stein and Weiss 1971), so that
+    integral is 2rt times the d = 3 spherical mean of s^(w-1) |f|, which
+    takes the closed form or the quadrature as any mean does. The d = 2
+    components integrate |f|, the profile of f's pieces with |coeff|,
+    against their weights by quadrature."""
     _check_dim(d)
     r = _radius(r)
     p = float(p)
@@ -1171,41 +1189,41 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
     main = 2.0 / 3.0 < r < 4.0
     mid = (r / 2.0, 1.5 * r)
 
-    def sup(on, window, weight, cands, bounds, scale=1.0):
-        # 0.0 when the regime is off, else the sup over the dilations cands,
-        # a pair (floats, exact points or None), of the integral of
-        # weight(s, dlo, dhi) against |f| over the windows window(ts),
-        # divided by scale
+    def sup(on, at, cands, bounds):
+        # 0.0 when the regime is off, else the sup of at(ts) over the
+        # dilations cands, a pair (floats, exact points or None)
         if not on:
             return 0.0
-
-        def at(ts, _):
-            return _profile_integrals(
-                f, *window(np.asarray(ts)),
-                lambda s, dlo, dhi, rows: weight(s, dlo, dhi),
-                quad, absolute=True) / scale
-
-        return _sup_over_dilations(at, [(*cands, bounds, h)], E)[0][0]
-
-    def centred(ts):
-        return np.abs(r - ts), r + ts
+        return _sup_over_dilations(lambda ts, _: at(np.asarray(ts)),
+                                   [(*cands, bounds, h)], E)[0][0]
 
     if d >= 3:
-        w_pow = d - 2.0
+        def integrals(w, scale=1.0):
+            # the integral of s^w |f| over [|r - t|, r + t], over scale
+            g = _weighted_abs(f, w)
+            return lambda ts: (2.0 * r / scale) * ts * _spherical_means(
+                3, g, r, ts, quad)
+
         # the remainders run over the whole dilation interval [1, 2]
         hi_t = min(2.0, r / 2.0)
         lo_t = max(1.0, 1.5 * r)
         return {
-            "mainpart": sup(main, centred, lambda s, dlo, dhi: s ** w_pow,
-                            near, mid),
-            "remainder1": sup(r >= 2.0, lambda ts: (r - ts, r + ts),
-                              lambda s, dlo, dhi: 1.0,
+            "mainpart": sup(main, integrals(d - 2.0), near, mid),
+            "remainder1": sup(r >= 2.0, integrals(0.0),
                               (np.linspace(1.0, hi_t, 33), None), (1.0, hi_t)),
-            "remainder2": sup(r < 4.0 / 3.0 and lo_t <= 2.0,
-                              lambda ts: (ts - r, ts + r),
-                              lambda s, dlo, dhi: 1.0,
-                              (np.linspace(lo_t, 2.0, 33), None), (lo_t, 2.0), r),
+            "remainder2": sup(r < 4.0 / 3.0 and lo_t <= 2.0, integrals(0.0, r),
+                              (np.linspace(lo_t, 2.0, 33), None), (lo_t, 2.0)),
         }
+
+    absf = _weighted_abs(f, 1.0)
+
+    def integrals(window, weight, scale=1.0):
+        # the integral of weight(s, dlo, dhi) |f| over window(ts), over scale
+        return lambda ts: _profile_integrals(
+            absf, *window(ts), weight, quad) / scale
+
+    def centred(ts):
+        return np.abs(r - ts), r + ts
 
     outer = r >= 2.0
     inner = r < 4.0 / 3.0
@@ -1213,21 +1231,24 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
     high = (1.5 * r, math.inf)
     sqrt_r = math.sqrt(r)
     return {
-        "mainpart": sup(main, centred,
-                        lambda s, dlo, dhi: np.sqrt(s) / np.sqrt(dlo), near, mid),
-        "mainpart_tilde": sup(main, centred,
-                              lambda s, dlo, dhi: np.sqrt(s) / np.sqrt(dhi),
-                              near, mid),
-        "remainder1": sup(outer, lambda ts: (r - ts, np.full_like(ts, r)),
-                          lambda s, dlo, dhi: 1.0 / np.sqrt(dlo), far_lo, low),
-        "remainder2": sup(outer, lambda ts: (np.full_like(ts, r), r + ts),
-                          lambda s, dlo, dhi: 1.0 / np.sqrt(dhi), far_lo, low),
-        "remainder3": sup(inner, lambda ts: (ts - r, ts),
-                          lambda s, dlo, dhi: 1.0 / np.sqrt(dlo), far_hi, high,
-                          scale=sqrt_r),
-        "remainder4": sup(inner, lambda ts: (ts, ts + r),
-                          lambda s, dlo, dhi: 1.0 / np.sqrt(dhi), far_hi, high,
-                          scale=sqrt_r),
+        "mainpart": sup(main, integrals(
+            centred, lambda s, dlo, dhi, _: np.sqrt(s) / np.sqrt(dlo)),
+            near, mid),
+        "mainpart_tilde": sup(main, integrals(
+            centred, lambda s, dlo, dhi, _: np.sqrt(s) / np.sqrt(dhi)),
+            near, mid),
+        "remainder1": sup(outer, integrals(
+            lambda ts: (r - ts, np.full_like(ts, r)),
+            lambda s, dlo, dhi, _: 1.0 / np.sqrt(dlo)), far_lo, low),
+        "remainder2": sup(outer, integrals(
+            lambda ts: (np.full_like(ts, r), r + ts),
+            lambda s, dlo, dhi, _: 1.0 / np.sqrt(dhi)), far_lo, low),
+        "remainder3": sup(inner, integrals(
+            lambda ts: (ts - r, ts), lambda s, dlo, dhi, _: 1.0 / np.sqrt(dlo),
+            sqrt_r), far_hi, high),
+        "remainder4": sup(inner, integrals(
+            lambda ts: (ts, ts + r), lambda s, dlo, dhi, _: 1.0 / np.sqrt(dhi),
+            sqrt_r), far_hi, high),
     }
 
 
@@ -1237,7 +1258,9 @@ _CIRCULAR_STEPS = 4096
 def circular_components(f: RadialProfile, r) -> dict[str, float]:
     """Averaged (U) and sliding-window (R) functionals over dilations in
     [1, 2] that dominate the square of the circular maximal function of a
-    piecewise constant profile; evaluated in closed form on a dense grid."""
+    piecewise constant profile. Each is exact, up to rounding, at every
+    point of a grid of _CIRCULAR_STEPS = 4096 dilations, so its max over
+    the grid is a lower bound for its sup over t."""
     r = _radius(r)
     for pc in f.pieces:
         if pc.a_pow != 0.0 or pc.b_pow != 0.0:

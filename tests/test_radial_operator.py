@@ -672,6 +672,34 @@ def test_d3_power_mean_at_tiny_radii_is_right_or_raises(a, r, ok):
                 call()
 
 
+@pytest.mark.parametrize("d, expr, power", [
+    (2, "pow(1,1,0,0,1)", 1), (3, "chi(0,1)", 0), (4, "pow(1,1,0,0,1)", 1),
+    (5, "pow(1,1,0,0,1)", 1)])
+def test_quadrature_means_at_tiny_radii_are_right_or_raise(d, expr, power):
+    # the quadrature kernel divides by 4rt: while that is normal, a sphere
+    # inside [0, 1] follows the scaling law M(xr, xt) = x^power M(r, t) of
+    # s^power there; once it is below the normal range a row raises a
+    # PrecisionError that names it, alone and as the last row of a batch,
+    # never a wrong finite value or a numpy warning
+    f = parse_profile(expr)
+    assert not radial_operator._closed(d, f)
+    law = spherical_mean(d, f, 1e-2, 1.5e-2) / 1e-2 ** power
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = 1e-154
+        got = spherical_mean(d, f, x, 1.5 * x) / x ** power
+        assert abs(got - law) <= 1e-13 * law
+        for x in (1e-155, 1e-160, 1e-163, 1e-200):
+            t = 1.5 * x
+            for call in (lambda: spherical_mean(d, f, x, t),
+                         lambda: _spherical_means(d, f, [1.0] * 29 + [x],
+                                                  [1.5] * 29 + [t])):
+                with pytest.raises(PrecisionError, match=(
+                        f"at r = {x!r}, t = {t!r} underflows below the "
+                        "normal")):
+                    call()
+
+
 def test_d3_power_mean_keeps_a_piece_that_underflows_beside_others():
     # the power piece's integral underflows to 0 and loses all its digits,
     # which the constant piece beside it outweighs by far
@@ -1291,17 +1319,18 @@ def test_mixed_profile_rows_match_their_profiles_alone_bitwise(n, order):
     def weight(s, dlo, dhi, rows):
         return np.sqrt(s) / np.sqrt(dlo)
 
-    for absolute in (False, True):
+    # the profiles, and |f| of each, as the d = 2 components integrate it
+    absolute = [radial_operator._weighted_abs(f, 1.0) for f in _MIXED_PROFILES]
+    for rows in (profiles, [absolute[k] for k in which]):
         batch = radial_operator._profile_integrals(
-            profiles, los, his, weight, quadrature.DEFAULT_QUAD, absolute)
+            rows, los, his, weight, quadrature.DEFAULT_QUAD)
         for i in range(n):
             alone = radial_operator._profile_integrals(
-                profiles[i], [los[i]], [his[i]], weight,
-                quadrature.DEFAULT_QUAD, absolute)
-            assert batch[i] == alone[0], (i, which[i], absolute)
+                rows[i], [los[i]], [his[i]], weight, quadrature.DEFAULT_QUAD)
+            assert batch[i] == alone[0], (i, which[i])
         assert batch[3] == batch[miss] == 0.0
         assert (batch != 0.0).sum() > n // 2
-        assert (batch < 0.0).any() != absolute
+        assert (batch < 0.0).any() == (rows is profiles)
 
     # means, in batches of five times as many rows, so that a profile has
     # rows enough to take its closed form at once in the larger batch: in
@@ -1654,6 +1683,16 @@ def test_lp_norm_closed_form_log_win_at_origin():
     assert lp_norm(f, 2, 2) == pytest.approx(want ** 0.5, rel=1e-12)
 
 
+def test_lp_norm_of_a_narrow_power_piece():
+    # the width comes from the exact piece ends: (hi^4 - lo^4)/4 from the
+    # rounded ends keeps only about four digits
+    lo = F(13, 10)
+    hi = lo + F(3, 7) / 2 ** 40
+    got = lp_norm(power_profile(1, 2, 0, lo, hi), 1, 2)
+    want = (hi ** 4 - lo ** 4) / 4
+    assert abs(F(got) - want) <= want / 10 ** 13
+
+
 def test_ess_sup_interior_critical_point():
     cases = [
         # s log(1/s) peaks at s = 1/e, inside the piece or up to s = 1
@@ -1707,11 +1746,60 @@ def test_components_pinned_bits():
                    "remainder3": zero, "remainder4": zero},
         (3, 1.0): {"mainpart": "0x1.3fe6a840cb968p+1", "remainder1": zero,
                    "remainder2": "0x1.c577207644378p+0"},
-        (3, 1.2): {"mainpart": "0x1.0686a0dcf4048p+2", "remainder1": zero,
-                   "remainder2": "0x1.cf389b0d38d8fp+0"},
+        (3, 1.2): {"mainpart": "0x1.0686a0dcf4047p+2", "remainder1": zero,
+                   "remainder2": "0x1.cf389b0d38d8ep+0"},
         (3, 2.5): {"mainpart": "0x1.0a0bbf958cf78p+2",
-                   "remainder1": "0x1.857720764437ap+0", "remainder2": zero},
+                   "remainder1": "0x1.8577207644378p+0", "remainder2": zero},
     }
+
+
+def test_components_from_three_dimensions_match_mpmath():
+    # without a polish (refinement 0) each d >= 3 component is the largest,
+    # over its candidate dilations t and 0, of the integral of s^w |f| over
+    # [|r - t|, r + t], over r for remainder2: w = d - 2 for the main part
+    # and 0 for the remainders; the referee takes it from the
+    # antiderivative at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    E = middle_cantor(F(1, 3), 4)
+    grid = DilationGrid(DilationGrid.from_set(E, F(1, 32)).points, 0)
+    rng = random.Random(22)
+
+    def moment(pieces, w, r, t):
+        r, t = F(r), F(t)
+        total = 0
+        for lo, hi, c, a in pieces:
+            y0, y1 = max(lo, abs(r - t)), min(hi, r + t)
+            if y1 > y0:
+                y0, y1, k = _mp(mpmath, y0), _mp(mpmath, y1), a + w + 1
+                total += abs(c) * (mpmath.log(y1 / y0) if k == 0
+                                   else (y1 ** k - y0 ** k) / k)
+        return total
+
+    with mpmath.workdps(40):
+        for _ in range(12):
+            d = rng.choice([3, 4, 5])
+            cuts = sorted(rng.sample(range(1, 48), 4))
+            pieces = [(F(cuts[2 * k], 8), F(cuts[2 * k + 1], 8),
+                       rng.choice([1, -1]) * rng.uniform(0.2, 3.0),
+                       rng.choice([0.0, 0.0, -1.0, -0.5, 0.5, 1.0]))
+                      for k in range(rng.randint(1, 2))]
+            f = RadialProfile(tuple(ProfilePiece(lo, hi, c, a)
+                                    for lo, hi, c, a in pieces))
+            r = rng.uniform(0.7, 4.2)
+            near = [t for t in grid._floats if r / 2 < t < 1.5 * r]
+            hi_t, lo_t = min(2.0, r / 2), max(1.0, 1.5 * r)
+            want = {
+                "mainpart": (2 / 3 < r < 4, near, d - 2, 1),
+                "remainder1": (r >= 2, np.linspace(1.0, hi_t, 33), 0, 1),
+                "remainder2": (r < 4 / 3 and lo_t <= 2.0,
+                               np.linspace(lo_t, 2.0, 33), 0, r)}
+            got = decomposition_components(d, E, f, 2, r, grid=grid)
+            assert set(got) == set(want)
+            for name, (on, ts, w, scale) in want.items():
+                best = max([moment(pieces, w, r, t) / _mp(mpmath, F(scale))
+                            for t in ts] + [0] if on else [0])
+                assert abs(got[name] - best) <= 1e-12 * best, \
+                    (d, pieces, r, name, got[name], best)
 
 
 def test_components_do_not_depend_on_p():
