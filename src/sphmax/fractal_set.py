@@ -456,13 +456,21 @@ def resolution(E: FractalSet) -> Fraction:
     return Fraction(min(feats), M)
 
 
-def separated_points(E: FractalSet, delta) -> list[Fraction]:
-    """Greedy maximal subset of E with consecutive gaps >= delta."""
+def _separated(E: FractalSet, delta) -> tuple[int, list[int]]:
+    """separated_points as integers over one denominator Q: (Q, the
+    numerators), strictly increasing."""
     Q, los, his, (step,) = _on_grid(E, _scale(delta, upper=_TWO))
     pts = [los[0] - step]  # a sentinel one step left of E
     for a, b in zip(los, his):
         pts.extend(range(max(a, pts[-1] + step), b + 1, step))
-    return [Fraction(p, Q) for p in pts[1:]]
+    del pts[0]
+    return Q, pts
+
+
+def separated_points(E: FractalSet, delta) -> list[Fraction]:
+    """Greedy maximal subset of E with consecutive gaps >= delta."""
+    Q, pts = _separated(E, delta)
+    return [Fraction(p, Q) for p in pts]
 
 
 # ------------------------------------------------------------ characteristics

@@ -107,10 +107,11 @@ _MAX_SPLITS = 40_000
 _CHUNK_ROWS = 256
 # the fewest rows of a chunk laid out, first summed and split as arrays;
 # below it the fixed cost of the array steps outweighs the per-panel Python
-# they save (measured on a 2-CPU host, array time over per-panel time of
-# one batch of spherical means with indicator, power and log profiles:
-# 1.0-1.4 at 16 rows, 0.8-1.1 at 24 and at 28, where the log profile still
-# pays more, 0.7-0.9 at 32, 0.55-0.8 at 48, and 2.1-2.4 for one row)
+# they save (measured on a shared 2-CPU host, array time over per-panel
+# time of one batch of spherical means, an indicator at d = 3 and a power
+# and a log profile at d = 2: 1.2-1.6 at 16 rows, 1.1-1.3 at 24, 0.7-1.3
+# at 28, 0.8-0.9 at 32 but 1.1-1.3 for the log profile, which breaks even
+# between 48 and 64 rows, 0.5-0.7 at 128, and 1.7-3.0 for one row)
 _ARRAY_ROWS = 32
 
 

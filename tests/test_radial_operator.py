@@ -10,8 +10,9 @@ from conftest import kernel_mass, sphere_average_mc
 from sphmax.errors import (ConfigError, DivergentNormError, DomainError,
                            InsufficientDataError, ParameterError,
                            PrecisionError, SingularityError)
-from sphmax.fractal_set import (finite_points, from_intervals, full_interval,
-                                middle_cantor)
+from sphmax.fractal_set import (arithmetic_progression, finite_points,
+                                from_intervals, full_interval, middle_cantor,
+                                separated_points, union_of)
 from sphmax import quadrature, radial_operator
 from sphmax.quadrature import QuadratureSpec
 from sphmax.radial_operator import (_INVPHI, DilationGrid, MaximalValue,
@@ -852,6 +853,61 @@ def test_grid_rejects_bad_input():
         DilationGrid((F(1),), F(-1))
     with pytest.raises(ParameterError):
         DilationGrid.from_set(full_interval(), 0)
+    # the points of a grid, read backwards, are checked as any others
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        DilationGrid(DilationGrid.from_set(full_interval(), F(1, 4)).points[::-1],
+                     F(1, 16))
+
+
+@pytest.mark.parametrize("spacing", [None, F(1, 32), F(1, 1000)],
+                         ids=["default", "1/32", "1/1000"])
+@pytest.mark.parametrize("E", [
+    full_interval(), from_intervals([(F(9, 8), F(13, 8))]),
+    middle_cantor(F(1, 3), 6), arithmetic_progression(F(1), F(1, 7), 8),
+    finite_points([1, F(4, 3), F(3, 2), F(19, 10)]),
+    union_of(middle_cantor(F(1, 3), 3), finite_points([F(3, 2)]))],
+    ids=["interval", "sub-interval", "cantor", "progression", "points",
+         "union"])
+def test_grid_on_the_lattice_reads_as_its_fractions(E, spacing):
+    # a grid holds integers over one denominator and reads as the tuple of
+    # the Fractions separated_points returns, whole, sliced and as floats;
+    # given those Fractions, a grid puts them over the lcm of their
+    # denominators, and equals and hashes as the grid it came from
+    g = DilationGrid.from_set(E, spacing)
+    want = tuple(separated_points(E, g.refinement))
+    assert g.points == want and tuple(g.points) == want
+    assert len(g.points) == len(want)
+    assert [g.points[i] for i in (0, len(want) // 2, -1)] == \
+        [want[i] for i in (0, len(want) // 2, -1)]
+    for cut in (slice(None, 3), slice(2, -1), slice(1, None, 2),
+                slice(len(want), None), slice(None, None, -3)):
+        assert g.points[cut] == want[cut]
+    assert g._floats.tobytes() == np.array([float(p) for p in want]).tobytes()
+    for again in (DilationGrid(g.points, g.refinement),
+                  DilationGrid(want, g.refinement)):
+        assert again == g and hash(again) == hash(g)
+        assert again._floats.tobytes() == g._floats.tobytes()
+
+
+def test_grid_builds_fractions_only_where_points_are_read(monkeypatch):
+    # neither building the default 4097-point grid, nor its length, nor a
+    # maximal_value over it makes one Fraction per point
+    E = full_interval()
+    f = parse_profile("chi(1/2,5/2)")
+    new = F.__dict__["__new__"].__func__
+    calls = []
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    g = DilationGrid.from_set(E)
+    assert len(g.points) == 4097
+    got = maximal_value(2, f, 1.7, E, g)
+    monkeypatch.undo()
+    assert len(calls) <= 16, calls
+    assert got == maximal_value(2, f, 1.7, E)
 
 
 def test_maximal_value_rejects_points_outside_set():
