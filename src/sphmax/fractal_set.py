@@ -63,6 +63,14 @@ def as_rational(value, error=ParameterError, what: str = "value") -> Fraction:
     raise error(f"{what} must be rational, got {type(value).__name__}")
 
 
+def _over_lcm(xs) -> tuple[int, list[int]]:
+    """The rationals xs over their least common denominator Q: (Q, the
+    numerators)."""
+    xs = list(xs)
+    Q = math.lcm(*{x.denominator for x in xs})
+    return Q, [x.numerator * (Q // x.denominator) for x in xs]
+
+
 def _scale(delta, upper=_ONE) -> Fraction:
     d = as_rational(delta, InvalidScaleError, "scale")
     if not 0 < d <= upper:
@@ -83,10 +91,9 @@ class FractalSet:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        M = math.lcm(*{x.denominator for iv in self.intervals for x in iv})
-        los, his = (tuple(x.numerator * (M // x.denominator) for x in ends)
-                    for ends in zip(*self.intervals))
-        object.__setattr__(self, "_grid", (M, los, his))
+        M, ends = _over_lcm(x for iv in self.intervals for x in iv)
+        object.__setattr__(self, "_grid", (M, tuple(ends[::2]),
+                                           tuple(ends[1::2])))
 
     def component(self, x) -> tuple[Fraction, Fraction] | None:
         """The component of the set that holds x, or None."""
@@ -238,8 +245,7 @@ def arithmetic_progression(u, delta, m: int) -> FractalSet:
     if m > _MAX_COMPONENTS:
         raise ParameterError(f"m = {m} points, more than {_MAX_COMPONENTS}")
     # sorted distinct points over one denominator, in [1, 2]: nothing to normalize
-    D = math.lcm(start.denominator, step.denominator)
-    a, s = (x.numerator * (D // x.denominator) for x in (start, step))
+    D, (a, s) = _over_lcm((start, step))
     pts = (Fraction(p, D) for p in range(a, a + m * s, s))
     return FractalSet(tuple((p, p) for p in pts),
                       f"progression(u={start}, delta={step}, m={m})")
@@ -333,11 +339,10 @@ def _on_grid(E: FractalSet, *xs: Fraction):
     """E's left ends, right ends and the rationals xs as integers over one
     denominator Q, the lcm of E's and theirs: (Q, los, his, xs)."""
     M, los, his = E._grid
-    Q = math.lcm(M, *(x.denominator for x in xs))
-    if Q != M:
-        f = Q // M
+    Q, (f, *xs) = _over_lcm((Fraction(1, M), *xs))
+    if f != 1:
         los, his = [a * f for a in los], [b * f for b in his]
-    return Q, los, his, [x.numerator * (Q // x.denominator) for x in xs]
+    return Q, los, his, xs
 
 
 def _meeting(los, his, lo, hi) -> tuple[int, int]:

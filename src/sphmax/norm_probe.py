@@ -33,6 +33,7 @@ from .errors import (
 from .fractal_set import (
     FractalSet,
     _merged,
+    _over_lcm,
     as_rational,
     covering_number,
     from_intervals,
@@ -135,11 +136,9 @@ def _shell_measure(cells, d: int) -> Fraction:
     """Exact sum of (hi^d - lo^d)/d over radial cells (lo, hi): the
     measure of the shells, without the sphere's area factor, summed as
     integers over the cells' common denominator D and divided once."""
-    cells = list(cells)
-    D = math.lcm(*{x.denominator for cell in cells for x in cell})
-    return Fraction(sum((hi.numerator * (D // hi.denominator)) ** d
-                        - (lo.numerator * (D // lo.denominator)) ** d
-                        for lo, hi in cells), d * D ** d)
+    D, ends = _over_lcm(x for cell in cells for x in cell)
+    return Fraction(sum(hi ** d - lo ** d
+                        for lo, hi in zip(ends[::2], ends[1::2])), d * D ** d)
 
 
 def _spread(seq, cap: int = _MAX_WITNESS) -> list:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import (ConfigError, DivergentNormError, DomainError,
                      ParameterError, PrecisionError, SingularityError)
-from .fractal_set import (FractalSet, _read_expression, _separated, as_rational,
-                          resolution)
+from .fractal_set import (FractalSet, _over_lcm, _read_expression, _separated,
+                          as_rational, resolution)
 from .quadrature import (DEFAULT_QUAD, QuadratureSpec, _integrate_rows,
                          integrate)
 
@@ -401,6 +401,14 @@ def _each(fn, x, y):
     return np.fromiter(map(fn, x.tolist(), y.tolist()), float, len(x))
 
 
+def _pick(c, x, y):
+    return x if c else y
+
+
+def _call(fn, x, y):
+    return fn(x, y)
+
+
 def _closed_sum(d: int, f: RadialProfile, r, t):
     """The closed form's means of f at d, for one row (r, t) (floats) or
     several (arrays): the sum over the pieces of f, in order from 0.0, of
@@ -411,20 +419,25 @@ def _closed_sum(d: int, f: RadialProfile, r, t):
     underflow may have taken digits from: it raises PrecisionError alone,
     and is nan in an array. up_* and down_* are the distances of the
     piece's ends up from |r - t| and down from r + t, from the exact window
-    ends, positive when the end lies inside the window. Rows select the
-    values at clipped ends by np.where, and a row alone by branches, which
-    cost it less than calls; both take the same values."""
+    ends, positive when the end lies inside the window. Each window cut
+    is written once: pick takes a clipped end's value by a conditional for
+    a row alone and by np.where for rows, and call a transcendental by a
+    plain call or through _each. Both sides of a pick are computed, so a
+    row alone reads a 4rt that underflows to 0 as nan, as x / 0 in an
+    array is inf or nan: the side not picked cannot raise."""
     many = isinstance(t, np.ndarray)
-    far = np.maximum(r, t) if many else max(r, t)
-    near = np.minimum(r, t) if many else min(r, t)
+    pick, call, sqrt = ((np.where, _each, np.sqrt) if many
+                        else (_pick, _call, math.sqrt))
+    far, near = pick(r >= t, r, t), pick(r >= t, t, r)
     a = far - near
     b = far + near
     # the rounding errors of a and b, exactly (Fast2Sum)
     ea = (far - a) - near
     eb = near - (b - far)
-    window = a, ea, b, eb, near, 4.0 * r * t
-    total = np.zeros(t.shape) if many else 0.0
-    lost = np.zeros(t.shape) if many and d == 3 else 0.0  # to underflow
+    four = 4.0 * r * t
+    window = a, ea, b, eb, near, four if many else four or math.nan
+    total, lost = ((np.zeros(t.shape), np.zeros(t.shape)) if many
+                   else (0.0, 0.0))     # lost: the sum's share to underflow
     for lo, hi, pc in f._table:
         a, ea, b, eb, near, four = window
         up_hi = (hi - a) - ea
@@ -443,19 +456,13 @@ def _closed_sum(d: int, f: RadialProfile, r, t):
             continue                    # the piece misses the window
         up_lo = (lo - a) - ea
         down_hi = (b - hi) + eb
+        inner_lo, inner_hi = up_lo > 0.0, down_hi > 0.0
         if d == 3:
             # the piece cut to the window, [y0, y0 + w]
-            if many:
-                inner_lo = up_lo > 0.0
-                inner_hi = down_hi > 0.0
-                y0 = np.where(inner_lo, lo, a)
-                w = np.where(inner_lo, np.where(inner_hi, hi - lo, down_lo),
-                             np.where(inner_hi, up_hi, 2.0 * near))
-            else:
-                y0 = lo if up_lo > 0.0 else a
-                w = ((hi - lo if down_hi > 0.0 else down_lo) if up_lo > 0.0
-                     else up_hi if down_hi > 0.0 else 2.0 * near)
-            v = _power_moment(pc, many, y0, w)
+            y0 = pick(inner_lo, lo, a)
+            w = pick(inner_lo, pick(inner_hi, hi - lo, down_lo),
+                     pick(inner_hi, up_hi, 2.0 * near))
+            v = _power_moment(pc, y0, w)
             # an integral that comes out at most small may have lost all of
             # it to underflow, and its product with coeff a subnormal
             small = 8.0 * _TINY / (min(abs(pc.a_pow + 2.0), 1.0) or 1.0)
@@ -468,33 +475,20 @@ def _closed_sum(d: int, f: RadialProfile, r, t):
         else:
             # sin^2 and cos^2 of the half angle at each end, and sin^2
             # phi_h - sin^2 phi_l
-            if many:
-                inner_lo = up_lo > 0.0
-                inner_hi = down_hi > 0.0
-                s2l = np.where(inner_lo, up_lo * (lo + a) / four, 0.0)
-                c2l = np.where(inner_lo, down_lo * (lo + b) / four, 1.0)
-                s2h = np.where(inner_hi, up_hi * (hi + a) / four, 1.0)
-                c2h = np.where(inner_hi, down_hi * (hi + b) / four, 0.0)
-                gap = np.where(inner_lo, np.where(
-                    inner_hi, (hi - lo) * (hi + lo) / four, c2l), s2h)
-            else:
-                s2l, c2l = ((up_lo * (lo + a) / four,
-                             down_lo * (lo + b) / four)
-                            if up_lo > 0.0 else (0.0, 1.0))
-                s2h, c2h = ((up_hi * (hi + a) / four,
-                             down_hi * (hi + b) / four)
-                            if down_hi > 0.0 else (1.0, 0.0))
-                gap = (((hi - lo) * (hi + lo) / four if down_hi > 0.0
-                        else c2l) if up_lo > 0.0 else s2h)
+            s2l = pick(inner_lo, up_lo * (lo + a) / four, 0.0)
+            c2l = pick(inner_lo, down_lo * (lo + b) / four, 1.0)
+            s2h = pick(inner_hi, up_hi * (hi + a) / four, 1.0)
+            c2h = pick(inner_hi, down_hi * (hi + b) / four, 0.0)
+            gap = pick(inner_lo, pick(inner_hi, (hi - lo) * (hi + lo) / four,
+                                      c2l), s2h)
             if d % 2:
-                v = _beta_share(d, many, s2l, c2l, s2h, c2h, gap, None)
+                v = _beta_share(d, s2l, c2l, s2h, c2h, gap, None)
             else:
-                sqrt = np.sqrt if many else math.sqrt
                 sl, cl, sh, ch = sqrt(s2l), sqrt(c2l), sqrt(s2h), sqrt(c2h)
-                x, y = gap / (sh * cl + sl * ch), ch * cl + sh * sl
-                v = _each(math.atan2, x, y) if many else math.atan2(x, y)
+                v = call(math.atan2, gap / (sh * cl + sl * ch),
+                         ch * cl + sh * sl)
                 if d > 2:
-                    v = _beta_share(d, many, s2l, c2l, s2h, c2h, v,
+                    v = _beta_share(d, s2l, c2l, s2h, c2h, v,
                                     (sl, cl, sh, ch))
         if hit is None:
             total += pc.coeff * v
@@ -505,12 +499,12 @@ def _closed_sum(d: int, f: RadialProfile, r, t):
     two = 2.0 * r * t
     # bad refuses a 2rt below the normal range, kept off 0 for a lone row;
     # nan compares false, so an overflow keeps its inf or nan
-    mean = total / (np.maximum if many else max)(two, _TINY)
+    mean = total / pick(two < _TINY, _TINY, two)
     bad = ((abs(total) < 2.0 ** 43 * lost) | (two < _TINY)
            | ((abs(mean) < _TINY) & (lost > 0.0)))
     if not many and bad:
         raise PrecisionError(_UNDERFLOW)
-    return np.where(bad, np.nan, mean) if many else mean
+    return pick(bad, np.nan, mean)
 
 
 @lru_cache(maxsize=64)
@@ -537,7 +531,7 @@ def _horner(steps, y):
     return h
 
 
-def _beta_share(d: int, many: bool, s2l, c2l, s2h, c2h, first, roots):
+def _beta_share(d: int, s2l, c2l, s2h, c2h, first, roots):
     """I_x(lo)(m, m) - I_x(hi)(m, m), m = (d - 1)/2, for d >= 4, stepped up
     from first: sin^2 phi_h - sin^2 phi_l for odd d, and phi_h - phi_l for
     even d, with the roots (sl, cl, sh, ch) of s2l, c2l, s2h and c2h."""
@@ -573,9 +567,10 @@ def _power_gain(k: float, y0: float, w: float) -> float:
     return math.pow(y0, k) * math.expm1(k * grow) / k
 
 
-def _power_moment(pc: ProfilePiece, many: bool, y0, w):
+def _power_moment(pc: ProfilePiece, y0, w):
     """The integral of s^(a+1), a the power of the piece, over [y0, y0 +
-    w], the piece cut to the window, at d = 3."""
+    w], the piece cut to the window, at d = 3: for one row (floats) or
+    several (arrays)."""
     k = pc.a_pow + 2.0
     if k <= 0.0 and pc.lo == 0 and np.any(y0 == 0.0):
         # the window reaches s = 0 just when r = t, and the integral of
@@ -583,7 +578,7 @@ def _power_moment(pc: ProfilePiece, many: bool, y0, w):
         raise PrecisionError(
             f"diverges at s = 0 in the piece {pc.coeff!r} * s^{pc.a_pow!r} "
             f"on [{pc.lo}, {pc.hi}]")
-    if many:
+    if isinstance(y0, np.ndarray):
         return _each(lambda y, x: _power_gain(k, y, x), y0, w)
     return _power_gain(k, y0, w)
 
@@ -617,14 +612,13 @@ def _closed_row(d: int, f: RadialProfile, r: float, t: float) -> float:
     return v
 
 
-def _closed_rows(d: int, f, rs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """The closed form's means at the rows (rs, ts) of the profile f, or of
-    f[i] when f is a sequence, each bitwise _closed_row's: the rows of one
-    profile at once when they are _ROWS_AT_ONCE or more, and one by one
-    otherwise or when one of them fails, so the first failing row is
+def _closed_rows(d: int, f: RadialProfile, rs: np.ndarray,
+                 ts: np.ndarray) -> np.ndarray:
+    """The closed form's means of f at the rows (rs, ts), each bitwise
+    _closed_row's: at once when they are _ROWS_AT_ONCE or more, and one by
+    one otherwise or when one of them fails, so the first failing row is
     named."""
-    one = isinstance(f, RadialProfile)
-    if one and len(ts) >= _ROWS_AT_ONCE:
+    if len(ts) >= _ROWS_AT_ONCE:
         with np.errstate(all="ignore"):
             try:
                 v = _closed_sum(d, f, rs, ts)
@@ -632,8 +626,8 @@ def _closed_rows(d: int, f, rs: np.ndarray, ts: np.ndarray) -> np.ndarray:
                 v = None
         if v is not None and np.isfinite(v).all():
             return v
-    return np.array([_closed_row(d, p, r, t) for p, r, t in zip(
-        [f] * len(ts) if one else f, rs.tolist(), ts.tolist())])
+    return np.array([_closed_row(d, f, r, t)
+                     for r, t in zip(rs.tolist(), ts.tolist())])
 
 
 _LONE_ROW = np.zeros((1, 1), dtype=np.intp)
@@ -686,8 +680,12 @@ def _spherical_means(d: int, f, r, ts,
     """Averages of the radial profile f (one for all, or one per radius)
     over the spheres of radii ts whose centers lie at distance r (one for
     all, or one per radius) from the origin; each is bitwise its
-    spherical_mean. The rows of each profile that _closed takes go to the
-    closed form, and every other row to one quadrature batch."""
+    spherical_mean. The rows of a sequence are grouped by profile once:
+    the rows of each profile that _closed takes go to _closed_rows, the
+    profiles in the order of their first rows, and every other row goes,
+    in row order, to one quadrature batch. A PrecisionError names the
+    first failing row of the first of those profiles that has one, else
+    the first failing quadrature row."""
     _check_dim(d)
     ts = np.array(ts, dtype=float).ravel()
     rs = np.full(ts.shape, r, dtype=float)
@@ -698,27 +696,19 @@ def _spherical_means(d: int, f, r, ts,
         if _closed(d, f):
             return _closed_rows(d, f, rs, ts)
         return _norm_const(d) * _quad_sums(f, rs, ts, d, quad)
-    # each row's profile, as an index into the distinct ones, and whether
-    # each of those takes the closed form
-    distinct = {}
-    owner = [distinct.setdefault(id(p), (len(distinct), p))[0] for p in f]
-    closed = [_closed(d, p) for _, p in distinct.values()]
-    if not any(closed):
-        return _norm_const(d) * _quad_sums(f, rs, ts, d, quad)
+    groups = {}
+    for i, p in enumerate(f):
+        groups.setdefault(id(p), (p, []))[1].append(i)
     out = np.empty(ts.shape)
-    if len(ts) < _ROWS_AT_ONCE:
-        rows = [i for i, k in enumerate(owner) if closed[k]]
-        if len(rows) == len(ts):
-            return _closed_rows(d, f, rs, ts)
-        out[rows] = _closed_rows(d, [f[i] for i in rows], rs[rows], ts[rows])
-    else:
-        owner = np.array(owner)
-        for (k, p), c in zip(distinct.values(), closed):
-            if c:
-                rows = np.flatnonzero(owner == k)
-                out[rows] = _closed_rows(d, p, rs[rows], ts[rows])
-    rest = [i for i, k in enumerate(owner) if not closed[k]]
+    rest = []
+    for p, rows in groups.values():
+        if _closed(d, p):
+            rows = np.array(rows)
+            out[rows] = _closed_rows(d, p, rs[rows], ts[rows])
+        else:
+            rest += rows
     if rest:
+        rest.sort()
         out[rest] = _norm_const(d) * _quad_sums([f[i] for i in rest], rs[rest],
                                                 ts[rest], d, quad)
     return out
@@ -842,9 +832,8 @@ class DilationGrid:
             for prev, nxt in zip(pts, pts[1:]):
                 if nxt <= prev:
                     raise ParameterError("grid points must be strictly increasing")
-            Q = math.lcm(*(p.denominator for p in pts))
-            pts = _Lattice(tuple(p.numerator * (Q // p.denominator)
-                                 for p in pts), Q)
+            Q, nums = _over_lcm(pts)
+            pts = _Lattice(tuple(nums), Q)
         ref = as_rational(self.refinement, what="refinement radius")
         if ref < 0:
             raise ParameterError("refinement radius must be nonnegative")
@@ -1007,13 +996,7 @@ def _sup_over_dilations(eval_many, sweeps, E: FractalSet, start: float = 0.0,
     so the rest of that path is evaluated in one call. When the other end
     of the bracket is a swept point valued below the maximum, the path is
     guessed to run into the maximum and goes in the first call, with c and
-    d; else it follows them. In the maxval-sweep benchmark (seed 1, 6
-    decks) 213 of 240 polishes are marked and 208 guessed, so most polishes
-    cost one batch. The sups of decomposition_components in domination
-    (seed 3, 30 decks) mark 443 of 536 polishes and guess 2: a bracket
-    there is cut to a component of E narrower than the grid spacing, or
-    spans more than the gap to the next of 33 candidates, so its other
-    end is seldom a swept point."""
+    d; else it follows them."""
     owner = np.repeat(np.arange(len(sweeps)), [len(sw[0]) for sw in sweeps])
     values = (eval_many(np.concatenate([sw[0] for sw in sweeps]), owner)
               if len(owner) else ())
@@ -1217,8 +1200,18 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
     """Evaluate each piece of the pointwise decomposition of the maximal
     operator at radius r: the near-diagonal main part (with its reflected
     twin and one-sided remainders when d = 2) and the off-diagonal
-    remainders. Suprema in t are discretized exactly as in maximal_value,
-    and every grid point must lie in E.
+    remainders, each 0.0 where its regime of r is off. Every grid point
+    must lie in E.
+
+    Each is a sup over t, a lower bound found as maximal_value finds one
+    but from 0, not -1, in 30 golden steps, not 36, and over its own run of
+    candidates, not the whole grid: the main parts take the grid points
+    strictly between r/2 and 3r/2; at d = 2 the remainders take those at
+    most r/2 or at least 3r/2, and from d = 3 on 33 dilations evenly spaced
+    across [1, 2] at most r/2 or at least 3r/2, in E or not. A polish stays
+    within the grid's refinement radius, the component's bounds and, from
+    a grid point, its component of E. One _sup_over_dilations call sweeps
+    every component in one batch and polishes them all in lockstep.
 
     p must be at least 1 but changes no sup: for d >= 3 the main part's
     power of s is (d-1)(1-1/p) - 1 + (d-1)/p = d - 2, and for d = 2 the
@@ -1230,86 +1223,85 @@ def decomposition_components(d: int, E: FractalSet, f: RadialProfile, p, r,
     normalized d = 3 kernel is s / (2rt) (Stein and Weiss 1971), so that
     integral is 2rt times the d = 3 spherical mean of s^(w-1) |f|, which
     takes the closed form or the quadrature as any mean does. The d = 2
-    components integrate |f|, the profile of f's pieces with |coeff|,
-    against their weights by quadrature."""
+    components integrate |f|, the profile of f's pieces with |coeff|, over
+    their windows by quadrature, against sqrt(s) (the main parts) or 1,
+    over the root of the distance to the window's lower end (mainpart,
+    remainder1 and remainder3) or upper end; remainder3 and remainder4
+    are divided by sqrt(r)."""
     _check_dim(d)
     r = _radius(r)
     p = float(p)
     if not p >= 1.0:
         raise ParameterError(f"p must lie in [1, inf), got {p!r}")
     grid = _grid_in(E, grid)
-    h = float(grid.refinement)
     # the runs of grid points at most r/2, strictly between, and at least
-    # 3r/2, cut where the floats, which keep the order of the points, do
+    # 3r/2, cut where the floats, which keep the order of the points, do,
+    # each with the bounds of its polish
     ts, pts = grid._floats, grid.points
     i = int(ts.searchsorted(r / 2.0, "right"))
     j = int(ts.searchsorted(1.5 * r))
-    far_lo, near, far_hi = ((ts[:i], pts[:i]), (ts[i:j], pts[i:j]),
-                            (ts[j:], pts[j:]))
+    near = (ts[i:j], pts[i:j]), (r / 2.0, 1.5 * r)
     main = 2.0 / 3.0 < r < 4.0
-    mid = (r / 2.0, 1.5 * r)
-
-    def sup(on, at, cands, bounds):
-        # 0.0 when the regime is off, else the sup of at(ts) over the
-        # dilations cands, a pair (floats, exact points or None)
-        if not on:
-            return 0.0
-        return _sup_over_dilations(lambda ts, _: at(np.asarray(ts)),
-                                   [(*cands, bounds, h)], E)[0][0]
-
     if d >= 3:
-        def integrals(w, scale=1.0):
-            # the integral of s^w |f| over [|r - t|, r + t], over scale
-            g = _weighted_abs(f, w)
-            return lambda ts: (2.0 * r / scale) * ts * _spherical_means(
-                3, g, r, ts, quad)
-
-        # the remainders run over the whole dilation interval [1, 2]
         hi_t = min(2.0, r / 2.0)
         lo_t = max(1.0, 1.5 * r)
-        return {
-            "mainpart": sup(main, integrals(d - 2.0), near, mid),
-            "remainder1": sup(r >= 2.0, integrals(0.0),
-                              (np.linspace(1.0, hi_t, 33), None), (1.0, hi_t)),
-            "remainder2": sup(r < 4.0 / 3.0 and lo_t <= 2.0, integrals(0.0, r),
-                              (np.linspace(lo_t, 2.0, 33), None), (lo_t, 2.0)),
-        }
+        # name: (regime, candidates (floats, exact points or None), bounds,
+        # w, divisor)
+        table = {
+            "mainpart": (main, *near, d - 2.0, 1.0),
+            "remainder1": (r >= 2.0, (np.linspace(1.0, hi_t, 33), None),
+                           (1.0, hi_t), 0.0, 1.0),
+            "remainder2": (r < 4.0 / 3.0 and lo_t <= 2.0,
+                           (np.linspace(lo_t, 2.0, 33), None), (lo_t, 2.0),
+                           0.0, r)}
+    else:
+        far_lo = (ts[:i], pts[:i]), (0.0, r / 2.0)
+        far_hi = (ts[j:], pts[j:]), (1.5 * r, math.inf)
+        outer, inner, sqrt_r = r >= 2.0, r < 4.0 / 3.0, math.sqrt(r)
+        # name: (regime, candidates, bounds, window ends as indices into
+        # (|r - t|, r + t, r, t), whether sqrt(s) is in front, whether the
+        # root is of the distance to the lower end, divisor)
+        table = {
+            "mainpart": (main, *near, (0, 1), True, True, 1.0),
+            "mainpart_tilde": (main, *near, (0, 1), True, False, 1.0),
+            "remainder1": (outer, *far_lo, (0, 2), False, True, 1.0),
+            "remainder2": (outer, *far_lo, (2, 1), False, False, 1.0),
+            "remainder3": (inner, *far_hi, (0, 3), False, True, sqrt_r),
+            "remainder4": (inner, *far_hi, (3, 1), False, False, sqrt_r)}
+    rows = [row for row in table.values() if row[0]]
 
-    absf = _weighted_abs(f, 1.0)
+    if d >= 3:
+        profiles = [_weighted_abs(f, row[3]) for row in rows]
+        scale = 2.0 * r / np.array([row[4] for row in rows])
 
-    def integrals(window, weight, scale=1.0):
-        # the integral of weight(s, dlo, dhi) |f| over window(ts), over scale
-        return lambda ts: _profile_integrals(
-            absf, *window(ts), weight, quad) / scale
+        def eval_many(ts, k):
+            # 2rt times the d = 3 mean of its s^(w-1) |f|, over the divisor
+            ts = np.asarray(ts)
+            return scale[k] * ts * _spherical_means(
+                3, [profiles[c] for c in k], r, ts, quad)
+    else:
+        absf = _weighted_abs(f, 1.0)
+        ends, root, at_lo, divisor = (np.array([row[n] for row in rows])
+                                      for n in range(3, 7))
 
-    def centred(ts):
-        return np.abs(r - ts), r + ts
+        def eval_many(ts, k):
+            ts = np.asarray(ts)
+            spans = np.abs(r - ts), r + ts, np.full_like(ts, r), ts
+            root_k, at_lo_k = root[k], at_lo[k]
 
-    outer = r >= 2.0
-    inner = r < 4.0 / 3.0
-    low = (0.0, r / 2.0)
-    high = (1.5 * r, math.inf)
-    sqrt_r = math.sqrt(r)
-    return {
-        "mainpart": sup(main, integrals(
-            centred, lambda s, dlo, dhi, _: np.sqrt(s) / np.sqrt(dlo)),
-            near, mid),
-        "mainpart_tilde": sup(main, integrals(
-            centred, lambda s, dlo, dhi, _: np.sqrt(s) / np.sqrt(dhi)),
-            near, mid),
-        "remainder1": sup(outer, integrals(
-            lambda ts: (r - ts, np.full_like(ts, r)),
-            lambda s, dlo, dhi, _: 1.0 / np.sqrt(dlo)), far_lo, low),
-        "remainder2": sup(outer, integrals(
-            lambda ts: (np.full_like(ts, r), r + ts),
-            lambda s, dlo, dhi, _: 1.0 / np.sqrt(dhi)), far_lo, low),
-        "remainder3": sup(inner, integrals(
-            lambda ts: (ts - r, ts), lambda s, dlo, dhi, _: 1.0 / np.sqrt(dlo),
-            sqrt_r), far_hi, high),
-        "remainder4": sup(inner, integrals(
-            lambda ts: (ts, ts + r), lambda s, dlo, dhi, _: 1.0 / np.sqrt(dhi),
-            sqrt_r), far_hi, high),
-    }
+            def weight(s, dlo, dhi, rows):
+                return np.where(root_k[rows], np.sqrt(s), 1.0) / np.sqrt(
+                    np.where(at_lo_k[rows], dlo, dhi))
+
+            return _profile_integrals(
+                absf, np.choose(ends[k, 0], spans),
+                np.choose(ends[k, 1], spans), weight, quad) / divisor[k]
+
+    h = float(grid.refinement)
+    found = iter(_sup_over_dilations(
+        eval_many, [(*row[1], row[2], h) for row in rows], E))
+    return {name: next(found)[0] if row[0] else 0.0
+            for name, row in table.items()}
 
 
 _CIRCULAR_STEPS = 4096

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConsistencyError, ParameterError
-from .fractal_set import as_rational
+from .fractal_set import _over_lcm, as_rational
 from .radial_operator import _check_dim
 
 INCLUDED = "included"
@@ -51,9 +51,8 @@ def _on_grid(points) -> list[tuple[int, int]]:
     """The points as integer pairs (x M, y M), M the lcm of the
     denominators of their coordinates: exact, so every sign, equality and
     order of the Fractions holds for the integers, which are cheaper."""
-    m = math.lcm(*(c.denominator for p in points for c in (p.x, p.y)))
-    return [(p.x.numerator * (m // p.x.denominator),
-             p.y.numerator * (m // p.y.denominator)) for p in points]
+    _, nums = _over_lcm(c for p in points for c in (p.x, p.y))
+    return list(zip(nums[::2], nums[1::2]))
 
 
 def _cross(o, a, b) -> int:

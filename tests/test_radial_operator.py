@@ -1809,6 +1809,103 @@ def test_components_pinned_bits():
     }
 
 
+def _components_one_by_one(d, E, f, r, grid):
+    # each active component through its own one-sweep _sup_over_dilations,
+    # with the window, weight and divisor of its own integrand
+    h = float(grid.refinement)
+    ts, pts = grid._floats, grid.points
+    i = int(ts.searchsorted(r / 2.0, "right"))
+    j = int(ts.searchsorted(1.5 * r))
+    near, far_lo, far_hi = ((ts[i:j], pts[i:j]), (ts[:i], pts[:i]),
+                            (ts[j:], pts[j:]))
+    main, mid = 2.0 / 3.0 < r < 4.0, (r / 2.0, 1.5 * r)
+    if d >= 3:
+        def at(w, scale):
+            g = radial_operator._weighted_abs(f, w)
+            return lambda ts: (2.0 * r / scale) * ts * _spherical_means(
+                3, g, r, ts)
+
+        hi_t, lo_t = min(2.0, r / 2.0), max(1.0, 1.5 * r)
+        comps = {
+            "mainpart": (main, at(d - 2.0, 1.0), near, mid),
+            "remainder1": (r >= 2.0, at(0.0, 1.0),
+                           (np.linspace(1.0, hi_t, 33), None), (1.0, hi_t)),
+            "remainder2": (r < 4.0 / 3.0 and lo_t <= 2.0, at(0.0, r),
+                           (np.linspace(lo_t, 2.0, 33), None), (lo_t, 2.0))}
+    else:
+        absf = radial_operator._weighted_abs(f, 1.0)
+
+        def at(window, weight, scale=1.0):
+            return lambda ts: radial_operator._profile_integrals(
+                absf, *window(ts), lambda s, dlo, dhi, _: weight(s, dlo, dhi),
+                quadrature.DEFAULT_QUAD) / scale
+
+        def centred(ts):
+            return np.abs(r - ts), r + ts
+
+        low, high = (0.0, r / 2.0), (1.5 * r, math.inf)
+        sqrt_r = math.sqrt(r)
+        comps = {
+            "mainpart": (main, at(centred, lambda s, dlo, dhi:
+                                  np.sqrt(s) / np.sqrt(dlo)), near, mid),
+            "mainpart_tilde": (main, at(centred, lambda s, dlo, dhi:
+                                        np.sqrt(s) / np.sqrt(dhi)), near, mid),
+            "remainder1": (r >= 2.0, at(
+                lambda ts: (r - ts, np.full_like(ts, r)),
+                lambda s, dlo, dhi: 1.0 / np.sqrt(dlo)), far_lo, low),
+            "remainder2": (r >= 2.0, at(
+                lambda ts: (np.full_like(ts, r), r + ts),
+                lambda s, dlo, dhi: 1.0 / np.sqrt(dhi)), far_lo, low),
+            "remainder3": (r < 4.0 / 3.0, at(
+                lambda ts: (ts - r, ts),
+                lambda s, dlo, dhi: 1.0 / np.sqrt(dlo), sqrt_r), far_hi, high),
+            "remainder4": (r < 4.0 / 3.0, at(
+                lambda ts: (ts, ts + r),
+                lambda s, dlo, dhi: 1.0 / np.sqrt(dhi), sqrt_r), far_hi, high)}
+    return {name: _sup_over_dilations(
+                lambda ts, _, fn=fn: fn(np.asarray(ts)),
+                [(*cands, bounds, h)], E)[0][0] if on else 0.0
+            for name, (on, fn, cands, bounds) in comps.items()}
+
+
+def test_decomposition_lockstep_matches_each_component_alone(monkeypatch):
+    # one _sup_over_dilations call sweeps and polishes every component in
+    # lockstep; each must keep the bits of its own sup taken alone
+    rng = random.Random(45)
+    sets = [(E, DilationGrid.from_set(E, F(1, 32)))
+            for E in (middle_cantor(F(1, 3), 4), full_interval())]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _sup_over_dilations(*args, **kwargs)
+
+    seen = set()
+    for _ in range(40):
+        d = rng.choice([2, 3, 4])
+        E, grid = rng.choice(sets)
+        cuts = sorted(rng.sample(range(1, 48), 2 * rng.randint(1, 2)))
+        f = RadialProfile(tuple(
+            ProfilePiece(F(lo, 8), F(hi, 8), round(rng.uniform(0.2, 3.0), 6),
+                         rng.choice([0.0, 0.0, -1.0, -0.5, 0.5, 1.0]))
+            for lo, hi in zip(cuts[::2], cuts[1::2])))
+        r = rng.uniform(0.3, 5.0)
+        want = _components_one_by_one(d, E, f, r, grid)
+        monkeypatch.setattr(radial_operator, "_sup_over_dilations", counted)
+        calls.clear()
+        got = decomposition_components(d, E, f, 2, r, grid=grid)
+        monkeypatch.undo()
+        assert len(calls) == 1, (d, r)
+        assert {k: v.hex() for k, v in got.items()} == \
+            {k: v.hex() for k, v in want.items()}, (d, E, f, r)
+        seen |= {(d > 2, k) for k, v in got.items() if v > 0.0}
+    # every component of both shapes was on, and nonzero, in some draw
+    assert seen == {(False, k) for k in ("mainpart", "mainpart_tilde",
+                                         "remainder1", "remainder2",
+                                         "remainder3", "remainder4")} | {
+        (True, k) for k in ("mainpart", "remainder1", "remainder2")}
+
+
 def test_components_from_three_dimensions_match_mpmath():
     # without a polish (refinement 0) each d >= 3 component is the largest,
     # over its candidate dilations t and 0, of the integral of s^w |f| over
